@@ -39,7 +39,6 @@ from .constructions import (
 )
 from .finders import (
     CenterWitness,
-    RadiiIndex,
     find_boundary_centers_2d,
     find_centers_1d,
     find_vertex_centers_2d,

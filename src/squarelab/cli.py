@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import constructions as cons
@@ -155,55 +156,45 @@ def _cmd_gen_splice(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # find
 
-def _find_summary(input_size: int, centers: int, bound: float | None,
-                  bound_ok: bool, path: str | None) -> None:
-    summary = {"input_size": input_size, "centers": centers,
-               "bound": bound, "bound_ok": bound_ok}
-    line = json.dumps(summary)
+def _find(args: argparse.Namespace, size: int, m: int | None, find, row) -> int:
+    """Call the finder once: print the count (mode='count') or the sorted
+    centers, then the JSON summary of the bound |S|**3 <= 16 * m**4."""
+    if args.count:
+        count = find(mode="count")
+        _emit(f"{count}\n", args.out)
+    else:
+        found = sorted(find(mode="enumerate"))
+        count = len(found)
+        _emit("".join(map(row, found)), args.out)
+    bound_ok = m is None or count**3 <= 16 * m**4
+    line = json.dumps({"input_size": size, "centers": count,
+                       "bound": None if m is None else float(2 * m) ** (4 / 3),
+                       "bound_ok": bound_ok})
     _say(line)
-    if path:
-        Path(path).write_text(line + "\n")
+    if args.summary:
+        Path(args.summary).write_text(line + "\n")
+    return 0 if bound_ok else 1
+
+
+def _center_row(c) -> str:
+    return f"{c.X} {c.Y}\n"
 
 
 def _cmd_find_centers1d(args: argparse.Namespace) -> int:
     a = _read_intset(getattr(args, "in"))
-    count = find_centers_1d(a, mode="count")
-    bound_ok = count**3 <= 16 * len(a) ** 8
-    if args.count:
-        _emit(f"{count}\n", args.out)
-    else:
-        centers = sorted(find_centers_1d(a, mode="enumerate"))
-        _emit("".join(f"{c.X} {c.Y}\n" for c in centers), args.out)
-    _find_summary(len(a), count, float(2 * len(a) ** 2) ** (4 / 3), bound_ok,
-                  args.summary)
-    return 0 if bound_ok else 1
+    return _find(args, len(a), len(a) ** 2, partial(find_centers_1d, a), _center_row)
 
 
 def _cmd_find_vertices(args: argparse.Namespace) -> int:
     b = _read_pointset(getattr(args, "in"))
-    centers = find_vertex_centers_2d(b, mode="enumerate")
-    count = len(centers)
-    bound_ok = count**3 <= 16 * len(b) ** 4
-    if args.count:
-        _emit(f"{count}\n", args.out)
-    else:
-        _emit("".join(f"{c.X} {c.Y}\n" for c in sorted(centers)), args.out)
-    _find_summary(len(b), count, float(2 * len(b)) ** (4 / 3), bound_ok, args.summary)
-    return 0 if bound_ok else 1
+    return _find(args, len(b), len(b), partial(find_vertex_centers_2d, b), _center_row)
 
 
 def _cmd_find_boundaries(args: argparse.Namespace) -> int:
     b = _read_pointset(getattr(args, "in"))
-    found = find_boundary_centers_2d(b, args.rmax, mode="enumerate")
-    count = len(found)
-    if args.count:
-        _emit(f"{count}\n", args.out)
-    else:
-        rows = sorted((w.center.X, w.center.Y, w.radius) for w in found)
-        _emit("".join(f"{x} {y} {r}\n" for x, y, r in rows), args.out)
     # No per-run counting theorem pins boundary pairs; the summary stays vacuous.
-    _find_summary(len(b), count, None, True, args.summary)
-    return 0
+    return _find(args, len(b), None, partial(find_boundary_centers_2d, b, args.rmax),
+                 lambda w: f"{w.center.X} {w.center.Y} {w.radius}\n")
 
 
 # ---------------------------------------------------------------------------

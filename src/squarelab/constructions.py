@@ -39,6 +39,7 @@ from .core_sets import (
     PointSet2D,
     RangeError,
     require_budget,
+    unique_ints,
 )
 
 __all__ = [
@@ -81,21 +82,11 @@ def gen_Dk(k: int, *, budget: int | None = None) -> IntSet1D:
         b + c * k + d * k**3,          # c = 0
         b + c * k + d * k**2,          # d = 0
     ]
-    values = np.unique(np.concatenate(parts))
+    values = unique_ints(np.concatenate(parts))
     out = IntSet1D.from_sorted_array(values)
     # Containment in the ambient interval is a theorem; cheap to keep honest.
     assert -k**4 <= out.min() and out.max() <= 2 * k**4
     return out
-
-
-def _digits4(v: int, k: int) -> tuple[int, int, int, int]:
-    """Base-k digits (v0, v1, v2, v3) of v in [0, k**4)."""
-    v0 = v % k
-    v //= k
-    v1 = v % k
-    v //= k
-    v2 = v % k
-    return v0, v1, v2, v % k
 
 
 def witness_r(x: int, y: int, k: int) -> int:
@@ -113,8 +104,8 @@ def witness_r(x: int, y: int, k: int) -> int:
     n = k**4
     if not (0 <= x < n and 0 <= y < n):
         raise RangeError(f"center ({x}, {y}) outside [0, {n})**2 at level {k}")
-    x0, x1, _, _ = _digits4(x, k)
-    _, _, y2, y3 = _digits4(y, k)
+    x0, x1 = x % k, x // k % k
+    y2, y3 = y // k**2 % k, y // k**3
     r0 = x0 - x1 * k + y2 * k**2 - y3 * k**3
     return abs(r0) if r0 else 1
 
@@ -204,13 +195,10 @@ def _sumset_levels(levels: Sequence[tuple[int, IntSet1D]],
     acc = np.zeros(1, dtype=np.int64)
     for mult, s in levels:
         vals = mult * s.as_array()
-        if acc.size * vals.size <= 30_000_000:
-            acc = np.unique(acc[:, None] + vals[None, :])
-        else:
-            step = max(1, 30_000_000 // max(vals.size, 1))
-            pieces = [np.unique(acc[i:i + step, None] + vals[None, :])
-                      for i in range(0, acc.size, step)]
-            acc = np.unique(np.concatenate(pieces))
+        step = max(1, 30_000_000 // max(vals.size, 1))
+        pieces = [unique_ints(acc[i:i + step, None] + vals[None, :])
+                  for i in range(0, acc.size, step)]
+        acc = unique_ints(np.concatenate(pieces))
     return IntSet1D.from_sorted_array(acc)
 
 

@@ -118,6 +118,15 @@ class TestFind:
         out, _ = capsys.readouterr()
         assert len(out.strip().splitlines()) == 3352
 
+    def test_centers1d_d4_count_default_budget(self, tmp_path, capsys):
+        f = tmp_path / "d4.txt"
+        run("gen", "dk", "--k", "4", "--out", str(f))
+        capsys.readouterr()
+        assert run("find", "centers1d", "--in", str(f), "--count") == 0
+        out, err = capsys.readouterr()
+        assert out == "1109548\n"
+        assert json.loads(err)["centers"] == 1_109_548
+
     def test_vertices(self, tmp_path, capsys):
         f = tmp_path / "b.txt"
         f.write_text("0 0\n2 0\n0 2\n2 2\n1 5\n")

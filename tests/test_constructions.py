@@ -99,6 +99,17 @@ class TestWitness:
                 assert 1 <= r <= cap
                 assert {x - r, x + r} <= d and {y - r, y + r} <= d
 
+    def test_exhaustive_membership_k4(self):
+        # k = 4 is the first level with a nonzero fourth digit below k**4, so
+        # it is the first that reads all four digits of x and y
+        d = gen_Dk(4).as_array()
+        cap = 4**4
+        xs, ys = (v.ravel() for v in np.meshgrid(np.arange(cap), np.arange(cap)))
+        r = np.array([witness_r(x, y, 4) for x, y in zip(xs.tolist(), ys.tolist())])
+        assert np.all((1 <= r) & (r <= cap))
+        for probe in (xs - r, xs + r, ys - r, ys + r):
+            assert np.isin(probe, d).all()
+
     def test_domain_checks(self):
         with pytest.raises(RangeError):
             witness_r(-1, 0, 2)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +11,19 @@ from squarelab import (
     OccupancyGrid,
     ParameterError,
     PointSet2D,
-    RadiiIndex,
     find_boundary_centers_2d,
     find_centers_1d,
     find_vertex_centers_2d,
     gen_Dk,
+    gen_vertex_example,
     has_square_at,
     make_intset,
+)
+from squarelab.finders import (
+    _centers_1d_dense,
+    _centers_1d_sparse,
+    _vertex_centers_dense,
+    _vertex_centers_sparse,
 )
 
 from oracles import (
@@ -209,21 +217,60 @@ class TestHasSquareAt:
             has_square_at(PointSet2D([(0, 0)]), DoubledPoint(0, 0), "edges")
 
 
-class TestRadiiIndex:
-    def test_index_contents(self):
-        idx = RadiiIndex.from_intset(make_intset([0, 1, 3]))
-        assert idx.midpoints() == (1, 3, 4)
-        assert idx.radii(3) == (3,)
-        assert idx.radii(4) == (2,)
-        assert idx.midpoints_with_radius(1) == (1,)
-        assert idx.match_cost() == 3  # three singleton radius buckets
+class TestBackendsAgree:
+    """Dense and sparse kernels against each other and the naive oracles."""
 
-    def test_match_cost_counts_bucket_squares(self):
-        idx = RadiiIndex.from_intset(make_intset([0, 1, 2, 3]))
-        # radius 1 from (0,1), (1,2), (2,3); radius 2 from (0,2), (1,3); radius 3 once
-        assert idx.match_cost() == 9 + 4 + 1
+    @given(st.sets(st.integers(-30, 30), min_size=2, max_size=16))
+    @settings(max_examples=80, deadline=None)
+    def test_centers_1d(self, vals):
+        a = make_intset(vals).as_array()
+        expected = oracle_centers_1d(vals)
+        for kernel in (_centers_1d_dense, _centers_1d_sparse):
+            assert {(p.X, p.Y) for p in kernel(a, "enumerate")} == expected
+            assert kernel(a, "count") == len(expected)
 
-    def test_missing_keys_are_empty(self):
-        idx = RadiiIndex.from_intset(make_intset([0, 4]))
-        assert idx.radii(99) == ()
-        assert idx.midpoints_with_radius(99) == ()
+    @given(st.sets(st.tuples(st.integers(-6, 8), st.integers(-4, 10)),
+                   min_size=1, max_size=45))
+    @settings(max_examples=80, deadline=None)
+    def test_vertex_centers(self, pts):
+        b = PointSet2D(pts)
+        expected = oracle_vertex_centers_2d(pts)
+        for kernel in (_vertex_centers_dense, _vertex_centers_sparse):
+            assert {(p.X, p.Y) for p in kernel(b, "enumerate")} == expected
+            assert kernel(b, "count") == len(expected)
+
+    def test_paper_examples(self):
+        d3 = gen_Dk(3).as_array()
+        assert _centers_1d_dense(d3, "count") == _centers_1d_sparse(d3, "count") == 105_542
+        b, _ = gen_vertex_example(2)
+        assert _vertex_centers_dense(b, "enumerate") == _vertex_centers_sparse(b, "enumerate")
+
+
+class TestBudgets:
+    def test_spread_1d_refuses_before_work(self):
+        # 2,000 elements of [0, 10**5): about 5.5e7 same-radius midpoint
+        # pairs, over the pair budget; the estimate alone must decide
+        rng = np.random.default_rng(0)
+        a = make_intset(rng.choice(10**5, size=2_000, replace=False).tolist())
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="common-radius pair sweep"):
+            find_centers_1d(a, "count")
+        assert time.perf_counter() - start < 1.0
+
+    def test_dense_1d_runs_past_the_pair_budget(self):
+        # D_4 has 104,464,421 same-radius midpoint pairs, five times the pair
+        # budget, but fits the dense kernel's cell budget
+        assert find_centers_1d(gen_Dk(4), "count") == 1_109_548
+
+    def test_vertex_point_guard_still_applies(self):
+        b, _ = gen_vertex_example(3)
+        with pytest.raises(BudgetError, match="vertex-center scan"):
+            find_vertex_centers_2d(b, "count")
+        assert find_vertex_centers_2d(b, "count", budget=10**8) == 105_542
+
+    def test_spread_vertices_take_the_pair_scan(self):
+        # a bounding box far over the grid-cell budget: no grid is built
+        b = PointSet2D([(0, 0), (10**7, 0), (0, 10**7), (10**7, 10**7), (5, 9)])
+        assert find_vertex_centers_2d(b) == frozenset({DoubledPoint(10**7, 10**7)})
+        with pytest.raises(BudgetError, match="same-row pair scan"):
+            find_vertex_centers_2d(b, budget=5)
