@@ -19,7 +19,6 @@ from .core_sets import (
     make_intset,
     parse_intset_text,
     parse_pointset_text,
-    segment_full,
 )
 from .constructions import (
     CantorTruncation,
@@ -27,7 +26,6 @@ from .constructions import (
     CountableTruncation,
     default_a_sequence,
     gen_AN,
-    gen_AN_general,
     gen_boundary_example,
     gen_cantor_truncation,
     gen_countable_truncation,
@@ -36,6 +34,8 @@ from .constructions import (
     splice_En,
     witness_r,
     witness_r_AN,
+    witness_radii,
+    witness_radii_AN,
 )
 from .finders import (
     CenterWitness,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import datetime as _dt
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -109,8 +108,7 @@ def check_main_lemma_1d(a: IntSet1D, *, s_count: int | None = None,
 _FAMILIES = ("dk_vertex", "dk_boundary", "dk_size", "an_cover")
 
 
-def family_scan(family: str, k_range: Iterable[int],
-                jobs: int | None = None) -> ExponentReport:
+def family_scan(family: str, k_range: Iterable[int]) -> ExponentReport:
     """Exact sizes and log-log slopes across one generated family.
 
     dk_vertex:   (k, |B|, |S|) of the vertex example, slope of log|S| against
@@ -123,8 +121,6 @@ def family_scan(family: str, k_range: Iterable[int],
 
     Sizes come from the exact closed forms / digit-set enumeration — nothing
     planar is materialized — so slopes are bit-reproducible for a given range.
-    Rows are independent per parameter; `jobs` > 1 computes them in a thread
-    pool and reassembles in parameter order, so output never depends on jobs.
     """
     if family not in _FAMILIES:
         raise ParameterError(f"unknown family {family!r}; choose from {_FAMILIES}")
@@ -161,11 +157,7 @@ def family_scan(family: str, k_range: Iterable[int],
             r_j = 200 * (pf // math.factorial(j)) ** 4
             return j, r_j, covering_count_1d(a, r_j)
 
-    if jobs is not None and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(row, ks))
-    else:
-        rows = [row(k) for k in ks]
+    rows = [row(k) for k in ks]
     return ExponentReport(family=family, rows=tuple(rows),
                           slopes=tuple(exponent_finite_diff(rows)), target=target)
 
@@ -173,28 +165,29 @@ def family_scan(family: str, k_range: Iterable[int],
 # ---------------------------------------------------------------------------
 # Construction verification (replay of the defining properties)
 
+_CHUNK_CELLS = 2**20  # radius-table cells per block: the replay's memory bound
+
+
 def _verify_dk(k: int) -> list[BoundCheck]:
     """Exhaustive witness replay over all of {0..k**4-1}**2, vectorized.
 
-    Builds the radius table r(x, y) digit-by-digit and checks the four
-    shifted memberships through a boolean lookup over [-k**4, 2k**4].
+    Builds the radius table r(x, y) a block of rows at a time and checks the
+    four shifted memberships through a boolean lookup over [-k**4, 2k**4].
     """
     dset = cons.gen_Dk(k)
     n = k**4
     mem = np.zeros(3 * n + 1, dtype=bool)
     mem[dset.as_array() + n] = True
 
-    v = np.arange(n, dtype=np.int64)
-    x0, x1 = v % k, (v // k) % k
-    y2, y3 = (v // k**2) % k, v // k**3
-    r = np.abs((x0 - k * x1)[:, None] + (k**2 * y2 - k**3 * y3)[None, :])
-    np.maximum(r, 1, out=r)  # the fallback radius where the formula gives 0
-
-    xs = v[:, None]
-    ys = v[None, :]
-    good = (mem[xs - r + n] & mem[xs + r + n] & mem[ys - r + n] & mem[ys + r + n])
-    misses = int(good.size - np.count_nonzero(good))
-    radius_misses = int(np.count_nonzero(r > n))
+    ys = np.arange(n, dtype=np.int64)
+    misses = radius_misses = 0
+    rows = max(1, _CHUNK_CELLS // n)
+    for lo in range(0, n, rows):
+        xs = ys[lo:lo + rows, None]
+        r = cons.witness_radii(xs, ys, k)
+        good = mem[xs - r + n] & mem[xs + r + n] & mem[ys - r + n] & mem[ys + r + n]
+        misses += good.size - int(np.count_nonzero(good))
+        radius_misses += int(np.count_nonzero(r > n))
     sizes = {"k": k, "elems": len(dset), "centers": n * n}
     return [
         BoundCheck.compare(f"dk{k}_witness_misses", misses, 0, **sizes),
@@ -208,31 +201,21 @@ def _verify_dk(k: int) -> list[BoundCheck]:
 def _verify_an(p: int, seed: int | None, samples: int,
                budget: int | None) -> list[BoundCheck]:
     a = cons.gen_AN(p, budget=budget)
-    members = frozenset(a.elems)
     n = cons.an_modulus(p)
 
-    if n * n <= samples:
-        pairs: Iterable[tuple[int, int]] = ((x, y) for x in range(n) for y in range(n))
-        tested = n * n
-        exhaustive = True
+    exhaustive = n * n <= samples
+    if exhaustive:
+        xs, ys = np.divmod(np.arange(n * n), n)
     else:
         rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
         xs = rng.integers(0, n, size=samples)
         ys = rng.integers(0, n, size=samples)
-        pairs = zip(xs.tolist(), ys.tolist())
-        tested = samples
-        exhaustive = False
 
-    misses = 0
-    r_misses = 0
-    for x, y in pairs:
-        r = cons.witness_r_AN(x, y, p)
-        if not (1 <= r <= 3 * n):
-            r_misses += 1
-        if not (x - r in members and x + r in members
-                and y - r in members and y + r in members):
-            misses += 1
-    sizes = {"p": p, "elems": len(a), "tested": tested, "exhaustive": int(exhaustive)}
+    r = cons.witness_radii_AN(xs, ys, p)
+    r_misses = int(np.count_nonzero((r < 1) | (r > 3 * n)))
+    good = np.isin(np.stack((xs - r, xs + r, ys - r, ys + r)), a.as_array()).all(axis=0)
+    misses = xs.size - int(np.count_nonzero(good))
+    sizes = {"p": p, "elems": len(a), "tested": xs.size, "exhaustive": int(exhaustive)}
     checks = [
         BoundCheck.compare(f"an{p}_witness_misses", misses, 0, **sizes),
         BoundCheck.compare(f"an{p}_radius_out_of_band", r_misses, 0, **sizes),
@@ -257,10 +240,7 @@ def _verify_boundary(k: int, budget: int | None) -> list[BoundCheck]:
     n = k**4
 
     v = np.arange(1, n, dtype=np.int64)
-    x0, x1 = v % k, (v // k) % k
-    y2, y3 = (v // k**2) % k, v // k**3
-    r = np.abs((x0 - k * x1)[:, None] + (k**2 * y2 - k**3 * y3)[None, :])
-    np.maximum(r, 1, out=r)
+    r = cons.witness_radii(v[:, None], v, k)
 
     # Four full sides per center, each a prefix-sum difference on the grid.
     px, py = grid._px, grid._py

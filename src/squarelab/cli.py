@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -222,7 +221,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     ks = list(range(args.kmin, args.kmax + 1))
-    rep = family_scan(args.family, ks, jobs=args.jobs)
+    rep = family_scan(args.family, ks)
     if args.format == "csv":
         lines = ["param,n1,n2,slope,target"]
         slope_by_hi = {s.hi: s for s in rep.slopes}
@@ -271,9 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="squarelab",
         description="Generate, search, and verify discrete axis-parallel "
                     "square configurations.")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count(),
-                        help="worker threads for scans (results are identical "
-                             "for any value; other commands run serially)")
     sub = parser.add_subparsers(dest="command")
 
     def add_out(p: argparse.ArgumentParser) -> None:
@@ -373,15 +369,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_out(v)
     v.set_defaults(func=_cmd_verify, target="countable")
 
-    for name in ("scan", "exponents"):  # same command, both spellings accepted
-        sc = sub.add_parser(name, help="size-law scan across a family")
-        sc.add_argument("--family", required=True,
-                        choices=("dk_vertex", "dk_boundary", "dk_size", "an_cover"))
-        sc.add_argument("--kmin", type=int, required=True)
-        sc.add_argument("--kmax", type=int, required=True)
-        sc.add_argument("--format", choices=("csv", "json"), default="csv")
-        add_out(sc)
-        sc.set_defaults(func=_cmd_scan)
+    sc = sub.add_parser("scan", help="size-law scan across a family")
+    sc.add_argument("--family", required=True,
+                    choices=("dk_vertex", "dk_boundary", "dk_size", "an_cover"))
+    sc.add_argument("--kmin", type=int, required=True)
+    sc.add_argument("--kmax", type=int, required=True)
+    sc.add_argument("--format", choices=("csv", "json"), default="csv")
+    add_out(sc)
+    sc.set_defaults(func=_cmd_scan)
 
     c = sub.add_parser("cover", help="minimal interval cover count of a 1D set")
     c.add_argument("--in", required=True)

@@ -43,11 +43,11 @@ from .core_sets import (
 )
 
 __all__ = [
-    "gen_Dk", "dk_size_cap", "witness_r",
+    "gen_Dk", "dk_size_cap", "witness_r", "witness_radii",
     "gen_vertex_example", "vertex_example_sizes",
     "gen_boundary_example", "boundary_example_sizes",
-    "gen_AN", "an_modulus", "witness_r_AN",
-    "gen_AN_general", "interpolation_level",
+    "gen_AN", "an_modulus", "witness_r_AN", "witness_radii_AN",
+    "interpolation_level",
     "CantorTruncation", "gen_cantor_truncation",
     "CountableBlock", "CountableTruncation", "gen_countable_truncation",
     "splice_En", "default_a_sequence",
@@ -63,6 +63,13 @@ def dk_size_cap(k: int) -> int:
     return (3 * k - 2) ** 4 - (3 * k - 3) ** 4
 
 
+def _check_level(k: int) -> int:
+    """Validate a digit-set level; returns k**4."""
+    if not isinstance(k, int) or k < 2:
+        raise ParameterError(f"digit-set level must be an integer >= 2, got {k!r}")
+    return k**4
+
+
 def gen_Dk(k: int, *, budget: int | None = None) -> IntSet1D:
     """All values a + b*k + c*k**2 + d*k**3 with digits in {-k+1..2k-2}, abcd = 0.
 
@@ -70,8 +77,7 @@ def gen_Dk(k: int, *, budget: int | None = None) -> IntSet1D:
     three digits, which keeps the working set at 4*(3k-2)**3 values instead of
     (3k-2)**4 tuples.
     """
-    if not isinstance(k, int) or k < 2:
-        raise ParameterError(f"digit-set level must be an integer >= 2, got {k!r}")
+    _check_level(k)
     require_budget(dk_size_cap(k), DEFAULT_ELEMENT_BUDGET, f"digit set at level {k}", budget)
     dig = np.arange(-k + 1, 2 * k - 1, dtype=np.int64)
     b, c, d = np.meshgrid(dig, dig, dig, indexing="ij")
@@ -89,8 +95,9 @@ def gen_Dk(k: int, *, budget: int | None = None) -> IntSet1D:
     return out
 
 
-def witness_r(x: int, y: int, k: int) -> int:
-    """A radius r with x-r, x+r, y-r, y+r all in D_k, for any x, y in [0, k**4).
+def witness_radii(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
+    """Witness radii r(x, y) with x-r, x+r, y-r, y+r all in D_k, for x, y in
+    [0, k**4), broadcast over integer arrays.
 
     Writing x and y in base k, r0 = x0 - x1*k + y2*k**2 - y3*k**3 works because
     each of the four shifted values expands with one digit forced to zero
@@ -99,15 +106,22 @@ def witness_r(x: int, y: int, k: int) -> int:
     membership conditions only see {x-r, x+r} and {y-r, y+r} as pairs.  When
     r0 = 0 (all four contributing digits zero) r = 1 works directly.
     """
-    if not isinstance(k, int) or k < 2:
-        raise ParameterError(f"digit-set level must be an integer >= 2, got {k!r}")
-    n = k**4
+    n = _check_level(k)
+    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+    for v in (x, y):
+        if v.size and (v.min() < 0 or v.max() >= n):
+            raise RangeError(f"centers outside [0, {n})**2 at level {k}")
+    return np.maximum(np.abs((x % k - x // k % k * k)
+                             + (y // k**2 % k * k**2 - y // k**3 * k**3)), 1)
+
+
+def witness_r(x: int, y: int, k: int) -> int:
+    """A radius r with x-r, x+r, y-r, y+r all in D_k, for any x, y in [0, k**4);
+    the scalar form of :func:`witness_radii`."""
+    n = _check_level(k)
     if not (0 <= x < n and 0 <= y < n):
         raise RangeError(f"center ({x}, {y}) outside [0, {n})**2 at level {k}")
-    x0, x1 = x % k, x // k % k
-    y2, y3 = y // k**2 % k, y // k**3
-    r0 = x0 - x1 * k + y2 * k**2 - y3 * k**3
-    return abs(r0) if r0 else 1
+    return int(witness_radii(x, y, k))
 
 
 # ---------------------------------------------------------------------------
@@ -226,24 +240,32 @@ def gen_AN(p: int, *, budget: int | None = None) -> IntSet1D:
     return _sumset_levels(levels, f"depth-{p} interpolating set", budget)
 
 
-def witness_r_AN(x: int, y: int, p: int) -> int:
-    """A radius r in [1, 3*(p!)**4] with x-r, x+r, y-r, y+r all in gen_AN(p).
+def witness_radii_AN(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """Radii r in [1, 3*(p!)**4] with x-r, x+r, y-r, y+r all in gen_AN(p), for
+    x, y in [0, (p!)**4), broadcast over integer arrays.
 
     Decomposes x and y in the mixed radix (p!/k!)**4 (digit at level k ranges
     over [0, k**4)) and sums the per-level witness radii back with the same
     multipliers.  The level radii are at most k**4 with the r = 1 fallback, so
     r <= (p!)**4 * sum of 1/(m!)**4 over m < p, which is < 1.07 * (p!)**4.
+    A center outside [0, (p!)**4) has a level-2 digit outside [0, 16), which
+    :func:`witness_radii` refuses.
     """
+    r = 0
+    for k, mult in _an_scales(p).items():
+        u, x = np.divmod(x, mult)
+        v, y = np.divmod(y, mult)
+        r = r + mult * witness_radii(u, v, k)
+    assert not (np.any(x) or np.any(y))  # the level-p multiplier is 1, digits exhaust
+    return r
+
+
+def witness_r_AN(x: int, y: int, p: int) -> int:
+    """The scalar form of :func:`witness_radii_AN`."""
     n = an_modulus(p)
     if not (0 <= x < n and 0 <= y < n):
         raise RangeError(f"center ({x}, {y}) outside [0, {n})**2 at depth {p}")
-    r = 0
-    for k, mult in _an_scales(p).items():
-        u, x = divmod(x, mult)
-        v, y = divmod(y, mult)
-        r += mult * witness_r(u, v, k)
-    assert x == 0 and y == 0  # the level-p multiplier is 1, digits exhaust
-    return r
+    return int(witness_radii_AN(x, y, p))
 
 
 def interpolation_level(n: int) -> int:
@@ -254,15 +276,6 @@ def interpolation_level(n: int) -> int:
     while an_modulus(p) < n:
         p += 1
     return p
-
-
-def gen_AN_general(n: int, *, budget: int | None = None) -> IntSet1D:
-    """Interpolating set for an arbitrary count n >= 2.
-
-    Returns the full depth-p set for the smallest p with (p!)**4 >= n; only
-    the guaranteed center range shrinks to {0..n-1}, the set itself does not.
-    """
-    return gen_AN(interpolation_level(n), budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +317,6 @@ class CantorTruncation:
     a_floats: tuple[float, ...] | None = None
     t_floats: tuple[float, ...] | None = None
     error_bound: float | None = None
-
-    @property
-    def scaled_set(self) -> IntSet1D:
-        """The scaled A side (alias kept for the one-set view of the type)."""
-        if self.a_set is None:
-            raise ModeError("float-mode truncation has no exact scaled set")
-        return self.a_set
 
     def level_multipliers(self) -> tuple[int, ...]:
         """Exact integer weights scale * w_k for k = 1..depth (exact mode only)."""
@@ -437,7 +443,7 @@ def gen_countable_truncation(alpha: int, K: int, *,
     for k in range(1, K + 1):
         n = 2 ** (alpha * k)
         factor = 2 ** ((1 + alpha) * (K - k))
-        a = gen_AN_general(n, budget=budget)
+        a = gen_AN(interpolation_level(n), budget=budget)
         estimate += 2 * len(a) * (7 * n * factor + 1) + n * n
         level_sets.append((k, n, factor, a))
     require_budget(estimate, DEFAULT_ELEMENT_BUDGET,

@@ -1,8 +1,8 @@
 """Exact integer ground types for finite lattice sets.
 
 Everything downstream (constructions, finders, dimension estimates) works over
-plain integers: 1D sets are strictly increasing tuples, 2D sets are deduplicated
-lattice-point collections, and square centers/radii travel in *doubled*
+plain integers: 1D sets are strictly increasing int64 arrays, 2D sets are
+deduplicated lattice-point collections, and square centers/radii travel in *doubled*
 coordinates (2x, 2y, 2r) so half-integer centers stay exact.  Real-valued
 constructions are scaled into integers before they reach this layer.
 
@@ -113,6 +113,21 @@ def _check_coord(v: int) -> int:
     return v
 
 
+def _coord_array(values: Iterable[int]) -> np.ndarray:
+    """Integers as an int64 array, refused as :func:`_check_coord` refuses the
+    first bad one in iteration order."""
+    values = values if isinstance(values, np.ndarray) else list(values)
+    try:
+        arr = np.asarray(values)
+    except (OverflowError, ValueError):
+        arr = None
+    if (arr is None or arr.ndim != 1 or arr.dtype.kind not in "iu"
+            or arr.size and (arr.max() > COORD_LIMIT or arr.min() < -COORD_LIMIT)):
+        # only the scalar check names the first culprit
+        return np.array([_check_coord(v) for v in values], dtype=np.int64)
+    return arr.astype(np.int64)
+
+
 def unique_ints(values: np.ndarray) -> np.ndarray:
     """``np.unique`` of an integer array as a sort and a neighbour mask, which
     on numpy 2.4 is ~100x faster for millions of int64 keys."""
@@ -123,89 +138,86 @@ def unique_ints(values: np.ndarray) -> np.ndarray:
 
 
 class IntSet1D:
-    """A finite set of integers, stored sorted ascending and hash-indexed.
+    """A finite set of integers: one read-only, strictly increasing int64 array.
 
-    Construct through :func:`make_intset` (which sorts and deduplicates) or the
-    trusted fast path :meth:`from_sorted_array` used by the generators.
+    Construct through :func:`make_intset` (which sorts and deduplicates) or
+    :meth:`from_sorted_array`, the fast path of the generators.
     """
 
-    __slots__ = ("_elems", "_members", "_arr")
+    __slots__ = ("_arr",)
 
     def __init__(self, elems: Iterable[int]):
-        elems = tuple(_check_coord(v) for v in elems)
-        for a, b in zip(elems, elems[1:]):
-            if a >= b:
-                raise ParameterError(
-                    "IntSet1D requires strictly increasing elements; "
-                    "use make_intset() to sort and deduplicate")
-        self._elems = elems
-        self._members = frozenset(elems)
-        self._arr: np.ndarray | None = None
+        arr = _coord_array(elems)
+        if arr.size > 1 and not np.all(arr[1:] > arr[:-1]):
+            raise ParameterError(
+                "IntSet1D requires strictly increasing elements; "
+                "use make_intset() to sort and deduplicate")
+        arr.flags.writeable = False
+        self._arr = arr
 
     @classmethod
     def from_sorted_array(cls, arr: np.ndarray) -> "IntSet1D":
         """Build from a strictly increasing int64 array without re-sorting."""
-        arr = np.asarray(arr, dtype=np.int64)
-        if arr.size and not np.all(np.diff(arr) > 0):
+        arr = np.array(arr, dtype=np.int64)
+        if arr.size and not np.all(arr[1:] > arr[:-1]):
             raise ParameterError("array is not strictly increasing")
         if arr.size and max(abs(int(arr[0])), abs(int(arr[-1]))) > COORD_LIMIT:
             raise RangeError("array values exceed the supported magnitude 2**62")
+        arr.flags.writeable = False
         out = cls.__new__(cls)
-        out._elems = tuple(int(v) for v in arr)
-        out._members = frozenset(out._elems)
         out._arr = arr
         return out
 
     @property
     def elems(self) -> tuple[int, ...]:
-        return self._elems
+        return tuple(self._arr.tolist())
 
     def as_array(self) -> np.ndarray:
-        if self._arr is None:
-            self._arr = np.array(self._elems, dtype=np.int64)
         return self._arr
 
     def min(self) -> int:
-        if not self._elems:
+        if not self._arr.size:
             raise RangeError("empty set has no minimum")
-        return self._elems[0]
+        return int(self._arr[0])
 
     def max(self) -> int:
-        if not self._elems:
+        if not self._arr.size:
             raise RangeError("empty set has no maximum")
-        return self._elems[-1]
+        return int(self._arr[-1])
 
     def translate(self, offset: int) -> "IntSet1D":
         offset = _check_coord(offset)
-        return IntSet1D(v + offset for v in self._elems)
+        return IntSet1D([v + offset for v in self])
 
     def __len__(self) -> int:
-        return len(self._elems)
+        return self._arr.size
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._elems)
+        return iter(self._arr.tolist())
 
     def __contains__(self, v: object) -> bool:
-        return v in self._members
+        if not isinstance(v, (int, np.integer)) or abs(int(v)) > COORD_LIMIT:
+            return False
+        i = int(np.searchsorted(self._arr, int(v)))
+        return i < self._arr.size and int(self._arr[i]) == v
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IntSet1D):
-            return self._elems == other._elems
+            return np.array_equal(self._arr, other._arr)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._elems)
+        return hash(self._arr.tobytes())
 
     def __repr__(self) -> str:
-        if len(self._elems) <= 8:
-            return f"IntSet1D({list(self._elems)})"
-        return (f"IntSet1D(<{len(self._elems)} elements, "
-                f"{self._elems[0]}..{self._elems[-1]}>)")
+        if len(self) <= 8:
+            return f"IntSet1D({self._arr.tolist()})"
+        return f"IntSet1D(<{len(self)} elements, {self.min()}..{self.max()}>)"
 
 
 def make_intset(values: Iterable[int]) -> IntSet1D:
     """Sort, deduplicate, and validate integers into an :class:`IntSet1D`."""
-    return IntSet1D(sorted({_check_coord(v) for v in values}))
+    return IntSet1D.from_sorted_array(unique_ints(_coord_array(values)))
 
 
 class PointSet2D:
@@ -227,7 +239,7 @@ class PointSet2D:
     @classmethod
     def product(cls, xs: IntSet1D, ys: IntSet1D) -> "PointSet2D":
         out = cls.__new__(cls)
-        out._pts = frozenset((x, y) for x in xs.elems for y in ys.elems)
+        out._pts = frozenset((x, y) for x in xs for y in ys)
         out._sorted = None
         return out
 
@@ -382,11 +394,6 @@ class OccupancyGrid:
         return int(self._py[i, b + 1] - self._py[i, a]) == n
 
 
-def segment_full(grid: OccupancyGrid, axis: str, line: int, lo: int, hi: int) -> bool:
-    """Module-level form of :meth:`OccupancyGrid.segment_full`."""
-    return grid.segment_full(axis, line, lo, hi)
-
-
 # ---------------------------------------------------------------------------
 # Plain-text set files: one decimal integer per line (1D) or "x y" (2D),
 # '#' starts a comment, blank lines ignored, LF newlines, ascending output.
@@ -399,16 +406,22 @@ def _data_lines(text: str, source: str) -> Iterator[tuple[int, str]]:
 
 
 def parse_intset_text(text: str, *, source: str = "<string>") -> IntSet1D:
-    values = []
-    for lineno, line in _data_lines(text, source):
-        if len(line.split()) != 1:
-            raise FormatError(f"expected one integer, got {line!r}",
-                              source=source, lineno=lineno)
-        try:
-            values.append(int(line))
-        except ValueError:
-            raise FormatError(f"not an integer: {line!r}",
-                              source=source, lineno=lineno) from None
+    try:
+        # fast path: a line int() accepts is one integer token with no comment
+        values = list(map(int, [line for line in text.split("\n")
+                                if line and line[0] != "#"]))
+    except ValueError:
+        # inline comments, blank-looking or bad lines: the walk names a bad line
+        values = []
+        for lineno, line in _data_lines(text, source):
+            if len(line.split()) != 1:
+                raise FormatError(f"expected one integer, got {line!r}",
+                                  source=source, lineno=lineno)
+            try:
+                values.append(int(line))
+            except ValueError:
+                raise FormatError(f"not an integer: {line!r}",
+                                  source=source, lineno=lineno) from None
     try:
         return make_intset(values)
     except RangeError as exc:
@@ -417,7 +430,7 @@ def parse_intset_text(text: str, *, source: str = "<string>") -> IntSet1D:
 
 def format_intset_text(s: IntSet1D, *, header: str | None = None) -> str:
     lines = [f"# {header}"] if header else []
-    lines.extend(str(v) for v in s.elems)
+    lines.extend(map(str, s.as_array().tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .constructions import _as_fraction
 from .core_sets import (
+    COORD_LIMIT,
     IntSet1D,
     ParameterError,
     PointSet2D,
@@ -45,20 +46,20 @@ def covering_count_1d(a: IntSet1D, length: int) -> int:
     element — which is optimal in one dimension: any cover must contain an
     interval reaching that element, and sliding it right to start there only
     ever covers more.  An interval of length L covers L+1 lattice points.
+    Each interval costs one binary search: O(count * log |A|) in all.
     """
     if not isinstance(length, int) or length < 1:
         raise ParameterError(f"interval length must be an integer >= 1, got {length!r}")
-    elems = a.elems
-    if not elems:
+    arr = a.as_array()
+    if not arr.size:
         warnings.warn("covering an empty set needs 0 intervals", RuntimeWarning,
                       stacklevel=2)
         return 0
     count, i = 0, 0
-    while i < len(elems):
+    while i < arr.size:
         count += 1
-        limit = elems[i] + length
-        while i < len(elems) and elems[i] <= limit:
-            i += 1
+        # no element exceeds COORD_LIMIT, so clamping keeps the search in int64
+        i = int(np.searchsorted(arr, min(int(arr[i]) + length, COORD_LIMIT), "right"))
     return count
 
 

@@ -143,3 +143,73 @@ def oracle_segment_full(points, axis: str, line: int, lo: int, hi: int) -> bool:
     if axis == "vertical":
         return all((line, y) in member for y in range(lo, hi + 1))
     raise ValueError(axis)
+
+
+def oracle_make_intset(values):
+    """Sorted distinct values as a tuple, or (error class name, message) of the
+    first value that is not an integer or exceeds 2**62 in magnitude."""
+    out = set()
+    for v in values:
+        if not isinstance(v, (int, np.integer)):
+            return ("ParameterError", f"expected an integer coordinate, got {type(v).__name__}")
+        if abs(int(v)) > 2**62:
+            return ("RangeError", f"coordinate {int(v)} exceeds the supported magnitude 2**62")
+        out.add(int(v))
+    return tuple(sorted(out))
+
+
+def oracle_parse_intset(text: str, source: str):
+    """Line-by-line reading of a 1D set file.
+
+    Returns the sorted distinct values, or (message, lineno) of the format
+    error the file must raise: the first line that is not one integer token
+    (after cutting a '#' comment), else the first value past 2**62 (no line).
+    """
+    values = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        data = raw.split("#", 1)[0]
+        tokens = data.split()
+        if not tokens:
+            continue
+        if len(tokens) != 1:
+            return f"{source}:{lineno}: expected one integer, got {data.strip()!r}", lineno
+        try:
+            values.append(int(tokens[0]))
+        except ValueError:
+            return f"{source}:{lineno}: not an integer: {tokens[0]!r}", lineno
+    for v in values:
+        if abs(v) > 2**62:
+            return f"{source}: coordinate {v} exceeds the supported magnitude 2**62", None
+    return tuple(sorted(set(values)))
+
+
+def oracle_witness_r(x: int, y: int, k: int) -> int:
+    """The D_k witness radius from base-k digits, one center at a time."""
+    x0, x1 = x % k, x // k % k
+    y2, y3 = y // k**2 % k, y // k**3
+    r0 = x0 - x1 * k + y2 * k**2 - y3 * k**3
+    return abs(r0) if r0 else 1
+
+
+def oracle_witness_r_AN(x: int, y: int, p: int) -> int:
+    """The depth-p tower witness radius: mixed-radix digits (p!/k!)**4, one
+    level radius per digit pair, summed back with the same multipliers."""
+    r = 0
+    for k in range(2, p + 1):
+        mult = (math.factorial(p) // math.factorial(k)) ** 4
+        u, x = divmod(x, mult)
+        v, y = divmod(y, mult)
+        r += mult * oracle_witness_r(u, v, k)
+    return r
+
+
+def oracle_covering_greedy(elems, length: int) -> int:
+    """Left-to-right greedy interval cover, one element step at a time."""
+    elems = sorted(elems)
+    count, i = 0, 0
+    while i < len(elems):
+        count += 1
+        limit = elems[i] + length
+        while i < len(elems) and elems[i] <= limit:
+            i += 1
+    return count

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +16,15 @@ from squarelab import (
     family_scan,
     find_centers_1d,
     find_vertex_centers_2d,
+    gen_AN,
     gen_Dk,
     gen_vertex_example,
     make_intset,
     verify_construction,
 )
+from squarelab import bounds_report
+
+from oracles import oracle_witness_r
 
 
 class TestBoundCheck:
@@ -86,6 +91,43 @@ class TestVerifyConstruction:
         assert all(c.ok for c in checks)
         misses = checks[0]
         assert (misses.lhs, misses.rhs) == (0, 0)
+
+    def test_dk8_replay_memory_is_bounded(self):
+        # the whole 4096 x 4096 radius table and its temporaries peaked at
+        # ~290 MiB; the replay now holds one block of rows at a time
+        tracemalloc.start()
+        try:
+            checks = verify_construction("dk", k=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(c.ok for c in checks)
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_dk_replay_counts_misses_across_row_blocks(self, monkeypatch):
+        # a digit set with holes, replayed one row per block, must miss
+        # exactly the centers a scalar walk finds
+        holed = make_intset(v for i, v in enumerate(gen_Dk(3)) if i % 5)
+        expected = sum(
+            1 for x in range(81) for y in range(81)
+            if not {x - (r := oracle_witness_r(x, y, 3)), x + r, y - r, y + r} <= set(holed))
+        monkeypatch.setattr(bounds_report, "_CHUNK_CELLS", 50)
+        monkeypatch.setattr(bounds_report.cons, "gen_Dk", lambda k: holed)
+        misses = verify_construction("dk", k=3)[0]
+        assert misses.lhs == expected > 0
+
+    def test_an_replay_counts_every_failed_probe(self, monkeypatch):
+        # radii bent on every third column must miss exactly the centers a
+        # scalar walk finds with one of its four probes outside A (53 of 256)
+        a = set(gen_AN(2))
+        true = bounds_report.cons.witness_radii_AN
+        def bent(x, y, p):
+            return true(x, y, p) + 11 * (y % 3 == 0)
+        expected = sum(
+            1 for x in range(16) for y in range(16)
+            if not {x - (r := int(bent(x, y, 2))), x + r, y - r, y + r} <= a)
+        monkeypatch.setattr(bounds_report.cons, "witness_radii_AN", bent)
+        assert verify_construction("an", p=2)[0].lhs == expected > 0
 
     def test_an_exhaustive_and_sampled(self):
         exhaustive = verify_construction("an", p=2)
@@ -154,13 +196,6 @@ class TestFamilyScan:
         rep = family_scan("an_cover", range(1, 4))
         assert rep.rows == ((1, 259200, 1), (2, 16200, 1), (3, 200, 19))
         assert rep.target == -0.75
-
-    def test_jobs_do_not_change_results(self):
-        solo = family_scan("dk_size", range(2, 6), jobs=1)
-        pooled = family_scan("dk_size", range(2, 6), jobs=3)
-        assert solo.rows == pooled.rows
-        assert [s.slope for s in solo.slopes] == \
-            [s.slope for s in pooled.slopes]
 
     def test_unknown_family(self):
         with pytest.raises(ParameterError):

@@ -211,28 +211,12 @@ class TestScanAndTables:
         assert lines[1].startswith("2,2,42,")
         assert len(lines) == 4
 
-    def test_exponents_alias(self, capsys):
-        assert run("scan", "--family", "dk_size",
-                   "--kmin", "2", "--kmax", "4") == 0
-        first = capsys.readouterr().out
-        assert run("exponents", "--family", "dk_size",
-                   "--kmin", "2", "--kmax", "4") == 0
-        assert capsys.readouterr().out == first
-
     def test_scan_json(self, capsys):
         assert run("scan", "--family", "dk_vertex", "--kmin", "2",
                    "--kmax", "3", "--format", "json") == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["suite"] == "scan:dk_vertex"
         assert rep["slopes"][0]["target"] == pytest.approx(4 / 3)
-
-    def test_jobs_flag_changes_nothing(self, capsys):
-        assert run("scan", "--family", "dk_size",
-                   "--kmin", "2", "--kmax", "5") == 0
-        solo = capsys.readouterr().out
-        assert run("--jobs", "3", "scan", "--family", "dk_size",
-                   "--kmin", "2", "--kmax", "5") == 0
-        assert capsys.readouterr().out == solo
 
     def test_scan_bad_range_exits_2(self, capsys):
         assert run("scan", "--family", "dk_size",

@@ -14,7 +14,6 @@ from squarelab import (
     RangeError,
     default_a_sequence,
     gen_AN,
-    gen_AN_general,
     gen_boundary_example,
     gen_cantor_truncation,
     gen_countable_truncation,
@@ -24,6 +23,8 @@ from squarelab import (
     splice_En,
     witness_r,
     witness_r_AN,
+    witness_radii,
+    witness_radii_AN,
 )
 from squarelab.constructions import (
     an_modulus,
@@ -32,6 +33,8 @@ from squarelab.constructions import (
     interpolation_level,
     vertex_example_sizes,
 )
+
+from oracles import oracle_witness_r, oracle_witness_r_AN
 
 # Exact cardinalities and spans of the digit sets, frozen from an
 # independent nested-loop enumeration (re-derived from scratch below
@@ -109,6 +112,25 @@ class TestWitness:
         assert np.all((1 <= r) & (r <= cap))
         for probe in (xs - r, xs + r, ys - r, ys + r):
             assert np.isin(probe, d).all()
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_radii_table_matches_scalar_forms(self, k):
+        n = k**4
+        v = np.arange(n)
+        table = witness_radii(v[:, None], v, k)
+        assert table.shape == (n, n) and table.dtype == np.int64
+        assert table.tolist() == [[oracle_witness_r(x, y, k) for y in range(n)]
+                                  for x in range(n)]
+        assert table.tolist() == [[witness_r(x, y, k) for y in range(n)]
+                                  for x in range(n)]
+
+    def test_radii_domain_checks(self):
+        with pytest.raises(RangeError):
+            witness_radii(np.array([0, 16]), np.array([0, 0]), 2)
+        with pytest.raises(RangeError):
+            witness_radii(np.array([0]), np.array([-1]), 2)
+        with pytest.raises(ParameterError):
+            witness_radii(np.array([0]), np.array([0]), 1)
 
     def test_domain_checks(self):
         with pytest.raises(RangeError):
@@ -199,7 +221,22 @@ class TestAdditiveTowers:
             assert 1 <= r <= 3 * n
             assert {x - r, x + r} <= a and {y - r, y + r} <= a
 
+    def test_witness_array_p4_sampled(self):
+        a = gen_AN(4)
+        n = an_modulus(4)
+        rng = np.random.default_rng(20261018)
+        xs, ys = rng.integers(0, n, 10_000), rng.integers(0, n, 10_000)
+        r = witness_radii_AN(xs, ys, 4)
+        assert np.all((1 <= r) & (r <= 3 * n))
+        for probe in (xs - r, xs + r, ys - r, ys + r):
+            assert np.isin(probe, a.as_array()).all()
+        pairs = list(zip(xs.tolist(), ys.tolist()))
+        assert r.tolist() == [oracle_witness_r_AN(x, y, 4) for x, y in pairs]
+        assert r[:500].tolist() == [witness_r_AN(x, y, 4) for x, y in pairs[:500]]
+
     def test_witness_domain(self):
+        with pytest.raises(RangeError):
+            witness_radii_AN(np.array([0, 16]), np.array([0, 0]), 2)
         with pytest.raises(RangeError):
             witness_r_AN(16, 0, 2)
         with pytest.raises(RangeError):
@@ -214,12 +251,6 @@ class TestAdditiveTowers:
         with pytest.raises(ParameterError):
             interpolation_level(1)
 
-    def test_general_n_uses_minimal_level(self):
-        assert gen_AN_general(2) == gen_AN(2)
-        assert gen_AN_general(16) == gen_AN(2)
-        assert gen_AN_general(17) == gen_AN(3)
-        assert gen_AN_general(1296) == gen_AN(3)
-
 
 class TestCantorTruncation:
     @pytest.mark.parametrize("p", [2, 3])
@@ -229,10 +260,6 @@ class TestCantorTruncation:
         assert tr.scale == math.factorial(p) ** 4
         assert tr.a_set == gen_AN(p)
         assert tr.t_set == make_intset(range(tr.scale))
-
-    def test_scaled_set_property(self):
-        tr = gen_cantor_truncation(2, 2)
-        assert tr.scaled_set == tr.a_set
 
     def test_exact_mode_iff_integer_exponent(self):
         # 8/s integral: s in {8/4, 8/5, 8/6, ...} capped at 2
@@ -271,7 +298,7 @@ class TestCantorTruncation:
         tr = gen_cantor_truncation(Fraction(3, 2), 2)
         assert tr.a_set is None and tr.t_set is None
         with pytest.raises(ModeError):
-            tr.scaled_set
+            tr.level_multipliers()
         # independent recomputation: at depth 2 only the level-2 weight
         # 1/(1!**(8/s) * 2**4) contributes, scaling a copy of the digit set
         w2 = 1.0 / (math.factorial(1) ** (8 / 1.5) * 2**4)
@@ -320,7 +347,7 @@ class TestCountableTruncation:
         tr = gen_countable_truncation(1, 2)
         blk = tr.blocks[1]  # k = 2: unit factor 1, 4x4 center grid
         assert (blk.n, blk.factor, blk.offset) == (4, 1, (4, 0))
-        a = gen_AN_general(4)
+        a = gen_AN(interpolation_level(4))
         span = range(-3 * 4, 4 * 4 + 1)
         expected = {(4 + u, t) for u in a for t in span}
         expected |= {(4 + t, v) for t in span for v in a}

@@ -17,7 +17,6 @@ from squarelab import (
     make_intset,
     parse_intset_text,
     parse_pointset_text,
-    segment_full,
 )
 from squarelab.core_sets import (
     COORD_LIMIT,
@@ -27,7 +26,7 @@ from squarelab.core_sets import (
     require_budget,
 )
 
-from oracles import oracle_segment_full
+from oracles import oracle_make_intset, oracle_parse_intset, oracle_segment_full
 
 
 class TestIntSet1D:
@@ -75,10 +74,61 @@ class TestIntSet1D:
     def test_empty_set(self):
         s = make_intset([])
         assert len(s) == 0 and list(s) == []
+        assert 0 not in s and np.int64(0) not in s
         with pytest.raises(RangeError):
             s.min()
         with pytest.raises(RangeError):
             s.max()
+
+    def test_array_is_a_read_only_copy(self):
+        src = np.array([1, 4, 9], dtype=np.int64)
+        s = IntSet1D.from_sorted_array(src)
+        src[0] = 100
+        assert s.elems == (1, 4, 9)
+        with pytest.raises(ValueError):
+            s.as_array()[0] = 0
+
+    def test_membership(self):
+        s = make_intset([-3, 2, 2**62])
+        assert -3 in s and np.int64(2) in s and 2**62 in s
+        for v in (-4, 0, 3, 2**62 - 1, 2**70, -2**70, 2.5, "2", None, (2,)):
+            assert v not in s
+
+    @given(st.lists(st.one_of(
+        st.integers(-2**65, 2**65),
+        st.sampled_from([2**62, 2**62 + 1, -2**62 - 1, 2**63, -2**63 - 1,
+                         np.int64(-2**62 - 1), np.uint64(2**63), 1.0, "3", None]),
+        st.integers(-50, 50)), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_validation_matches_scalar_oracle(self, xs):
+        expected = oracle_make_intset(xs)
+        try:
+            got = make_intset(xs).elems
+        except (ParameterError, RangeError) as exc:
+            got = (type(exc).__name__, str(exc))
+        assert got == expected
+        if isinstance(expected, tuple) and all(isinstance(v, int) for v in expected):
+            # the constructor checks coordinates first, then the order
+            ordered = sorted(set(int(v) for v in xs))
+            assert IntSet1D(ordered).elems == expected
+
+    def test_constructor_checks_coordinates_then_order(self):
+        with pytest.raises(RangeError, match="coordinate 4611686018427387905"):
+            IntSet1D([5, 1, 2**62 + 1])
+        with pytest.raises(ParameterError, match="got float"):
+            IntSet1D([2, 1, 0.5])
+        with pytest.raises(ParameterError, match="strictly increasing"):
+            IntSet1D(np.array([2, 1]))
+
+    def test_translate_names_the_first_coordinate_out_of_range(self):
+        s = make_intset([0, 2**62 - 5, 2**62 - 2, 2**62])
+        with pytest.raises(RangeError, match=f"coordinate {2**62 + 1} "):
+            s.translate(3)
+        with pytest.raises(RangeError, match=f"coordinate {2**63} "):
+            make_intset([2**62]).translate(2**62)
+        with pytest.raises(RangeError, match=f"coordinate {-2**62 - 2} "):
+            make_intset([-2**62, -2**62 + 1, 7]).translate(-2)
+        assert make_intset([2**62]).translate(-2**62).elems == (0,)
 
 
 class TestPointSet2D:
@@ -173,12 +223,6 @@ class TestOccupancyGrid:
         with pytest.raises(ParameterError):
             grid.segment_full("diagonal", 0, 0, 0)
 
-    def test_module_level_wrapper(self):
-        pts = [(0, 0), (1, 0), (2, 0)]
-        grid = OccupancyGrid.from_points(pts)
-        assert segment_full(grid, "horizontal", 0, 0, 2)
-        assert not segment_full(grid, "horizontal", 0, 0, 3)
-
     def test_explicit_bbox_padding(self):
         grid = OccupancyGrid.from_points([(0, 0)], bbox=(-2, -2, 2, 2))
         assert grid.is_occupied(0, 0)
@@ -255,3 +299,23 @@ class TestTextFormats:
     def test_intset_roundtrip_property(self, xs):
         s = make_intset(xs)
         assert parse_intset_text(format_intset_text(s)) == s
+
+    @given(st.lists(st.one_of(
+        st.integers(-10**6, 10**6).map(str),
+        st.integers(0, 10**6).map(lambda v: f"+{v}"),
+        st.integers(1, 999).map(lambda v: f"{v}_000"),
+        st.sampled_from([2**62, 2**62 + 1, -2**62 - 1, 2**63 - 1, 2**63,
+                         -2**63 - 1, 2**64]).map(str),
+        st.sampled_from(["# comment", "#", "", "  ", "\t", "5 # inline", "7#x",
+                         "  -8  ", "3 4", "1__0", "foo", "1.0", "# 1 2"]),
+    ), max_size=12), st.lists(st.booleans(), max_size=12), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_parse_matches_line_by_line_oracle(self, lines, crlf, trailing):
+        lines = [line + "\r" if cr else line for line, cr in zip(lines, crlf + [False] * 12)]
+        text = "\n".join(lines) + ("\n" if trailing else "")
+        expected = oracle_parse_intset(text, "f.txt")
+        try:
+            got = parse_intset_text(text, source="f.txt").elems
+        except FormatError as exc:
+            got = (str(exc), exc.lineno)
+        assert got == expected

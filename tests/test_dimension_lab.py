@@ -14,12 +14,13 @@ from squarelab import (
     dyadic_box_count_2d,
     exponent_finite_diff,
     falconer_ratios,
+    gen_AN,
     gen_Dk,
     make_intset,
     snap_to_grid,
 )
 
-from oracles import oracle_box_count, oracle_covering_min
+from oracles import oracle_box_count, oracle_covering_greedy, oracle_covering_min
 
 
 class TestCovering:
@@ -45,6 +46,15 @@ class TestCovering:
     def test_greedy_matches_exhaustive_property(self, vals, length):
         assert covering_count_1d(make_intset(vals), length) == \
             oracle_covering_min(vals, length)
+
+    def test_matches_stepwise_greedy_on_depth3_tower(self):
+        # the four cover scales of the depth-4 replay, 200*(4!/j!)**4, then
+        # short intervals that take one binary search per few elements
+        a = gen_AN(3)
+        lengths = [200 * (24 // math.factorial(j)) ** 4 for j in range(1, 5)]
+        for length in lengths + [1, 2, 7, 10**30]:
+            assert covering_count_1d(a, length) == \
+                oracle_covering_greedy(a.as_array().tolist(), length)
 
     def test_dk_cover_at_unit_scale_is_size(self):
         d = gen_Dk(2)
