@@ -38,6 +38,7 @@ from .constructions import (
     witness_radii_AN,
 )
 from .finders import (
+    CenterRows,
     CenterWitness,
     find_boundary_centers_2d,
     find_centers_1d,

@@ -25,14 +25,15 @@ import numpy as np
 
 from . import constructions as cons
 from .core_sets import (
-    DoubledPoint,
+    DEFAULT_PAIR_BUDGET,
     IntSet1D,
     OccupancyGrid,
     ParameterError,
     PointSet2D,
+    require_budget,
 )
 from .dimension_lab import SlopeStep, covering_count_1d, exponent_finite_diff
-from .finders import find_centers_1d, find_vertex_centers_2d, has_square_at
+from .finders import find_centers_1d, find_vertex_centers_2d
 
 __all__ = [
     "DEFAULT_SEED", "BoundCheck", "ExponentReport",
@@ -168,14 +169,16 @@ def family_scan(family: str, k_range: Iterable[int]) -> ExponentReport:
 _CHUNK_CELLS = 2**20  # radius-table cells per block: the replay's memory bound
 
 
-def _verify_dk(k: int) -> list[BoundCheck]:
+def _verify_dk(k: int, budget: int | None) -> list[BoundCheck]:
     """Exhaustive witness replay over all of {0..k**4-1}**2, vectorized.
 
-    Builds the radius table r(x, y) a block of rows at a time and checks the
-    four shifted memberships through a boolean lookup over [-k**4, 2k**4].
+    Counts the k**8 centers against the pair budget first, then builds the
+    radius table r(x, y) a block of rows at a time and checks the four
+    shifted memberships through a boolean lookup over [-k**4, 2k**4].
     """
-    dset = cons.gen_Dk(k)
     n = k**4
+    require_budget(n * n, DEFAULT_PAIR_BUDGET, f"the witness replay at level {k}", budget)
+    dset = cons.gen_Dk(k)
     mem = np.zeros(3 * n + 1, dtype=bool)
     mem[dset.as_array() + n] = True
 
@@ -242,16 +245,7 @@ def _verify_boundary(k: int, budget: int | None) -> list[BoundCheck]:
     v = np.arange(1, n, dtype=np.int64)
     r = cons.witness_radii(v[:, None], v, k)
 
-    # Four full sides per center, each a prefix-sum difference on the grid.
-    px, py = grid._px, grid._py
-    sx = (v - grid.x0)[:, None]
-    sy = (v - grid.y0)[None, :]
-    length = 2 * r + 1
-    top = px[sx + r + 1, sy + r] - px[sx - r, sy + r]
-    bot = px[sx + r + 1, sy - r] - px[sx - r, sy - r]
-    lef = py[sx - r, sy + r + 1] - py[sx - r, sy - r]
-    rig = py[sx + r, sy + r + 1] - py[sx + r, sy - r]
-    good = (top == length) & (bot == length) & (lef == length) & (rig == length)
+    good = grid.boundary_full(v[:, None], v, r)
     misses = int(good.size - np.count_nonzero(good))
 
     b_formula, s_formula = cons.boundary_example_sizes(k)
@@ -270,12 +264,13 @@ def _verify_countable(alpha: int, big_k: int, budget: int | None) -> list[BoundC
     for block in trunc.blocks:
         grid = OccupancyGrid.from_points(block.boundary_set, budget=budget)
         r_cap = 3 * block.n * block.factor
-        misses = 0
-        for x, y in block.centers:
-            rho = has_square_at(block.boundary_set, DoubledPoint(2 * x, 2 * y),
-                                "boundary", r_max=r_cap, grid=grid)
-            if rho is None or rho > 2 * r_cap:
-                misses += 1
+        centers, radii = block.centers.as_array(), np.arange(1, r_cap + 1)
+        # every radius up to the cap at once, a block of centers at a time
+        rows = max(1, _CHUNK_CELLS // r_cap)
+        misses = len(centers)
+        for c in (centers[lo:lo + rows] for lo in range(0, len(centers), rows)):
+            full = grid.boundary_full(c[:, :1], c[:, 1:], radii)
+            misses -= int(np.count_nonzero(full.any(axis=1)))
         checks.append(BoundCheck.compare(
             f"countable_block{block.k}_missing_boundaries", misses, 0,
             alpha=alpha, K=big_k, block=block.k, n=block.n,
@@ -299,7 +294,7 @@ def verify_construction(name: str, *, k: int | None = None, p: int | None = None
     if name == "dk":
         if k is None:
             raise ParameterError("verify dk needs k")
-        return _verify_dk(k)
+        return _verify_dk(k, budget)
     if name == "an":
         if p is None:
             raise ParameterError("verify an needs p")

@@ -30,6 +30,7 @@ from .core_sets import (
     format_pointset_text,
     parse_intset_text,
     parse_pointset_text,
+    _format_rows,
 )
 from .dimension_lab import dyadic_box_count_2d, covering_count_1d, falconer_ratios
 from .finders import (
@@ -155,16 +156,17 @@ def _cmd_gen_splice(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # find
 
-def _find(args: argparse.Namespace, size: int, m: int | None, find, row) -> int:
-    """Call the finder once: print the count (mode='count') or the sorted
-    centers, then the JSON summary of the bound |S|**3 <= 16 * m**4."""
+def _find(args: argparse.Namespace, size: int, m: int | None, find) -> int:
+    """Call the finder once: print the count (mode='count') or the rows of
+    the centers in ascending order, then the JSON summary of the bound
+    |S|**3 <= 16 * m**4."""
     if args.count:
         count = find(mode="count")
         _emit(f"{count}\n", args.out)
     else:
-        found = sorted(find(mode="enumerate"))
+        found = find(mode="enumerate")
         count = len(found)
-        _emit("".join(map(row, found)), args.out)
+        _emit(_format_rows(found.as_array()), args.out)
     bound_ok = m is None or count**3 <= 16 * m**4
     line = json.dumps({"input_size": size, "centers": count,
                        "bound": None if m is None else float(2 * m) ** (4 / 3),
@@ -175,25 +177,20 @@ def _find(args: argparse.Namespace, size: int, m: int | None, find, row) -> int:
     return 0 if bound_ok else 1
 
 
-def _center_row(c) -> str:
-    return f"{c.X} {c.Y}\n"
-
-
 def _cmd_find_centers1d(args: argparse.Namespace) -> int:
     a = _read_intset(getattr(args, "in"))
-    return _find(args, len(a), len(a) ** 2, partial(find_centers_1d, a), _center_row)
+    return _find(args, len(a), len(a) ** 2, partial(find_centers_1d, a))
 
 
 def _cmd_find_vertices(args: argparse.Namespace) -> int:
     b = _read_pointset(getattr(args, "in"))
-    return _find(args, len(b), len(b), partial(find_vertex_centers_2d, b), _center_row)
+    return _find(args, len(b), len(b), partial(find_vertex_centers_2d, b))
 
 
 def _cmd_find_boundaries(args: argparse.Namespace) -> int:
     b = _read_pointset(getattr(args, "in"))
     # No per-run counting theorem pins boundary pairs; the summary stays vacuous.
-    return _find(args, len(b), None, partial(find_boundary_centers_2d, b, args.rmax),
-                 lambda w: f"{w.center.X} {w.center.Y} {w.radius}\n")
+    return _find(args, len(b), None, partial(find_boundary_centers_2d, b, args.rmax))
 
 
 # ---------------------------------------------------------------------------

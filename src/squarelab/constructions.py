@@ -144,7 +144,7 @@ def gen_vertex_example(k: int, *, budget: int | None = None) -> tuple[PointSet2D
     b_size, s_size = len(dset) ** 2, (k**4 - 1) ** 2
     require_budget(b_size + s_size, DEFAULT_ELEMENT_BUDGET,
                    f"vertex example at level {k}", budget)
-    grid = IntSet1D(range(1, k**4))
+    grid = IntSet1D.from_sorted_array(np.arange(1, k**4))
     return PointSet2D.product(dset, dset), PointSet2D.product(grid, grid)
 
 
@@ -172,15 +172,13 @@ def gen_boundary_example(k: int, *, budget: int | None = None) -> tuple[PointSet
     require_budget(b_size + s_size, DEFAULT_ELEMENT_BUDGET,
                    f"boundary example at level {k}", budget)
     dset = gen_Dk(k, budget=budget)
-    lo, hi = -k**4, 2 * k**4
-    points = set()
-    for v in dset:
-        for i in range(lo, hi + 1):
-            points.add((v, i))
-            points.add((i, v))
-    b = PointSet2D(points)
+    lo = -k**4
+    on_strip = np.zeros(3 * k**4 + 1, dtype=bool)  # over the side [-k**4, 2k**4]
+    on_strip[dset.as_array() - lo] = True
+    xs, ys = np.nonzero(on_strip[:, None] | on_strip[None, :])  # in (x, y) order
+    b = PointSet2D(np.column_stack((xs + lo, ys + lo)))
     assert len(b) == b_size
-    grid = IntSet1D(range(1, k**4))
+    grid = IntSet1D.from_sorted_array(np.arange(1, k**4))
     return b, PointSet2D.product(grid, grid)
 
 
@@ -451,17 +449,17 @@ def gen_countable_truncation(alpha: int, K: int, *,
 
     blocks = []
     for k, n, factor, a in level_sets:
+        # gen_AN refuses depths past 6, so n <= (6!)**4 < 2**38 and every
+        # coordinate below stays far inside int64
         off_x = 2 ** ((1 + alpha) * K - k)
-        lo, hi = -3 * n * factor, 4 * n * factor
-        pts = set()
-        for v in a:
-            xv = off_x + factor * v
-            yv = factor * v
-            for t in range(lo, hi + 1):
-                pts.add((xv, t))
-                pts.add((off_x + t, yv))
-        centers = PointSet2D((off_x + factor * i, factor * j)
-                             for i in range(n) for j in range(n))
+        seg = np.arange(-3 * n * factor, 4 * n * factor + 1)
+        lines = factor * a.as_array()
+        pts = np.concatenate((
+            np.column_stack((np.repeat(off_x + lines, len(seg)), np.tile(seg, len(lines)))),
+            np.column_stack((np.tile(off_x + seg, len(lines)), np.repeat(lines, len(seg))))))
+        steps = factor * np.arange(n)
+        centers = PointSet2D.product(IntSet1D.from_sorted_array(off_x + steps),
+                                     IntSet1D.from_sorted_array(steps))
         blocks.append(CountableBlock(k=k, n=n, factor=factor, offset=(off_x, 0),
                                      centers=centers, boundary_set=PointSet2D(pts)))
     return CountableTruncation(alpha=alpha, K=K, scale=scale, blocks=tuple(blocks))

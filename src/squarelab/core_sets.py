@@ -2,9 +2,10 @@
 
 Everything downstream (constructions, finders, dimension estimates) works over
 plain integers: 1D sets are strictly increasing int64 arrays, 2D sets are
-deduplicated lattice-point collections, and square centers/radii travel in *doubled*
-coordinates (2x, 2y, 2r) so half-integer centers stay exact.  Real-valued
-constructions are scaled into integers before they reach this layer.
+(N, 2) int64 arrays of distinct points in (x, y) order, and square centers and
+radii travel in *doubled* coordinates (2x, 2y, 2r) so half-integer centers stay
+exact.  Real-valued constructions are scaled into integers before they reach
+this layer.
 
 The :class:`OccupancyGrid` is a dense 0/1 raster with prefix sums along both
 axes, giving O(1) "is this whole row/column segment occupied" answers.  That
@@ -14,6 +15,7 @@ memory it spends.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Iterable, Iterator, NamedTuple
 
@@ -220,72 +222,140 @@ def make_intset(values: Iterable[int]) -> IntSet1D:
     return IntSet1D.from_sorted_array(unique_ints(_coord_array(values)))
 
 
+def _point_array(points: Iterable[tuple[int, int]]) -> np.ndarray:
+    """Pairs of integers as an (N, 2) int64 array, refused as :func:`_check_coord`
+    refuses the first bad coordinate in iteration order (x before y)."""
+    points = points if isinstance(points, np.ndarray) else list(points)
+    try:
+        arr = np.asarray(points)
+    except (OverflowError, ValueError):
+        arr = None
+    if (arr is None or arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu"
+            or arr.size and (arr.max() > COORD_LIMIT or arr.min() < -COORD_LIMIT)):
+        # only the scalar check names the first culprit
+        return np.array([(_check_coord(x), _check_coord(y)) for x, y in points],
+                        dtype=np.int64).reshape(-1, 2)
+    return arr.astype(np.int64, copy=False)
+
+
+def _lex_unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of an (N, k) int64 array in lexicographic order.
+
+    Input that is already strictly increasing comes back as is.  Otherwise the
+    rows are packed into one int64 key per row when the box they span has
+    fewer than 2**63 cells (a plain sort is ~25x faster than ``np.lexsort``),
+    and lexsorted when it does not.
+    """
+    if len(rows) < 2:
+        return rows
+    later = np.zeros(len(rows) - 1, dtype=bool)
+    tied = np.ones(len(rows) - 1, dtype=bool)
+    for col in rows.T:
+        later |= tied & (col[1:] > col[:-1])
+        tied &= col[1:] == col[:-1]
+    if later.all():
+        return rows
+    lo = [int(v) for v in rows.min(axis=0)]
+    spans = [int(v) - m + 1 for v, m in zip(rows.max(axis=0), lo)]
+    if math.prod(spans) < 2**63:
+        key = np.zeros(len(rows), dtype=np.int64)
+        for col, m, span in zip(rows.T, lo, spans):
+            key = key * span + (col - m)
+        key = unique_ints(key)
+        out = np.empty((len(key), len(spans)), dtype=np.int64)
+        for c in range(len(spans) - 1, -1, -1):
+            key, out[:, c] = np.divmod(key, spans[c])
+            out[:, c] += lo[c]
+        return out
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return rows[np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1)))]
+
+
+def _lex_contains(rows: np.ndarray, key: object) -> bool:
+    """Whether the tuple of integers `key` is a row of the lexsorted `rows`."""
+    if (not isinstance(key, tuple) or len(key) != rows.shape[1]
+            or not all(isinstance(v, (int, np.integer)) and -2**63 <= v < 2**63
+                       for v in key)):
+        return False
+    lo, hi = 0, len(rows)
+    for col, v in zip(rows.T, key):
+        part = col[lo:hi]
+        lo, hi = (lo + int(np.searchsorted(part, v, "left")),
+                  lo + int(np.searchsorted(part, v, "right")))
+        if lo == hi:
+            return False
+    return True
+
+
 class PointSet2D:
-    """A finite set of lattice points, canonically ordered by (x, y).
+    """A finite set of lattice points: one read-only (N, 2) int64 array of
+    distinct (x, y) rows in lexicographic order.
 
     Duplicates in the input collapse silently; emptiness is legal.
     """
 
-    __slots__ = ("_pts", "_sorted")
+    __slots__ = ("_arr",)
 
-    def __init__(self, points: Iterable[tuple[int, int]]):
-        cleaned = set()
-        for p in points:
-            x, y = p
-            cleaned.add((_check_coord(x), _check_coord(y)))
-        self._pts = frozenset(cleaned)
-        self._sorted: tuple[tuple[int, int], ...] | None = None
+    def __init__(self, points: Iterable[tuple[int, int]] | np.ndarray):
+        arr = _lex_unique_rows(_point_array(points))
+        if isinstance(points, np.ndarray) and np.may_share_memory(arr, points):
+            arr = arr.copy()  # never freeze or alias a caller's array
+        arr.flags.writeable = False
+        self._arr = arr
 
     @classmethod
     def product(cls, xs: IntSet1D, ys: IntSet1D) -> "PointSet2D":
-        out = cls.__new__(cls)
-        out._pts = frozenset((x, y) for x in xs for y in ys)
-        out._sorted = None
-        return out
+        xa, ya = xs.as_array(), ys.as_array()
+        return cls(np.column_stack((np.repeat(xa, len(ya)), np.tile(ya, len(xa)))))
+
+    def as_array(self) -> np.ndarray:
+        return self._arr
 
     @property
     def points(self) -> frozenset[tuple[int, int]]:
-        return self._pts
+        return frozenset(self)
 
     def sorted_points(self) -> tuple[tuple[int, int], ...]:
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self._pts))
-        return self._sorted
+        return tuple(self)
 
     def bbox(self) -> tuple[int, int, int, int] | None:
         """(xmin, ymin, xmax, ymax), or None for the empty set."""
-        if not self._pts:
+        if not len(self._arr):
             return None
-        xs = [p[0] for p in self._pts]
-        ys = [p[1] for p in self._pts]
-        return min(xs), min(ys), max(xs), max(ys)
+        ys = self._arr[:, 1]
+        return int(self._arr[0, 0]), int(ys.min()), int(self._arr[-1, 0]), int(ys.max())
 
     def translate(self, dx: int, dy: int) -> "PointSet2D":
         dx, dy = _check_coord(dx), _check_coord(dy)
-        return PointSet2D((x + dx, y + dy) for x, y in self._pts)
+        box = self.bbox()
+        if box is None or max(abs(box[0] + dx), abs(box[2] + dx),
+                              abs(box[1] + dy), abs(box[3] + dy)) > COORD_LIMIT:
+            # the constructor names the first coordinate out of range
+            return PointSet2D((x + dx, y + dy) for x, y in self)
+        return PointSet2D(self._arr + np.array([dx, dy], dtype=np.int64))
 
     def transpose(self) -> "PointSet2D":
-        return PointSet2D((y, x) for x, y in self._pts)
+        return PointSet2D(self._arr[:, ::-1])
 
     def __len__(self) -> int:
-        return len(self._pts)
+        return len(self._arr)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.sorted_points())
+        return zip(self._arr[:, 0].tolist(), self._arr[:, 1].tolist())
 
     def __contains__(self, p: object) -> bool:
-        return p in self._pts
+        return _lex_contains(self._arr, p)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PointSet2D):
-            return self._pts == other._pts
+            return np.array_equal(self._arr, other._arr)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._pts)
+        return hash(self._arr.tobytes())
 
     def __repr__(self) -> str:
-        return f"PointSet2D(<{len(self._pts)} points>)"
+        return f"PointSet2D(<{len(self)} points>)"
 
 
 def doubled_str(v: int) -> str:
@@ -355,10 +425,12 @@ class OccupancyGrid:
         width, height = xmax - xmin + 1, ymax - ymin + 1
         require_budget(width * height, DEFAULT_GRID_CELLS,
                        f"a {width} x {height} occupancy grid", budget)
+        arr = points.as_array()
+        if bbox != points.bbox():
+            arr = arr[(arr[:, 0] >= xmin) & (arr[:, 0] <= xmax)
+                      & (arr[:, 1] >= ymin) & (arr[:, 1] <= ymax)]
         cells = np.zeros((width, height), dtype=np.uint8)
-        for x, y in points.points:
-            if xmin <= x <= xmax and ymin <= y <= ymax:
-                cells[x - xmin, y - ymin] = 1
+        cells[arr[:, 0] - xmin, arr[:, 1] - ymin] = 1
         return cls(xmin, ymin, cells)
 
     def is_occupied(self, x: int, y: int) -> bool:
@@ -369,6 +441,28 @@ class OccupancyGrid:
 
     def occupied_count(self) -> int:
         return int(self._px[-1, :].sum())
+
+    def boundary_full(self, sx, sy, r) -> np.ndarray:
+        """Whether every one of the 8r points on the boundary of the square of
+        radius r >= 1 around the lattice center (sx, sy) is occupied,
+        broadcast over integer arrays.
+
+        Each side is one prefix-sum difference; a square leaving the stored
+        box is not full (out of the box is empty space).
+        """
+        i = np.asarray(sx, dtype=np.int64) - self.x0
+        j = np.asarray(sy, dtype=np.int64) - self.y0
+        r = np.asarray(r, dtype=np.int64)
+        full = ((i - r >= 0) & (i + r < self.width) & (j - r >= 0) & (j + r < self.height))
+        if not full.all():
+            i, j, r = (np.where(full, v, 0) for v in (i, j, r))
+        n = 2 * r + 1
+        px, py = self._px, self._py
+        full &= px[i + r + 1, j + r] - px[i - r, j + r] == n  # top
+        full &= px[i + r + 1, j - r] - px[i - r, j - r] == n  # bottom
+        full &= py[i - r, j + r + 1] - py[i - r, j - r] == n  # left
+        full &= py[i + r, j + r + 1] - py[i + r, j - r] == n  # right
+        return full
 
     def segment_full(self, axis: str, line: int, lo: int, hi: int) -> bool:
         """True iff every lattice point of the segment is occupied.
@@ -435,24 +529,43 @@ def format_intset_text(s: IntSet1D, *, header: str | None = None) -> str:
 
 
 def parse_pointset_text(text: str, *, source: str = "<string>") -> PointSet2D:
-    points = []
-    for lineno, line in _data_lines(text, source):
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"expected 'x y', got {line!r}",
-                              source=source, lineno=lineno)
-        try:
-            points.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise FormatError(f"not an integer pair: {line!r}",
-                              source=source, lineno=lineno) from None
+    lines = [line for line in text.split("\n") if line and line[0] != "#"]
+    # fast path: join the n lines with ';' tokens.  With 3n - 1 tokens and int()
+    # taking every token outside the n - 1 join slots, each ';' sits in a join
+    # slot, so every line held exactly two integers
+    tokens = " ; ".join(lines).split()
+    try:
+        if len(tokens) != 3 * len(lines) - 1:
+            raise ValueError
+        # numpy converts each str with int(), straight into the array
+        points = np.column_stack([np.array(tokens[c::3], dtype=np.int64) for c in (0, 1)])
+    except (ValueError, OverflowError):
+        # inline comments, blank-looking or bad lines: the walk names a bad
+        # line; values past int64 go to the constructor, which names the first
+        points = []
+        for lineno, line in _data_lines(text, source):
+            parts = line.split()
+            if len(parts) != 2:
+                raise FormatError(f"expected 'x y', got {line!r}",
+                                  source=source, lineno=lineno)
+            try:
+                points.append((int(parts[0]), int(parts[1])))
+            except ValueError:
+                raise FormatError(f"not an integer pair: {line!r}",
+                                  source=source, lineno=lineno) from None
     try:
         return PointSet2D(points)
     except RangeError as exc:
         raise FormatError(str(exc), source=source) from None
 
 
+def _format_rows(rows: np.ndarray) -> str:
+    """Each row of an (N, k) integer array as one line of space-separated
+    decimals, LF-terminated."""
+    line = " ".join(["%d"] * rows.shape[1]) + "\n"
+    return (line * len(rows)) % tuple(rows.ravel().tolist())
+
+
 def format_pointset_text(ps: PointSet2D, *, header: str | None = None) -> str:
-    lines = [f"# {header}"] if header else []
-    lines.extend(f"{x} {y}" for x, y in ps.sorted_points())
-    return "\n".join(lines) + "\n"
+    text = (f"# {header}\n" if header else "") + _format_rows(ps.as_array())
+    return text or "\n"

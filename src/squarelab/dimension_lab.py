@@ -63,24 +63,17 @@ def covering_count_1d(a: IntSet1D, length: int) -> int:
     return count
 
 
-def _point_pairs(points: PointSet2D | Iterable[tuple[int, int]]
-                 ) -> Iterable[tuple[int, int]]:
-    if isinstance(points, PointSet2D):
-        return points.points
-    return points
-
-
 def dyadic_box_count_2d(points: PointSet2D | Iterable[tuple[int, int]],
                         m: int) -> int:
     """Number of level-m dyadic cells (side 2**-m, half-open) meeting P."""
     if not isinstance(m, int) or abs(m) > _LEVEL_CAP:
         raise RangeError(f"dyadic level must be an integer with |m| <= {_LEVEL_CAP}, "
                          f"got {m!r}")
-    pts = _point_pairs(points)
+    if not isinstance(points, PointSet2D):
+        points = PointSet2D(points)
     if m > 0:
-        return sum(1 for _ in pts) if not isinstance(points, PointSet2D) else len(points)
-    t = -m
-    return len({(x >> t, y >> t) for x, y in pts})
+        return len(points)
+    return len(PointSet2D(points.as_array() >> -m))
 
 
 def snap_to_grid(points: PointSet2D, m: int) -> PointSet2D:
@@ -103,8 +96,9 @@ def snap_to_grid(points: PointSet2D, m: int) -> PointSet2D:
     t = -m
     width = 1 << (t + 1)
     half = 1 << t
-    return PointSet2D(((x >> (t + 1)) * width + half, (y >> (t + 1)) * width + half)
-                      for x, y in points.points)
+    # |x| <= 2**62 and t <= 40 keep every value inside int64; the constructor
+    # refuses the ones past 2**62
+    return PointSet2D((points.as_array() >> (t + 1)) * width + half)
 
 
 class RatioPoint(NamedTuple):

@@ -19,8 +19,7 @@ Budget guards refuse pathological inputs instead of hanging.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -36,10 +35,12 @@ from .core_sets import (
     effective_budget,
     require_budget,
     unique_ints,
+    _lex_contains,
+    _lex_unique_rows,
 )
 
 __all__ = [
-    "CenterWitness",
+    "CenterRows", "CenterWitness",
     "find_centers_1d", "find_vertex_centers_2d", "find_boundary_centers_2d",
     "has_square_at",
 ]
@@ -55,6 +56,46 @@ class CenterWitness(NamedTuple):
         return f"{self.center.render()} r={self.radius}/2"
 
 
+class CenterRows:
+    """What a finder enumerates: one read-only int64 array of distinct rows in
+    lexicographic order, (X, Y) per center or (X, Y, R) per boundary witness.
+
+    Built from its columns.  Iteration yields :class:`DoubledPoint` or
+    :class:`CenterWitness` values one at a time, in ascending order.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, *columns):
+        rows = _lex_unique_rows(np.column_stack(columns).astype(np.int64, copy=False))
+        rows.flags.writeable = False
+        self._rows = rows
+
+    def as_array(self) -> np.ndarray:
+        return self._rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __iter__(self) -> Iterator[DoubledPoint] | Iterator[CenterWitness]:
+        cols = [col.tolist() for col in self._rows.T]
+        centers = map(DoubledPoint, cols[0], cols[1])
+        return centers if len(cols) == 2 else map(CenterWitness, centers, cols[2])
+
+    def __contains__(self, item: object) -> bool:
+        if isinstance(item, CenterWitness):
+            item = (*item.center, item.radius)
+        return _lex_contains(self._rows, item)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, CenterRows):
+            return np.array_equal(self._rows, other._rows)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"CenterRows(<{len(self)} rows of {self._rows.shape[1]}>)"
+
+
 # A finder takes its dense kernel when the dense cost estimate is below RATIO
 # times the sparse one.  Measured (2-core x86-64, numpy 2.4.6) on random
 # subsets of [0, 3000), 1D dense still wins at a ratio of 1,000 (0.29 s against
@@ -63,10 +104,6 @@ class CenterWitness(NamedTuple):
 # and lose from 50 on; D_k x D_k gives 0.35 (k = 3: 0.029 s against 5.8 s).
 DENSE_1D_RATIO = 1_000
 DENSE_VERTEX_RATIO = 30
-
-
-def _as_centers(xs: np.ndarray, ys: np.ndarray) -> frozenset[DoubledPoint]:
-    return frozenset(map(DoubledPoint, xs.tolist(), ys.tolist()))
 
 
 def _runs(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -88,7 +125,7 @@ def _pairs_1d(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mid, rad
 
 
-def _centers_1d_dense(a: np.ndarray, mode: str) -> frozenset[DoubledPoint] | int:
+def _centers_1d_dense(a: np.ndarray, mode: str) -> CenterRows | int:
     """Nonzeros of M @ M.T for the 0/1 matrix M[midpoint, radius], split into
     its even and odd block (a center and its radius share a parity)."""
     mid, rad = _pairs_1d(a - a[0])
@@ -109,10 +146,10 @@ def _centers_1d_dense(a: np.ndarray, mode: str) -> frozenset[DoubledPoint] | int
     if mode == "count":
         return count
     shift = 2 * int(a[0])
-    return _as_centers(np.concatenate(xs) + shift, np.concatenate(ys) + shift)
+    return CenterRows(np.concatenate(xs) + shift, np.concatenate(ys) + shift)
 
 
-def _centers_1d_sparse(a: np.ndarray, mode: str) -> frozenset[DoubledPoint] | int:
+def _centers_1d_sparse(a: np.ndarray, mode: str) -> CenterRows | int:
     """Sort the pairs by radius and join the midpoints of each radius.
 
     Every midpoint X is the center (X, X); midpoints X < Y sharing a radius
@@ -148,11 +185,11 @@ def _centers_1d_sparse(a: np.ndarray, mode: str) -> frozenset[DoubledPoint] | in
     if mode == "count":
         return len(mids) + 2 * len(pairs)
     lo, hi = mids[pairs // len(mids)], mids[pairs % len(mids)]
-    return _as_centers(np.concatenate((mids, lo, hi)), np.concatenate((mids, hi, lo)))
+    return CenterRows(np.concatenate((mids, lo, hi)), np.concatenate((mids, hi, lo)))
 
 
 def find_centers_1d(a: IntSet1D, mode: str = "enumerate", *,
-                    budget: int | None = None) -> frozenset[DoubledPoint] | int:
+                    budget: int | None = None) -> CenterRows | int:
     """All doubled centers (X, Y) admitting a common positive radius in A.
 
     mode='enumerate' returns the center set; mode='count' returns its size
@@ -166,7 +203,7 @@ def find_centers_1d(a: IntSet1D, mode: str = "enumerate", *,
     require_budget(n * (n - 1) // 2, DEFAULT_PAIR_BUDGET,
                    "the common-radius pair sweep", budget)
     if n < 2:
-        return 0 if mode == "count" else frozenset()
+        return 0 if mode == "count" else CenterRows([], [])
     arr = a.as_array()
     rad = _pairs_1d(arr)[1]
     rad.sort()
@@ -182,7 +219,7 @@ def find_centers_1d(a: IntSet1D, mode: str = "enumerate", *,
 
 
 def _vertex_centers_dense(b: PointSet2D, mode: str, *,
-                          budget: int | None = None) -> frozenset[DoubledPoint] | int:
+                          budget: int | None = None) -> CenterRows | int:
     """Per-width raster sweep: mark the doubled center of every square whose
     four corners are occupied grid cells."""
     grid = OccupancyGrid.from_points(b, budget=budget)
@@ -195,10 +232,10 @@ def _vertex_centers_dense(b: PointSet2D, mode: str, *,
     if mode == "count":
         return int(np.count_nonzero(marks))
     u, v = np.nonzero(marks)
-    return _as_centers(u + 2 * grid.x0, v + 2 * grid.y0)
+    return CenterRows(u + 2 * grid.x0, v + 2 * grid.y0)
 
 
-def _vertex_centers_sparse(b: PointSet2D, mode: str) -> frozenset[DoubledPoint] | int:
+def _vertex_centers_sparse(b: PointSet2D, mode: str) -> CenterRows | int:
     """Same-row pair scan.
 
     Points (a, y) and (c, y) with a < c are the bottom edge of exactly one
@@ -206,14 +243,16 @@ def _vertex_centers_sparse(b: PointSet2D, mode: str) -> frozenset[DoubledPoint] 
     membership probes; every square is discovered once, through its bottom
     edge.  Doubled center: (a+c, 2y + (c-a)).
     """
-    rows: dict[int, list[int]] = {}
-    for x, y in b.points:
-        rows.setdefault(y, []).append(x)
+    pts = b.as_array()
+    members = set(b)
+    by_row = pts[np.lexsort((pts[:, 0], pts[:, 1]))]
+    starts, sizes = _runs(by_row[:, 1])
+    xs_all, ys_all = by_row[:, 0].tolist(), by_row[:, 1].tolist()
     ymax = b.bbox()[3]
-    members = b.points
-    centers: set[DoubledPoint] = set()
-    for y, xs in rows.items():
-        xs.sort()
+    cx: list[int] = []
+    cy: list[int] = []
+    for start, size in zip(starts.tolist(), sizes.tolist()):
+        y, xs = ys_all[start], xs_all[start:start + size]
         reach = ymax - y  # tallest square whose top row is still in the box
         for i, a in enumerate(xs):
             for c in xs[i + 1:]:
@@ -221,23 +260,25 @@ def _vertex_centers_sparse(b: PointSet2D, mode: str) -> frozenset[DoubledPoint] 
                 if w > reach:
                     break
                 if (a, y + w) in members and (c, y + w) in members:
-                    centers.add(DoubledPoint(a + c, 2 * y + w))
-    return len(centers) if mode == "count" else frozenset(centers)
+                    cx.append(a + c)
+                    cy.append(2 * y + w)
+    return len(cx) if mode == "count" else CenterRows(cx, cy)
 
 
 def find_vertex_centers_2d(b: PointSet2D, mode: str = "enumerate", *,
-                           budget: int | None = None) -> frozenset[DoubledPoint] | int:
+                           budget: int | None = None) -> CenterRows | int:
     """Centers of axis-parallel squares with all four vertices in B."""
     if mode not in ("enumerate", "count"):
         raise ParameterError(f"mode must be 'enumerate' or 'count', got {mode!r}")
     require_budget(len(b), DEFAULT_FINDER_BUDGET, "a vertex-center scan", budget)
     if not len(b):
-        return 0 if mode == "count" else frozenset()
+        return 0 if mode == "count" else CenterRows([], [])
     xmin, ymin, xmax, ymax = b.bbox()
     w, h, m = xmax - xmin + 1, ymax - ymin + 1, min(xmax - xmin, ymax - ymin)
     # sweep = sum of (w - s) * (h - s) over the widths s = 1..m
     sweep = m * w * h - (w + h) * m * (m + 1) // 2 + m * (m + 1) * (2 * m + 1) // 6
-    scan = sum(c * c for c in Counter(y for _, y in b.points).values())
+    row_sizes = _runs(np.sort(b.as_array()[:, 1]))[1]
+    scan = int(np.dot(row_sizes, row_sizes))
     if w * h <= effective_budget(DEFAULT_GRID_CELLS, budget) and sweep < DENSE_VERTEX_RATIO * scan:
         return _vertex_centers_dense(b, mode, budget=budget)
     require_budget(scan, DEFAULT_PAIR_BUDGET, "the same-row pair scan", budget)
@@ -246,7 +287,7 @@ def find_vertex_centers_2d(b: PointSet2D, mode: str = "enumerate", *,
 
 def find_boundary_centers_2d(b: PointSet2D, r_max: int, mode: str = "enumerate", *,
                              budget: int | None = None
-                             ) -> frozenset[CenterWitness] | int:
+                             ) -> CenterRows | int:
     """All (lattice center, radius) pairs whose full square boundary lies in B.
 
     One vectorized pass per radius: four prefix-sum differences over the
@@ -259,29 +300,24 @@ def find_boundary_centers_2d(b: PointSet2D, r_max: int, mode: str = "enumerate",
         raise ParameterError(f"r_max must be an integer >= 1, got {r_max!r}")
     require_budget(len(b), DEFAULT_FINDER_BUDGET, "a boundary-center scan", budget)
     if not len(b):
-        return 0 if mode == "count" else frozenset()
+        return 0 if mode == "count" else CenterRows([], [], [])
     grid = OccupancyGrid.from_points(b, budget=budget)
     w, h = grid.width, grid.height
     r_eff = min(r_max, (w - 1) // 2, (h - 1) // 2)
     require_budget(w * h * max(r_eff, 0), DEFAULT_PAIR_BUDGET,
                    "the per-radius boundary sweep", budget)
-    px, py = grid._px, grid._py
-    found: set[CenterWitness] = set()
-    count = 0
+    count, found = 0, [np.zeros((0, 3), dtype=np.int64)]
     for r in range(1, r_eff + 1):
-        n = 2 * r + 1
-        top = px[n:w + 1, 2 * r:h] - px[0:w - 2 * r, 2 * r:h]
-        bottom = px[n:w + 1, 0:h - 2 * r] - px[0:w - 2 * r, 0:h - 2 * r]
-        left = py[0:w - 2 * r, n:h + 1] - py[0:w - 2 * r, 0:h - 2 * r]
-        right = py[2 * r:w, n:h + 1] - py[2 * r:w, 0:h - 2 * r]
-        full = (top == n) & (bottom == n) & (left == n) & (right == n)
+        full = grid.boundary_full(np.arange(grid.x0 + r, grid.x0 + w - r)[:, None],
+                                  np.arange(grid.y0 + r, grid.y0 + h - r), r)
         if mode == "count":
             count += int(np.count_nonzero(full))
             continue
-        for u, v in zip(*np.nonzero(full)):
-            sx, sy = grid.x0 + int(u) + r, grid.y0 + int(v) + r
-            found.add(CenterWitness(DoubledPoint(2 * sx, 2 * sy), 2 * r))
-    return count if mode == "count" else frozenset(found)
+        u, v = np.nonzero(full)
+        found.append(np.column_stack((u + grid.x0 + r, v + grid.y0 + r, np.full(len(u), r))))
+    if mode == "count":
+        return count
+    return CenterRows(*(2 * np.concatenate(found)).T)
 
 
 def has_square_at(b: PointSet2D, center: DoubledPoint, mode: str, *,
@@ -311,12 +347,11 @@ def has_square_at(b: PointSet2D, center: DoubledPoint, mode: str, *,
         reach = min(x2 - 2 * xmin, 2 * xmax - x2, y2 - 2 * ymin, 2 * ymax - y2)
         if r_max is not None:
             reach = min(reach, 2 * r_max)
-        members = b.points
         start = 2 if x2 % 2 == 0 else 1
         for rho in range(start, reach + 1, 2):
             xs = ((x2 - rho) // 2, (x2 + rho) // 2)
             ys = ((y2 - rho) // 2, (y2 + rho) // 2)
-            if all((x, y) in members for x in xs for y in ys):
+            if all((x, y) in b for x in xs for y in ys):
                 return rho
         return None
 
@@ -329,12 +364,7 @@ def has_square_at(b: PointSet2D, center: DoubledPoint, mode: str, *,
         reach = min(sx - xmin, xmax - sx, sy - ymin, ymax - sy)
         if r_max is not None:
             reach = min(reach, r_max)
-        for r in range(1, reach + 1):
-            if (grid.segment_full("horizontal", sy + r, sx - r, sx + r)
-                    and grid.segment_full("horizontal", sy - r, sx - r, sx + r)
-                    and grid.segment_full("vertical", sx - r, sy - r, sy + r)
-                    and grid.segment_full("vertical", sx + r, sy - r, sy + r)):
-                return 2 * r
-        return None
+        full = np.flatnonzero(grid.boundary_full(sx, sy, np.arange(1, reach + 1)))
+        return 2 * int(full[0]) + 2 if full.size else None
 
     raise ParameterError(f"mode must be 'vertices' or 'boundary', got {mode!r}")

@@ -213,3 +213,44 @@ def oracle_covering_greedy(elems, length: int) -> int:
         while i < len(elems) and elems[i] <= limit:
             i += 1
     return count
+
+
+def oracle_make_pointset(points):
+    """Sorted distinct points as a tuple, or (error class name, message) of the
+    first coordinate, x before y, that is not an integer or exceeds 2**62."""
+    out = set()
+    for x, y in points:
+        for v in (x, y):
+            if not isinstance(v, (int, np.integer)):
+                return ("ParameterError", f"expected an integer coordinate, got {type(v).__name__}")
+            if abs(int(v)) > 2**62:
+                return ("RangeError", f"coordinate {int(v)} exceeds the supported magnitude 2**62")
+        out.add((int(x), int(y)))
+    return tuple(sorted(out))
+
+
+def oracle_parse_pointset(text: str, source: str):
+    """Line-by-line reading of a 2D set file.
+
+    Returns the sorted distinct points, or (message, lineno) of the format
+    error the file must raise: the first line that is not two integer tokens
+    (after cutting a '#' comment), else the first coordinate past 2**62 in
+    file order, x before y (no line).
+    """
+    points = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        data = raw.split("#", 1)[0]
+        tokens = data.split()
+        if not tokens:
+            continue
+        if len(tokens) != 2:
+            return f"{source}:{lineno}: expected 'x y', got {data.strip()!r}", lineno
+        try:
+            points.append((int(tokens[0]), int(tokens[1])))
+        except ValueError:
+            return f"{source}:{lineno}: not an integer pair: {data.strip()!r}", lineno
+    for p in points:
+        for v in p:
+            if abs(v) > 2**62:
+                return f"{source}: coordinate {v} exceeds the supported magnitude 2**62", None
+    return tuple(sorted(set(points)))

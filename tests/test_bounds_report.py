@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -8,6 +9,8 @@ import pytest
 
 from squarelab import (
     BoundCheck,
+    BudgetError,
+    DoubledPoint,
     ParameterError,
     PointSet2D,
     build_report,
@@ -19,6 +22,7 @@ from squarelab import (
     gen_AN,
     gen_Dk,
     gen_vertex_example,
+    has_square_at,
     make_intset,
     verify_construction,
 )
@@ -158,6 +162,38 @@ class TestVerifyConstruction:
             "countable_block2_missing_boundaries",
         ]
         assert all(c.ok for c in checks)
+
+    def test_countable_replay_counts_misses_across_center_blocks(self, monkeypatch):
+        # strips with holes, replayed a few centers per block, must miss
+        # exactly the centers a per-center boundary search misses
+        real = bounds_report.cons.gen_countable_truncation(1, 3)
+        rng = np.random.default_rng(3)
+        blocks = []
+        for blk in real.blocks:
+            pts = blk.boundary_set.as_array()
+            holed = PointSet2D(pts[rng.random(len(pts)) > 0.1])
+            blocks.append(dataclasses.replace(blk, boundary_set=holed))
+        trunc = dataclasses.replace(real, blocks=tuple(blocks))
+        expected = []
+        for blk in blocks:
+            r_cap = 3 * blk.n * blk.factor
+            expected.append(sum(
+                1 for x, y in blk.centers
+                if has_square_at(blk.boundary_set, DoubledPoint(2 * x, 2 * y), "boundary",
+                                 r_max=r_cap) is None))
+        monkeypatch.setattr(bounds_report.cons, "gen_countable_truncation",
+                            lambda alpha, K, budget=None: trunc)
+        monkeypatch.setattr(bounds_report, "_CHUNK_CELLS", 100)
+        got = [c.lhs for c in verify_construction("countable", alpha=1, K=3)]
+        assert got == expected and 0 < sum(expected) < sum(len(b.centers) for b in blocks)
+
+    def test_dk_guard_counts_centers_before_work(self):
+        with pytest.raises(BudgetError, match="witness replay at level 4") as exc:
+            verify_construction("dk", k=4, budget=100)
+        assert (exc.value.estimate, exc.value.limit) == (4**8, 100)
+        with pytest.raises(BudgetError, match="witness replay at level 9"):
+            verify_construction("dk", k=9)
+        assert all(c.ok for c in verify_construction("dk", k=4, budget=4**8))
 
     def test_unknown_name(self):
         with pytest.raises(ParameterError):

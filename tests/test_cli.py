@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -187,6 +188,14 @@ class TestVerify:
         assert run("verify", "countable", "--alpha", "1", "--K", "2") == 0
         rep = json.loads(capsys.readouterr().out)
         assert all(c["ok"] for c in rep["checks"])
+
+    def test_dk_refuses_before_replaying(self, capsys):
+        # k = 16 would replay 4.3e9 centers; the estimate alone must decide
+        start = time.perf_counter()
+        assert run("verify", "dk", "--k", "16") == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "refusing to materialize" in err and "4,294,967,296" in err
 
     def test_failing_check_exits_1(self, capsys, monkeypatch):
         # no real construction fails, so fail the plumbing deliberately

@@ -26,7 +26,16 @@ from squarelab.core_sets import (
     require_budget,
 )
 
-from oracles import oracle_make_intset, oracle_parse_intset, oracle_segment_full
+from oracles import (
+    oracle_make_intset,
+    oracle_make_pointset,
+    oracle_parse_intset,
+    oracle_parse_pointset,
+    oracle_segment_full,
+)
+
+# coordinates that stress the int64 fast paths: the limit, just past it, past int64
+EDGE_INTS = [2**62, -2**62, 2**62 + 1, -2**62 - 1, 2**63 - 1, 2**63, -2**63 - 1, 2**64]
 
 
 class TestIntSet1D:
@@ -159,6 +168,82 @@ class TestPointSet2D:
         with pytest.raises(RangeError):
             PointSet2D([(0, COORD_LIMIT + 1)])
 
+    @given(st.lists(st.tuples(*[st.one_of(
+        st.integers(-40, 40), st.integers(-2**65, 2**65), st.sampled_from(EDGE_INTS),
+        st.sampled_from([np.int64(-2**62 - 1), np.uint64(2**63), 1.0, "3", None]))] * 2),
+        max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_validation_matches_scalar_oracle(self, pts):
+        expected = oracle_make_pointset(pts)
+        try:
+            got = PointSet2D(pts).sorted_points()
+        except (ParameterError, RangeError) as exc:
+            got = (type(exc).__name__, str(exc))
+        assert got == expected
+
+    def test_constructor_names_x_before_y(self):
+        with pytest.raises(RangeError, match=f"coordinate {2**62 + 1} "):
+            PointSet2D([(0, 0), (2**62 + 1, 2**63), (2**64, 0)])
+        with pytest.raises(RangeError, match=f"coordinate {-2**63} "):
+            PointSet2D([(1, -2**63), (2**62 + 1, 0)])
+        with pytest.raises(ParameterError, match="got float"):
+            PointSet2D([(1, 2), (0.5, 2**70)])
+        with pytest.raises(RangeError, match=f"coordinate {2**62 + 1} "):
+            PointSet2D(np.array([[5, 1], [0, 2**62 + 1], [2**62 + 2, 0]]))
+
+    def test_translate_names_the_first_coordinate_out_of_range(self):
+        # int64 would wrap 2**62 + 2**62 to -2**63
+        with pytest.raises(RangeError, match=f"coordinate {2**63} "):
+            PointSet2D([(2**62, 0)]).translate(2**62, 0)
+        with pytest.raises(RangeError, match=f"coordinate {2**62 + 2} "):
+            PointSet2D([(0, 2**62 - 5), (1, 2**62), (2, 2**62 - 1)]).translate(0, 2)
+        assert PointSet2D([(2**62, -2**62)]).translate(-2**62, 2**62).sorted_points() == ((0, 0),)
+
+    def test_array_is_a_read_only_copy(self):
+        src = np.array([[3, 4], [1, 2]], dtype=np.int64)
+        ps = PointSet2D(src)
+        src[0, 0] = 100
+        assert ps.sorted_points() == ((1, 2), (3, 4))
+        with pytest.raises(ValueError):
+            ps.as_array()[0, 0] = 0
+        src = np.array([[1, 2], [3, 4]])  # sorted input is kept, but as a copy
+        ps = PointSet2D(src)
+        src[0, 0] = 100
+        assert ps.sorted_points() == ((1, 2), (3, 4))
+        assert PointSet2D(ps.as_array()) == ps
+
+    def test_membership(self):
+        ps = PointSet2D([(-3, 2), (2**62, -2**62), (0, 0), (0, 5)])
+        assert (-3, 2) in ps and (np.int64(0), 5) in ps and (2**62, -2**62) in ps
+        for p in ((0, 1), (2, -3), (2**64, 0), (0.0, 0), [0, 0], (0, 0, 0), 0, None):
+            assert p not in ps
+
+    @given(st.lists(st.tuples(st.integers(-2**62, 2**62), st.integers(-2**62, 2**62)),
+                    max_size=12),
+           st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)), max_size=30),
+           st.integers(-2**62, 2**62), st.integers(-40, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_operations_match_tuple_sets(self, wide, narrow, big, small):
+        for pts in (wide, narrow, wide + narrow):
+            ps = PointSet2D(pts)
+            ref = set(pts)
+            assert ps.points == ref and ps.sorted_points() == tuple(sorted(ref))
+            assert list(ps) == sorted(ref) and len(ps) == len(ref)
+            assert ps.bbox() == (None if not ref else (
+                min(x for x, _ in ref), min(y for _, y in ref),
+                max(x for x, _ in ref), max(y for _, y in ref)))
+            assert ps.transpose().points == {(y, x) for x, y in ref}
+            for dx, dy in ((small, -small), (big, small), (small, big)):
+                moved = [(x + dx, y + dy) for x, y in sorted(ref)]
+                expected = oracle_make_pointset(moved)
+                try:
+                    got = ps.translate(dx, dy).sorted_points()
+                except RangeError as exc:
+                    got = ("RangeError", str(exc))
+                assert got == expected
+        xs, ys = make_intset(x for x, _ in narrow), make_intset(y for _, y in narrow)
+        assert PointSet2D.product(xs, ys).points == {(x, y) for x in xs for y in ys}
+
 
 class TestDoubled:
     @pytest.mark.parametrize(
@@ -228,6 +313,27 @@ class TestOccupancyGrid:
         assert grid.is_occupied(0, 0)
         assert not grid.is_occupied(-2, -2)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_boundary_full_matches_membership_walk(self, seed):
+        grid, pts = self._grid_and_points(seed, w=9, h=8, density=0.85)
+        sx, sy, r = np.meshgrid(np.arange(-5, 8), np.arange(-4, 7), np.arange(1, 6),
+                                indexing="ij")
+        full = grid.boundary_full(sx, sy, r)
+        assert full.shape == sx.shape
+        for x, y, rr, got in zip(sx.ravel(), sy.ravel(), r.ravel(), full.ravel()):
+            x, y, rr = int(x), int(y), int(rr)
+            expected = (oracle_segment_full(pts, "horizontal", y - rr, x - rr, x + rr)
+                        and oracle_segment_full(pts, "horizontal", y + rr, x - rr, x + rr)
+                        and oracle_segment_full(pts, "vertical", x - rr, y - rr, y + rr)
+                        and oracle_segment_full(pts, "vertical", x + rr, y - rr, y + rr))
+            assert bool(got) == expected
+
+    def test_boundary_full_broadcasts_scalars(self):
+        grid = OccupancyGrid.from_points([(x, y) for x in range(5) for y in range(5)])
+        assert grid.boundary_full(2, 2, 2) and not grid.boundary_full(2, 2, 3)
+        assert grid.boundary_full(2, 2, np.arange(1, 4)).tolist() == [True, True, False]
+        assert grid.boundary_full(np.arange(5)[:, None], np.arange(5), 1).sum() == 9
+
     def test_cell_budget(self):
         with pytest.raises(BudgetError) as exc:
             OccupancyGrid.from_points([(0, 0), (10**6, 10**6)])
@@ -293,6 +399,35 @@ class TestTextFormats:
     def test_pointset_accepts_whitespace_separation(self):
         ps = parse_pointset_text("  1   2\n-3\t4\n")
         assert ps.sorted_points() == ((-3, 4), (1, 2))
+
+    @given(st.lists(st.one_of(
+        st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)).map(
+            lambda p: f"{p[0]} {p[1]}"),
+        st.integers(0, 10**6).map(lambda v: f"+{v}\t-{v}"),
+        st.integers(1, 999).map(lambda v: f"{v}_000 {v}"),
+        st.tuples(st.sampled_from(EDGE_INTS), st.integers(-3, 3)).map(
+            lambda p: f"{p[1]} {p[0]}" if p[1] % 2 else f"{p[0]} {p[1]}"),
+        st.sampled_from(["# comment", "#", "", "  ", "\t", "5 6 # inline", "7 8#x",
+                         "  -8   9  ", "3", "3 4 5", "1__0 2", "foo 1", "1.0 2",
+                         "# 1 2", "1 2 #", " # 1 2", "1 ;", "; 2", "1 2 ; 3 4",
+                         ";", "1;2 3"]),
+    ), max_size=12), st.lists(st.booleans(), max_size=12), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_parse_pointset_matches_line_by_line_oracle(self, lines, crlf, trailing):
+        lines = [line + "\r" if cr else line for line, cr in zip(lines, crlf + [False] * 12)]
+        text = "\n".join(lines) + ("\n" if trailing else "")
+        expected = oracle_parse_pointset(text, "f.txt")
+        try:
+            got = parse_pointset_text(text, source="f.txt").sorted_points()
+        except FormatError as exc:
+            got = (str(exc), exc.lineno)
+        assert got == expected
+
+    def test_format_pointset_text(self):
+        assert format_pointset_text(PointSet2D([])) == "\n"
+        assert format_pointset_text(PointSet2D([]), header="h") == "# h\n"
+        ps = PointSet2D([(2**62, -2**62), (-1, 0)])
+        assert format_pointset_text(ps, header="h") == f"# h\n-1 0\n{2**62} {-2**62}\n"
 
     @given(st.sets(st.integers(-10**9, 10**9), max_size=40))
     @settings(max_examples=50)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from squarelab import (
     BudgetError,
+    CenterWitness,
     DoubledPoint,
     OccupancyGrid,
     ParameterError,
@@ -20,6 +21,7 @@ from squarelab import (
     make_intset,
 )
 from squarelab.finders import (
+    CenterRows,
     _centers_1d_dense,
     _centers_1d_sparse,
     _vertex_centers_dense,
@@ -69,10 +71,10 @@ class TestCenters1D:
         assert (3, 3) in got and (1, 5) in got
 
     def test_trivial_sets(self):
-        assert find_centers_1d(make_intset([])) == frozenset()
-        assert find_centers_1d(make_intset([7])) == frozenset()
+        assert set(find_centers_1d(make_intset([]))) == set()
+        assert set(find_centers_1d(make_intset([7]))) == set()
         two = find_centers_1d(make_intset([0, 2]))
-        assert two == frozenset({DoubledPoint(2, 2)})
+        assert set(two) == {DoubledPoint(2, 2)}
 
     def test_budget_override(self):
         with pytest.raises(BudgetError):
@@ -100,7 +102,7 @@ class TestVertexCenters2D:
 
     def test_single_square(self):
         b = PointSet2D([(0, 0), (3, 0), (0, 3), (3, 3)])
-        assert find_vertex_centers_2d(b) == frozenset({DoubledPoint(3, 3)})
+        assert set(find_vertex_centers_2d(b)) == {DoubledPoint(3, 3)}
 
     def test_count_mode_agrees(self):
         rng = np.random.default_rng(42)
@@ -122,17 +124,17 @@ class TestVertexCenters2D:
         b = random_pointset(rng)
         base = find_vertex_centers_2d(b)
         moved = find_vertex_centers_2d(b.translate(7, -9))
-        assert moved == frozenset(DoubledPoint(p.X + 14, p.Y - 18) for p in base)
+        assert set(moved) == {DoubledPoint(p.X + 14, p.Y - 18) for p in base}
 
     def test_transpose_equivariance(self):
         rng = np.random.default_rng(6)
         b = random_pointset(rng)
         base = find_vertex_centers_2d(b)
         flipped = find_vertex_centers_2d(b.transpose())
-        assert flipped == frozenset(DoubledPoint(p.Y, p.X) for p in base)
+        assert set(flipped) == {DoubledPoint(p.Y, p.X) for p in base}
 
     def test_empty(self):
-        assert find_vertex_centers_2d(PointSet2D([])) == frozenset()
+        assert set(find_vertex_centers_2d(PointSet2D([]))) == set()
 
 
 class TestBoundaryCenters2D:
@@ -174,7 +176,7 @@ class TestBoundaryCenters2D:
             find_boundary_centers_2d(b, 0)
 
     def test_empty(self):
-        assert find_boundary_centers_2d(PointSet2D([]), 3) == frozenset()
+        assert set(find_boundary_centers_2d(PointSet2D([]), 3)) == set()
 
 
 class TestHasSquareAt:
@@ -271,6 +273,58 @@ class TestBudgets:
     def test_spread_vertices_take_the_pair_scan(self):
         # a bounding box far over the grid-cell budget: no grid is built
         b = PointSet2D([(0, 0), (10**7, 0), (0, 10**7), (10**7, 10**7), (5, 9)])
-        assert find_vertex_centers_2d(b) == frozenset({DoubledPoint(10**7, 10**7)})
+        assert set(find_vertex_centers_2d(b)) == {DoubledPoint(10**7, 10**7)}
         with pytest.raises(BudgetError, match="same-row pair scan"):
             find_vertex_centers_2d(b, budget=5)
+
+
+class TestCenterRows:
+    """Enumerated results: rows in ascending order, one value type per finder."""
+
+    def _results(self):
+        rng = np.random.default_rng(21)
+        a = random_intset(rng)
+        b = random_pointset(rng, max_size=60, coord=9)
+        mask = rng.random((12, 12)) < 0.8
+        strips = PointSet2D([(int(x), int(y)) for x, y in np.argwhere(mask)])
+        return [
+            (find_centers_1d(a), find_centers_1d(a, "count"), DoubledPoint),
+            (find_vertex_centers_2d(b), find_vertex_centers_2d(b, "count"), DoubledPoint),
+            (_vertex_centers_sparse(b, "enumerate"), None, DoubledPoint),
+            (find_boundary_centers_2d(strips, 5), find_boundary_centers_2d(strips, 5, "count"),
+             CenterWitness),
+        ]
+
+    def test_iterates_ascending_and_len_is_the_count(self):
+        for found, count, kind in self._results():
+            items = list(found)
+            assert items and all(type(v) is kind for v in items)
+            assert items == sorted(set(items))
+            assert len(found) == len(items) == (len(items) if count is None else count)
+            assert [tuple(row) for row in found.as_array().tolist()] == [
+                (*v.center, v.radius) if kind is CenterWitness else tuple(v) for v in items]
+
+    def test_membership(self):
+        for found, _, kind in self._results():
+            items = list(found)
+            for v in items[::7]:
+                assert v in found
+            if kind is CenterWitness:
+                assert CenterWitness(items[0].center, 10**6) not in found
+                assert items[0].center not in found
+            else:
+                assert DoubledPoint(10**6, 10**6) not in found
+                assert (*items[0], 0) not in found
+            assert None not in found and "x" not in found
+
+    def test_rows_are_read_only(self):
+        found = find_vertex_centers_2d(PointSet2D([(0, 0), (2, 0), (0, 2), (2, 2)]))
+        assert found.as_array().tolist() == [[2, 2]]
+        with pytest.raises(ValueError):
+            found.as_array()[0, 0] = 0
+
+    def test_empty_results_keep_their_width(self):
+        assert find_centers_1d(make_intset([3])).as_array().shape == (0, 2)
+        assert find_vertex_centers_2d(PointSet2D([])).as_array().shape == (0, 2)
+        assert find_boundary_centers_2d(PointSet2D([(0, 0)]), 3).as_array().shape == (0, 3)
+        assert CenterRows([], []) == find_vertex_centers_2d(PointSet2D([(0, 0)]))
