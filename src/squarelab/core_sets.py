@@ -15,7 +15,6 @@ memory it spends.
 
 from __future__ import annotations
 
-import math
 import os
 from typing import Iterable, Iterator, NamedTuple
 
@@ -241,10 +240,7 @@ def _point_array(points: Iterable[tuple[int, int]]) -> np.ndarray:
 def _lex_unique_rows(rows: np.ndarray) -> np.ndarray:
     """The distinct rows of an (N, k) int64 array in lexicographic order.
 
-    Input that is already strictly increasing comes back as is.  Otherwise the
-    rows are packed into one int64 key per row when the box they span has
-    fewer than 2**63 cells (a plain sort is ~25x faster than ``np.lexsort``),
-    and lexsorted when it does not.
+    Input that is already strictly increasing comes back as is.
     """
     if len(rows) < 2:
         return rows
@@ -255,18 +251,6 @@ def _lex_unique_rows(rows: np.ndarray) -> np.ndarray:
         tied &= col[1:] == col[:-1]
     if later.all():
         return rows
-    lo = [int(v) for v in rows.min(axis=0)]
-    spans = [int(v) - m + 1 for v, m in zip(rows.max(axis=0), lo)]
-    if math.prod(spans) < 2**63:
-        key = np.zeros(len(rows), dtype=np.int64)
-        for col, m, span in zip(rows.T, lo, spans):
-            key = key * span + (col - m)
-        key = unique_ints(key)
-        out = np.empty((len(key), len(spans)), dtype=np.int64)
-        for c in range(len(spans) - 1, -1, -1):
-            key, out[:, c] = np.divmod(key, spans[c])
-            out[:, c] += lo[c]
-        return out
     rows = rows[np.lexsort(rows.T[::-1])]
     return rows[np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1)))]
 

@@ -262,7 +262,9 @@ def _vertex_centers_sparse(b: PointSet2D, mode: str) -> CenterRows | int:
                 if (a, y + w) in members and (c, y + w) in members:
                     cx.append(a + c)
                     cy.append(2 * y + w)
-    return len(cx) if mode == "count" else CenterRows(cx, cy)
+    # nested squares share a center, each found through its own bottom edge
+    rows = CenterRows(cx, cy)
+    return len(rows) if mode == "count" else rows
 
 
 def find_vertex_centers_2d(b: PointSet2D, mode: str = "enumerate", *,

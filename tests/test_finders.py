@@ -2,7 +2,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from squarelab import (
@@ -233,6 +233,8 @@ class TestBackendsAgree:
 
     @given(st.sets(st.tuples(st.integers(-6, 8), st.integers(-4, 10)),
                    min_size=1, max_size=45))
+    # two nested squares around one center, each found through its own bottom edge
+    @example({(0, 0), (4, 0), (0, 4), (4, 4), (1, 1), (3, 1), (1, 3), (3, 3)})
     @settings(max_examples=80, deadline=None)
     def test_vertex_centers(self, pts):
         b = PointSet2D(pts)
@@ -290,7 +292,8 @@ class TestCenterRows:
         return [
             (find_centers_1d(a), find_centers_1d(a, "count"), DoubledPoint),
             (find_vertex_centers_2d(b), find_vertex_centers_2d(b, "count"), DoubledPoint),
-            (_vertex_centers_sparse(b, "enumerate"), None, DoubledPoint),
+            (_vertex_centers_sparse(b, "enumerate"), _vertex_centers_sparse(b, "count"),
+             DoubledPoint),
             (find_boundary_centers_2d(strips, 5), find_boundary_centers_2d(strips, 5, "count"),
              CenterWitness),
         ]
@@ -300,7 +303,7 @@ class TestCenterRows:
             items = list(found)
             assert items and all(type(v) is kind for v in items)
             assert items == sorted(set(items))
-            assert len(found) == len(items) == (len(items) if count is None else count)
+            assert len(found) == len(items) == count
             assert [tuple(row) for row in found.as_array().tolist()] == [
                 (*v.center, v.radius) if kind is CenterWitness else tuple(v) for v in items]
 
