@@ -32,8 +32,6 @@ from .constructions import (
     gen_Dk,
     gen_vertex_example,
     splice_En,
-    witness_r,
-    witness_r_AN,
     witness_radii,
     witness_radii_AN,
 )
@@ -43,7 +41,6 @@ from .finders import (
     find_boundary_centers_2d,
     find_centers_1d,
     find_vertex_centers_2d,
-    has_square_at,
 )
 from .dimension_lab import (
     RatioPoint,

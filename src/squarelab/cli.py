@@ -196,19 +196,14 @@ def _cmd_find_boundaries(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # verify / scan / measure
 
+_VERIFY_PARAMS = {"dk": ("k",), "an": ("p",), "boundary": ("k",), "countable": ("alpha", "K")}
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
-    kwargs: dict = {"seed": args.seed}
-    if args.target == "dk":
-        kwargs["k"] = args.k
-    elif args.target == "an":
-        kwargs["p"] = args.p
-    elif args.target == "boundary":
-        kwargs["k"] = args.k
-    else:
-        kwargs.update(alpha=args.alpha, K=args.K)
-    checks = verify_construction(args.target, **kwargs)
-    report = build_report(f"verify:{args.target}", checks,
-                          seed=args.seed if args.seed is not None else DEFAULT_SEED)
+    params = {name: getattr(args, name) for name in _VERIFY_PARAMS[args.target]}
+    seed = getattr(args, "seed", None)  # only `verify an` samples
+    checks = verify_construction(args.target, seed=seed, **params)
+    report = build_report(f"verify:{args.target}", checks, seed=seed)
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     bad = [c for c in checks if not c.ok]
     for c in bad:
@@ -344,27 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="replay a construction's defining property"
                          ).add_subparsers(dest="target")
-    v = ver.add_parser("dk")
-    v.add_argument("--k", type=int, required=True)
-    v.add_argument("--seed", type=int)
-    add_out(v)
-    v.set_defaults(func=_cmd_verify, target="dk")
-    v = ver.add_parser("an")
-    v.add_argument("--p", type=int, required=True)
-    v.add_argument("--seed", type=int)
-    add_out(v)
-    v.set_defaults(func=_cmd_verify, target="an")
-    v = ver.add_parser("boundary")
-    v.add_argument("--k", type=int, required=True)
-    v.add_argument("--seed", type=int)
-    add_out(v)
-    v.set_defaults(func=_cmd_verify, target="boundary")
-    v = ver.add_parser("countable")
-    v.add_argument("--alpha", type=int, required=True)
-    v.add_argument("--K", type=int, required=True)
-    v.add_argument("--seed", type=int)
-    add_out(v)
-    v.set_defaults(func=_cmd_verify, target="countable")
+    for target, names in _VERIFY_PARAMS.items():
+        v = ver.add_parser(target)
+        for name in names:
+            v.add_argument(f"--{name}", type=int, required=True)
+        if target == "an":
+            v.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        add_out(v)
+        v.set_defaults(func=_cmd_verify)
 
     sc = sub.add_parser("scan", help="size-law scan across a family")
     sc.add_argument("--family", required=True,

@@ -43,10 +43,10 @@ from .core_sets import (
 )
 
 __all__ = [
-    "gen_Dk", "dk_size_cap", "witness_r", "witness_radii",
+    "gen_Dk", "dk_size_cap", "witness_radii",
     "gen_vertex_example", "vertex_example_sizes",
     "gen_boundary_example", "boundary_example_sizes",
-    "gen_AN", "an_modulus", "witness_r_AN", "witness_radii_AN",
+    "gen_AN", "an_modulus", "witness_radii_AN",
     "interpolation_level",
     "CantorTruncation", "gen_cantor_truncation",
     "CountableBlock", "CountableTruncation", "gen_countable_truncation",
@@ -115,15 +115,6 @@ def witness_radii(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
                              + (y // k**2 % k * k**2 - y // k**3 * k**3)), 1)
 
 
-def witness_r(x: int, y: int, k: int) -> int:
-    """A radius r with x-r, x+r, y-r, y+r all in D_k, for any x, y in [0, k**4);
-    the scalar form of :func:`witness_radii`."""
-    n = _check_level(k)
-    if not (0 <= x < n and 0 <= y < n):
-        raise RangeError(f"center ({x}, {y}) outside [0, {n})**2 at level {k}")
-    return int(witness_radii(x, y, k))
-
-
 # ---------------------------------------------------------------------------
 # Planar examples built from D_k
 
@@ -137,7 +128,7 @@ def gen_vertex_example(k: int, *, budget: int | None = None) -> tuple[PointSet2D
     """B = D_k x D_k together with its center grid S = {1..k**4-1}**2.
 
     Every (x, y) in S is the center of an axis-parallel square with all four
-    vertices in B (radius from :func:`witness_r`), so |S| grows like |B|**(4/3)
+    vertices in B (radius from :func:`witness_radii`), so |S| grows like |B|**(4/3)
     while B stays a product set.
     """
     dset = gen_Dk(k, budget=budget)
@@ -256,14 +247,6 @@ def witness_radii_AN(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
         r = r + mult * witness_radii(u, v, k)
     assert not (np.any(x) or np.any(y))  # the level-p multiplier is 1, digits exhaust
     return r
-
-
-def witness_r_AN(x: int, y: int, p: int) -> int:
-    """The scalar form of :func:`witness_radii_AN`."""
-    n = an_modulus(p)
-    if not (0 <= x < n and 0 <= y < n):
-        raise RangeError(f"center ({x}, {y}) outside [0, {n})**2 at depth {p}")
-    return int(witness_radii_AN(x, y, p))
 
 
 def interpolation_level(n: int) -> int:

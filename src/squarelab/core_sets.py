@@ -8,13 +8,15 @@ exact.  Real-valued constructions are scaled into integers before they reach
 this layer.
 
 The :class:`OccupancyGrid` is a dense 0/1 raster with prefix sums along both
-axes, giving O(1) "is this whole row/column segment occupied" answers.  That
-query is the inner loop of boundary-square detection, which is why it earns the
-memory it spends.
+axes, so "is the whole boundary of this square occupied" is four subtractions
+and four comparisons, broadcast over arrays of centers and radii.  That test is
+the inner loop of boundary-square detection, which is why it earns the memory
+it spends.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Iterable, Iterator, NamedTuple
 
@@ -83,7 +85,7 @@ def budget_scale() -> float:
         scale = float(raw)
     except ValueError:
         raise ParameterError(f"{_BUDGET_ENV} must be a positive number, got {raw!r}") from None
-    if scale <= 0 or scale != scale:  # NaN guard
+    if not (math.isfinite(scale) and scale > 0):
         raise ParameterError(f"{_BUDGET_ENV} must be a positive number, got {raw!r}")
     return scale
 
@@ -299,9 +301,6 @@ class PointSet2D:
     def points(self) -> frozenset[tuple[int, int]]:
         return frozenset(self)
 
-    def sorted_points(self) -> tuple[tuple[int, int], ...]:
-        return tuple(self)
-
     def bbox(self) -> tuple[int, int, int, int] | None:
         """(xmin, ymin, xmax, ymax), or None for the empty set."""
         if not len(self._arr):
@@ -342,37 +341,21 @@ class PointSet2D:
         return f"PointSet2D(<{len(self)} points>)"
 
 
-def doubled_str(v: int) -> str:
-    """Render a doubled coordinate as an exact decimal half-integer.
-
-    >>> doubled_str(4), doubled_str(-3)
-    ('2.0', '-1.5')
-    """
-    sign = "-" if v < 0 else ""
-    a = abs(v)
-    return f"{sign}{a // 2}.{'5' if a % 2 else '0'}"
-
-
 class DoubledPoint(NamedTuple):
     """A point in doubled coordinates: (X, Y) encodes (X/2, Y/2)."""
 
     X: int
     Y: int
 
-    def is_lattice(self) -> bool:
-        return self.X % 2 == 0 and self.Y % 2 == 0
-
-    def render(self) -> str:
-        return f"{doubled_str(self.X)} {doubled_str(self.Y)}"
-
 
 class OccupancyGrid:
-    """Dense membership raster over a bounding box with O(1) segment queries.
+    """Dense membership raster over a bounding box with a four-sides test of
+    whole square boundaries (:meth:`boundary_full`).
 
     ``cells[i, j]`` covers the lattice point ``(x0 + i, y0 + j)``.  Two prefix
-    tables (cumulative along x and along y) turn "is every point of this
-    horizontal/vertical segment occupied" into a subtraction and a comparison.
-    Queries that leave the stored box are simply unoccupied — never an error.
+    tables (cumulative along x and along y) turn "is every point of this side
+    occupied" into a subtraction and a comparison.  A square that leaves the
+    stored box is simply not full — never an error.
     """
 
     __slots__ = ("x0", "y0", "width", "height", "cells", "_px", "_py")
@@ -417,15 +400,6 @@ class OccupancyGrid:
         cells[arr[:, 0] - xmin, arr[:, 1] - ymin] = 1
         return cls(xmin, ymin, cells)
 
-    def is_occupied(self, x: int, y: int) -> bool:
-        i, j = x - self.x0, y - self.y0
-        if 0 <= i < self.width and 0 <= j < self.height:
-            return bool(self.cells[i, j])
-        return False
-
-    def occupied_count(self) -> int:
-        return int(self._px[-1, :].sum())
-
     def boundary_full(self, sx, sy, r) -> np.ndarray:
         """Whether every one of the 8r points on the boundary of the square of
         radius r >= 1 around the lattice center (sx, sy) is occupied,
@@ -447,29 +421,6 @@ class OccupancyGrid:
         full &= py[i - r, j + r + 1] - py[i - r, j - r] == n  # left
         full &= py[i + r, j + r + 1] - py[i + r, j - r] == n  # right
         return full
-
-    def segment_full(self, axis: str, line: int, lo: int, hi: int) -> bool:
-        """True iff every lattice point of the segment is occupied.
-
-        axis='horizontal': points (lo..hi, line); axis='vertical': (line, lo..hi).
-        A segment poking outside the stored box is not full (OOB is empty space).
-        """
-        if axis not in ("horizontal", "vertical"):
-            raise ParameterError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
-        if lo > hi:
-            raise RangeError(f"segment endpoints out of order: lo={lo} > hi={hi}")
-        n = hi - lo + 1
-        if axis == "horizontal":
-            j = line - self.y0
-            a, b = lo - self.x0, hi - self.x0
-            if j < 0 or j >= self.height or a < 0 or b >= self.width:
-                return False
-            return int(self._px[b + 1, j] - self._px[a, j]) == n
-        i = line - self.x0
-        a, b = lo - self.y0, hi - self.y0
-        if i < 0 or i >= self.width or a < 0 or b >= self.height:
-            return False
-        return int(self._py[i, b + 1] - self._py[i, a]) == n
 
 
 # ---------------------------------------------------------------------------

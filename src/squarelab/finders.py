@@ -42,7 +42,6 @@ from .core_sets import (
 __all__ = [
     "CenterRows", "CenterWitness",
     "find_centers_1d", "find_vertex_centers_2d", "find_boundary_centers_2d",
-    "has_square_at",
 ]
 
 
@@ -51,9 +50,6 @@ class CenterWitness(NamedTuple):
 
     center: DoubledPoint
     radius: int  # doubled: the square has half-side radius/2
-
-    def render(self) -> str:
-        return f"{self.center.render()} r={self.radius}/2"
 
 
 class CenterRows:
@@ -321,52 +317,3 @@ def find_boundary_centers_2d(b: PointSet2D, r_max: int, mode: str = "enumerate",
         return count
     return CenterRows(*(2 * np.concatenate(found)).T)
 
-
-def has_square_at(b: PointSet2D, center: DoubledPoint, mode: str, *,
-                  r_max: int | None = None, grid: OccupancyGrid | None = None,
-                  budget: int | None = None) -> int | None:
-    """Smallest doubled radius of a square at `center`, or None.
-
-    mode='vertices' wants the four corners in B; corners must land on the
-    lattice, so the doubled radius shares the (necessarily common) parity of
-    X and Y.  mode='boundary' wants the whole discrete boundary in B; those
-    centers are lattice points with integer radius, searched up to r_max.
-    Centers outside B's bounding box have no square, never an error.
-    """
-    bbox = b.bbox() if grid is None else (grid.x0, grid.y0,
-                                          grid.x0 + grid.width - 1,
-                                          grid.y0 + grid.height - 1)
-    if bbox is None:
-        return None
-    xmin, ymin, xmax, ymax = bbox
-    x2, y2 = center
-    if not (2 * xmin <= x2 <= 2 * xmax and 2 * ymin <= y2 <= 2 * ymax):
-        return None
-
-    if mode == "vertices":
-        if (x2 - y2) % 2:
-            return None  # corners (X+-rho)/2 can't be integral for both axes
-        reach = min(x2 - 2 * xmin, 2 * xmax - x2, y2 - 2 * ymin, 2 * ymax - y2)
-        if r_max is not None:
-            reach = min(reach, 2 * r_max)
-        start = 2 if x2 % 2 == 0 else 1
-        for rho in range(start, reach + 1, 2):
-            xs = ((x2 - rho) // 2, (x2 + rho) // 2)
-            ys = ((y2 - rho) // 2, (y2 + rho) // 2)
-            if all((x, y) in b for x in xs for y in ys):
-                return rho
-        return None
-
-    if mode == "boundary":
-        if x2 % 2 or y2 % 2:
-            return None
-        sx, sy = x2 // 2, y2 // 2
-        if grid is None:
-            grid = OccupancyGrid.from_points(b, budget=budget)
-        reach = min(sx - xmin, xmax - sx, sy - ymin, ymax - sy)
-        if r_max is not None:
-            reach = min(reach, r_max)
-        full = np.flatnonzero(grid.boundary_full(sx, sy, np.arange(1, reach + 1)))
-        return 2 * int(full[0]) + 2 if full.size else None
-
-    raise ParameterError(f"mode must be 'vertices' or 'boundary', got {mode!r}")

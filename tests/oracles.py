@@ -65,6 +65,15 @@ def oracle_vertex_centers_2d(points) -> set[tuple[int, int]]:
     return set(zip(cx.tolist(), cy.tolist()))
 
 
+def _boundary_in(member, sx: int, sy: int, r: int) -> bool:
+    """Walk all 8r boundary points of the square of radius r around (sx, sy)
+    and test membership one by one."""
+    return (all((x, sy - r) in member and (x, sy + r) in member
+                for x in range(sx - r, sx + r + 1))
+            and all((sx - r, y) in member and (sx + r, y) in member
+                    for y in range(sy - r + 1, sy + r)))
+
+
 def oracle_boundary_pairs(points, r_max: int) -> set[tuple[int, int, int]]:
     """All (2*sx, 2*sy, 2*r) whose full square boundary lies in the set.
 
@@ -78,23 +87,17 @@ def oracle_boundary_pairs(points, r_max: int) -> set[tuple[int, int, int]]:
     xmax = max(x for x, _ in member)
     ymin = min(y for _, y in member)
     ymax = max(y for _, y in member)
-    out: set[tuple[int, int, int]] = set()
-    for sx in range(xmin, xmax + 1):
-        for sy in range(ymin, ymax + 1):
-            for r in range(1, r_max + 1):
-                ok = True
-                for x in range(sx - r, sx + r + 1):
-                    if (x, sy - r) not in member or (x, sy + r) not in member:
-                        ok = False
-                        break
-                if ok:
-                    for y in range(sy - r + 1, sy + r):
-                        if (sx - r, y) not in member or (sx + r, y) not in member:
-                            ok = False
-                            break
-                if ok:
-                    out.add((2 * sx, 2 * sy, 2 * r))
-    return out
+    return {(2 * sx, 2 * sy, 2 * r)
+            for sx in range(xmin, xmax + 1)
+            for sy in range(ymin, ymax + 1)
+            for r in range(1, r_max + 1)
+            if _boundary_in(member, sx, sy, r)}
+
+
+def oracle_boundary_radius(member: set, sx: int, sy: int, r_max: int) -> int | None:
+    """Smallest r in 1..r_max whose full square boundary around the lattice
+    center (sx, sy) lies in the set `member`, or None, by the same walk."""
+    return next((r for r in range(1, r_max + 1) if _boundary_in(member, sx, sy, r)), None)
 
 
 def oracle_covering_min(elems, length: int) -> int:

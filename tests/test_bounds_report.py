@@ -10,7 +10,6 @@ import pytest
 from squarelab import (
     BoundCheck,
     BudgetError,
-    DoubledPoint,
     ParameterError,
     PointSet2D,
     build_report,
@@ -22,13 +21,12 @@ from squarelab import (
     gen_AN,
     gen_Dk,
     gen_vertex_example,
-    has_square_at,
     make_intset,
     verify_construction,
 )
 from squarelab import bounds_report
 
-from oracles import oracle_witness_r
+from oracles import oracle_boundary_radius, oracle_witness_r
 
 
 class TestBoundCheck:
@@ -176,11 +174,9 @@ class TestVerifyConstruction:
         trunc = dataclasses.replace(real, blocks=tuple(blocks))
         expected = []
         for blk in blocks:
-            r_cap = 3 * blk.n * blk.factor
-            expected.append(sum(
-                1 for x, y in blk.centers
-                if has_square_at(blk.boundary_set, DoubledPoint(2 * x, 2 * y), "boundary",
-                                 r_max=r_cap) is None))
+            member, r_cap = set(blk.boundary_set), 3 * blk.n * blk.factor
+            expected.append(sum(1 for x, y in blk.centers
+                                if oracle_boundary_radius(member, x, y, r_cap) is None))
         monkeypatch.setattr(bounds_report.cons, "gen_countable_truncation",
                             lambda alpha, K, budget=None: trunc)
         monkeypatch.setattr(bounds_report, "_CHUNK_CELLS", 100)

@@ -184,6 +184,19 @@ class TestVerify:
         assert rep["seed"] == 5
         assert all(c["ok"] for c in rep["checks"])
 
+    def test_an_reports_the_default_seed(self, capsys):
+        assert run("verify", "an", "--p", "2") == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 20260816
+
+    @pytest.mark.parametrize("argv", [("dk", "--k", "2"), ("boundary", "--k", "2"),
+                                      ("countable", "--alpha", "1", "--K", "2")])
+    def test_unsampled_replays_report_no_seed(self, argv, capsys):
+        assert run("verify", *argv) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] is None
+        with pytest.raises(SystemExit) as exc:
+            run("verify", *argv, "--seed", "1")
+        assert exc.value.code == 2
+
     def test_countable(self, capsys):
         assert run("verify", "countable", "--alpha", "1", "--K", "2") == 0
         rep = json.loads(capsys.readouterr().out)
@@ -268,6 +281,13 @@ class TestScanAndTables:
         assert run("gen", "an", "--p", "5") == 2
         err = capsys.readouterr().err
         assert "budget" in err.lower()
+
+    @pytest.mark.parametrize("scale", ["inf", "1e400", "nan"])
+    def test_non_finite_budget_scale_exits_2(self, scale, capsys, monkeypatch):
+        monkeypatch.setenv("SQUARELAB_BUDGET", scale)
+        assert run("gen", "dk", "--k", "2") == 2
+        assert f"SQUARELAB_BUDGET must be a positive number, got {scale!r}" in \
+            capsys.readouterr().err
 
 
 class TestTopLevel:

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from squarelab import (
     BudgetError,
-    DoubledPoint,
     FormatError,
     IntSet1D,
     OccupancyGrid,
@@ -21,7 +20,6 @@ from squarelab import (
 from squarelab.core_sets import (
     COORD_LIMIT,
     budget_scale,
-    doubled_str,
     effective_budget,
     require_budget,
 )
@@ -141,10 +139,10 @@ class TestIntSet1D:
 
 
 class TestPointSet2D:
-    def test_dedup_and_sorted_points(self):
+    def test_dedup_and_order(self):
         ps = PointSet2D([(1, 2), (0, 0), (1, 2)])
         assert len(ps) == 2
-        assert ps.sorted_points() == ((0, 0), (1, 2))
+        assert tuple(ps) == ((0, 0), (1, 2))
 
     def test_bbox(self):
         ps = PointSet2D([(3, -1), (-2, 7)])
@@ -153,8 +151,8 @@ class TestPointSet2D:
 
     def test_translate_and_transpose(self):
         ps = PointSet2D([(1, 2), (3, 4)])
-        assert ps.translate(10, -10).sorted_points() == ((11, -8), (13, -6))
-        assert ps.transpose().sorted_points() == ((2, 1), (4, 3))
+        assert tuple(ps.translate(10, -10)) == ((11, -8), (13, -6))
+        assert tuple(ps.transpose()) == ((2, 1), (4, 3))
         assert ps.transpose().transpose() == ps
 
     def test_product(self):
@@ -176,7 +174,7 @@ class TestPointSet2D:
     def test_validation_matches_scalar_oracle(self, pts):
         expected = oracle_make_pointset(pts)
         try:
-            got = PointSet2D(pts).sorted_points()
+            got = tuple(PointSet2D(pts))
         except (ParameterError, RangeError) as exc:
             got = (type(exc).__name__, str(exc))
         assert got == expected
@@ -197,19 +195,19 @@ class TestPointSet2D:
             PointSet2D([(2**62, 0)]).translate(2**62, 0)
         with pytest.raises(RangeError, match=f"coordinate {2**62 + 2} "):
             PointSet2D([(0, 2**62 - 5), (1, 2**62), (2, 2**62 - 1)]).translate(0, 2)
-        assert PointSet2D([(2**62, -2**62)]).translate(-2**62, 2**62).sorted_points() == ((0, 0),)
+        assert tuple(PointSet2D([(2**62, -2**62)]).translate(-2**62, 2**62)) == ((0, 0),)
 
     def test_array_is_a_read_only_copy(self):
         src = np.array([[3, 4], [1, 2]], dtype=np.int64)
         ps = PointSet2D(src)
         src[0, 0] = 100
-        assert ps.sorted_points() == ((1, 2), (3, 4))
+        assert tuple(ps) == ((1, 2), (3, 4))
         with pytest.raises(ValueError):
             ps.as_array()[0, 0] = 0
         src = np.array([[1, 2], [3, 4]])  # sorted input is kept, but as a copy
         ps = PointSet2D(src)
         src[0, 0] = 100
-        assert ps.sorted_points() == ((1, 2), (3, 4))
+        assert tuple(ps) == ((1, 2), (3, 4))
         assert PointSet2D(ps.as_array()) == ps
 
     def test_membership(self):
@@ -227,7 +225,7 @@ class TestPointSet2D:
         for pts in (wide, narrow, wide + narrow):
             ps = PointSet2D(pts)
             ref = set(pts)
-            assert ps.points == ref and ps.sorted_points() == tuple(sorted(ref))
+            assert ps.points == ref and tuple(ps) == tuple(sorted(ref))
             assert list(ps) == sorted(ref) and len(ps) == len(ref)
             assert ps.bbox() == (None if not ref else (
                 min(x for x, _ in ref), min(y for _, y in ref),
@@ -237,26 +235,12 @@ class TestPointSet2D:
                 moved = [(x + dx, y + dy) for x, y in sorted(ref)]
                 expected = oracle_make_pointset(moved)
                 try:
-                    got = ps.translate(dx, dy).sorted_points()
+                    got = tuple(ps.translate(dx, dy))
                 except RangeError as exc:
                     got = ("RangeError", str(exc))
                 assert got == expected
         xs, ys = make_intset(x for x, _ in narrow), make_intset(y for _, y in narrow)
         assert PointSet2D.product(xs, ys).points == {(x, y) for x in xs for y in ys}
-
-
-class TestDoubled:
-    @pytest.mark.parametrize(
-        "v, text",
-        [(4, "2.0"), (-3, "-1.5"), (0, "0.0"), (1, "0.5"), (-8, "-4.0")],
-    )
-    def test_doubled_str(self, v, text):
-        assert doubled_str(v) == text
-
-    def test_doubled_point(self):
-        assert DoubledPoint(4, 6).is_lattice()
-        assert not DoubledPoint(4, 5).is_lattice()
-        assert DoubledPoint(3, -4).render() == "1.5 -2.0"
 
 
 class TestOccupancyGrid:
@@ -266,52 +250,16 @@ class TestOccupancyGrid:
         pts = [(int(x) - 3, int(y) - 2) for x, y in np.argwhere(mask)]
         return OccupancyGrid.from_points(pts), pts
 
-    def test_is_occupied(self):
-        grid, pts = self._grid_and_points(0)
-        member = set(pts)
-        for x in range(-5, 8):
-            for y in range(-4, 7):
-                assert grid.is_occupied(x, y) == ((x, y) in member)
-
-    def test_occupied_count(self):
-        grid, pts = self._grid_and_points(1)
-        assert grid.occupied_count() == len(set(pts))
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_segment_full_matches_membership_walk(self, seed):
-        grid, pts = self._grid_and_points(seed, w=7, h=6, density=0.75)
-        xs = sorted({p[0] for p in pts})
-        ys = sorted({p[1] for p in pts})
-        for axis, lines, spans in (
-            ("horizontal", ys, xs),
-            ("vertical", xs, ys),
-        ):
-            for line in lines:
-                for lo in range(min(spans) - 1, max(spans) + 1):
-                    for hi in range(lo, max(spans) + 2):
-                        assert grid.segment_full(axis, line, lo, hi) == \
-                            oracle_segment_full(pts, axis, line, lo, hi)
-
     def test_out_of_bounds_is_not_full(self):
-        grid = OccupancyGrid.from_points([(0, 0), (1, 0)])
-        assert not grid.segment_full("horizontal", 5, 0, 1)
-        assert not grid.segment_full("vertical", 0, -3, 0)
-        assert not grid.is_occupied(100, 100)
-
-    def test_reversed_span_rejected(self):
-        grid = OccupancyGrid.from_points([(0, 0)])
-        with pytest.raises(RangeError):
-            grid.segment_full("horizontal", 0, 1, 0)
-
-    def test_bad_axis(self):
-        grid = OccupancyGrid.from_points([(0, 0)])
-        with pytest.raises(ParameterError):
-            grid.segment_full("diagonal", 0, 0, 0)
+        grid = OccupancyGrid.from_points([(x, y) for x in range(3) for y in range(3)])
+        assert grid.boundary_full(1, 1, 1)
+        assert not grid.boundary_full(1, 1, 2)  # leaves the box on every side
+        assert not grid.boundary_full(np.array([0, 2, 100]), 1, 1).any()
 
     def test_explicit_bbox_padding(self):
-        grid = OccupancyGrid.from_points([(0, 0)], bbox=(-2, -2, 2, 2))
-        assert grid.is_occupied(0, 0)
-        assert not grid.is_occupied(-2, -2)
+        grid = OccupancyGrid.from_points([(0, 0), (5, 0)], bbox=(-2, -2, 2, 2))
+        assert (grid.x0, grid.y0, grid.width, grid.height) == (-2, -2, 5, 5)
+        assert np.argwhere(grid.cells).tolist() == [[2, 2]]  # (5, 0) lies outside
 
     @pytest.mark.parametrize("seed", range(4))
     def test_boundary_full_matches_membership_walk(self, seed):
@@ -350,7 +298,7 @@ class TestBudgets:
         assert effective_budget(100) == 250
 
     def test_env_scale_rejects_garbage(self, monkeypatch):
-        for bad in ("zero", "-1", "0"):
+        for bad in ("zero", "-1", "0", "nan", "inf", "-inf", "1e400"):
             monkeypatch.setenv("SQUARELAB_BUDGET", bad)
             with pytest.raises(ParameterError):
                 budget_scale()
@@ -398,7 +346,7 @@ class TestTextFormats:
 
     def test_pointset_accepts_whitespace_separation(self):
         ps = parse_pointset_text("  1   2\n-3\t4\n")
-        assert ps.sorted_points() == ((-3, 4), (1, 2))
+        assert tuple(ps) == ((-3, 4), (1, 2))
 
     @given(st.lists(st.one_of(
         st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)).map(
@@ -418,7 +366,7 @@ class TestTextFormats:
         text = "\n".join(lines) + ("\n" if trailing else "")
         expected = oracle_parse_pointset(text, "f.txt")
         try:
-            got = parse_pointset_text(text, source="f.txt").sorted_points()
+            got = tuple(parse_pointset_text(text, source="f.txt"))
         except FormatError as exc:
             got = (str(exc), exc.lineno)
         assert got == expected

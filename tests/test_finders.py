@@ -9,7 +9,6 @@ from squarelab import (
     BudgetError,
     CenterWitness,
     DoubledPoint,
-    OccupancyGrid,
     ParameterError,
     PointSet2D,
     find_boundary_centers_2d,
@@ -17,7 +16,6 @@ from squarelab import (
     find_vertex_centers_2d,
     gen_Dk,
     gen_vertex_example,
-    has_square_at,
     make_intset,
 )
 from squarelab.finders import (
@@ -177,46 +175,6 @@ class TestBoundaryCenters2D:
 
     def test_empty(self):
         assert set(find_boundary_centers_2d(PointSet2D([]), 3)) == set()
-
-
-class TestHasSquareAt:
-    def test_replays_every_vertex_center(self):
-        rng = np.random.default_rng(11)
-        b = random_pointset(rng, max_size=50, coord=10)
-        for p in find_vertex_centers_2d(b):
-            assert has_square_at(b, p, "vertices") is not None
-
-    def test_replays_every_boundary_center(self):
-        rng = np.random.default_rng(12)
-        mask = rng.random((14, 14)) < 0.85
-        b = PointSet2D([(int(x), int(y)) for x, y in np.argwhere(mask)])
-        grid = OccupancyGrid.from_points(b)
-        found = find_boundary_centers_2d(b, 6)
-        for w in found:
-            r = has_square_at(b, w.center, "boundary", r_max=6, grid=grid)
-            assert r is not None
-            assert r <= w.radius  # reports the smallest certifying radius
-
-    def test_negative_answers(self):
-        b = PointSet2D([(0, 0), (2, 0), (0, 2), (2, 2)])
-        assert has_square_at(b, DoubledPoint(2, 2), "vertices") == 2
-        assert has_square_at(b, DoubledPoint(3, 3), "vertices") is None
-        assert has_square_at(b, DoubledPoint(2, 2), "boundary", r_max=3) is None
-        # mixed parity can never be a vertex-square center of a lattice set
-        assert has_square_at(b, DoubledPoint(2, 3), "vertices") is None
-
-    def test_boundary_requires_lattice_center(self):
-        b = PointSet2D([(x, y) for x in range(5) for y in range(5)])
-        assert has_square_at(b, DoubledPoint(4, 4), "boundary", r_max=2) == 2
-        assert has_square_at(b, DoubledPoint(3, 4), "boundary", r_max=2) is None
-
-    def test_far_away_center(self):
-        b = PointSet2D([(0, 0), (1, 0), (0, 1), (1, 1)])
-        assert has_square_at(b, DoubledPoint(400, 400), "vertices") is None
-
-    def test_bad_mode(self):
-        with pytest.raises(ParameterError):
-            has_square_at(PointSet2D([(0, 0)]), DoubledPoint(0, 0), "edges")
 
 
 class TestBackendsAgree:
