@@ -79,25 +79,23 @@ class ExponentReport:
                 for s in self.slopes]
 
 
-def check_main_lemma_2d(b: PointSet2D, *, s_count: int | None = None,
-                        budget: int | None = None) -> BoundCheck:
+def check_main_lemma_2d(b: PointSet2D, *, s_count: int | None = None) -> BoundCheck:
     """Exact form of the planar bound: |S|^3 <= 16 |B|^4.
 
     S is the set of centers of axis-parallel squares with all four vertices
     in B; pass s_count if it is already known to skip the finder run.
     """
     if s_count is None:
-        s_count = find_vertex_centers_2d(b, mode="count", budget=budget)
+        s_count = find_vertex_centers_2d(b, mode="count")
     return BoundCheck.compare("vertex_centers_cubed_vs_16_points_fourth",
                               s_count**3, 16 * len(b) ** 4,
                               points=len(b), centers=s_count)
 
 
-def check_main_lemma_1d(a: IntSet1D, *, s_count: int | None = None,
-                        budget: int | None = None) -> BoundCheck:
+def check_main_lemma_1d(a: IntSet1D, *, s_count: int | None = None) -> BoundCheck:
     """Exact form of the two-interval bound: |S|^3 <= 16 |A|^8."""
     if s_count is None:
-        s_count = find_centers_1d(a, mode="count", budget=budget)
+        s_count = find_centers_1d(a, mode="count")
     return BoundCheck.compare("common_radius_pairs_cubed_vs_16_elems_eighth",
                               s_count**3, 16 * len(a) ** 8,
                               elems=len(a), centers=s_count)
@@ -169,7 +167,7 @@ def family_scan(family: str, k_range: Iterable[int]) -> ExponentReport:
 _CHUNK_CELLS = 2**20  # radius-table cells per block: the replay's memory bound
 
 
-def _verify_dk(k: int, budget: int | None) -> list[BoundCheck]:
+def _verify_dk(k: int) -> list[BoundCheck]:
     """Exhaustive witness replay over all of {0..k**4-1}**2, vectorized.
 
     Counts the k**8 centers against the pair budget first, then builds the
@@ -177,7 +175,7 @@ def _verify_dk(k: int, budget: int | None) -> list[BoundCheck]:
     shifted memberships through a boolean lookup over [-k**4, 2k**4].
     """
     n = k**4
-    require_budget(n * n, DEFAULT_PAIR_BUDGET, f"the witness replay at level {k}", budget)
+    require_budget(n * n, DEFAULT_PAIR_BUDGET, f"the witness replay at level {k}")
     dset = cons.gen_Dk(k)
     mem = np.zeros(3 * n + 1, dtype=bool)
     mem[dset.as_array() + n] = True
@@ -201,9 +199,8 @@ def _verify_dk(k: int, budget: int | None) -> list[BoundCheck]:
     ]
 
 
-def _verify_an(p: int, seed: int | None, samples: int,
-               budget: int | None) -> list[BoundCheck]:
-    a = cons.gen_AN(p, budget=budget)
+def _verify_an(p: int, seed: int | None, samples: int) -> list[BoundCheck]:
+    a = cons.gen_AN(p)
     n = cons.an_modulus(p)
 
     exhaustive = n * n <= samples
@@ -235,11 +232,11 @@ def _verify_an(p: int, seed: int | None, samples: int,
     return checks
 
 
-def _verify_boundary(k: int, budget: int | None) -> list[BoundCheck]:
+def _verify_boundary(k: int) -> list[BoundCheck]:
     """Vectorized witness replay for the strip example: every center of the
     open grid carries a full square boundary, sides landing on strip lines."""
-    b, s = cons.gen_boundary_example(k, budget=budget)
-    grid = OccupancyGrid.from_points(b, budget=budget)
+    b, s = cons.gen_boundary_example(k)
+    grid = OccupancyGrid.from_points(b)
     n = k**4
 
     v = np.arange(1, n, dtype=np.int64)
@@ -258,11 +255,11 @@ def _verify_boundary(k: int, budget: int | None) -> list[BoundCheck]:
     ]
 
 
-def _verify_countable(alpha: int, big_k: int, budget: int | None) -> list[BoundCheck]:
-    trunc = cons.gen_countable_truncation(alpha, big_k, budget=budget)
+def _verify_countable(alpha: int, big_k: int) -> list[BoundCheck]:
+    trunc = cons.gen_countable_truncation(alpha, big_k)
     checks = []
     for block in trunc.blocks:
-        grid = OccupancyGrid.from_points(block.boundary_set, budget=budget)
+        grid = OccupancyGrid.from_points(block.boundary_set)
         r_cap = 3 * block.n * block.factor
         centers, radii = block.centers.as_array(), np.arange(1, r_cap + 1)
         # every radius up to the cap at once, a block of centers at a time
@@ -280,8 +277,7 @@ def _verify_countable(alpha: int, big_k: int, budget: int | None) -> list[BoundC
 
 def verify_construction(name: str, *, k: int | None = None, p: int | None = None,
                         alpha: int | None = None, K: int | None = None,
-                        seed: int | None = None, samples: int = 100_000,
-                        budget: int | None = None) -> list[BoundCheck]:
+                        seed: int | None = None, samples: int = 100_000) -> list[BoundCheck]:
     """Replay the defining property of a generated construction.
 
     name='dk'        needs k: exhaustive witness check over {0..k**4-1}**2.
@@ -294,19 +290,19 @@ def verify_construction(name: str, *, k: int | None = None, p: int | None = None
     if name == "dk":
         if k is None:
             raise ParameterError("verify dk needs k")
-        return _verify_dk(k, budget)
+        return _verify_dk(k)
     if name == "an":
         if p is None:
             raise ParameterError("verify an needs p")
-        return _verify_an(p, seed, samples, budget)
+        return _verify_an(p, seed, samples)
     if name == "boundary":
         if k is None:
             raise ParameterError("verify boundary needs k")
-        return _verify_boundary(k, budget)
+        return _verify_boundary(k)
     if name == "countable":
         if alpha is None or K is None:
             raise ParameterError("verify countable needs alpha and K")
-        return _verify_countable(alpha, K, budget)
+        return _verify_countable(alpha, K)
     raise ParameterError(f"unknown construction {name!r}; "
                          "choose dk, an, boundary, or countable")
 

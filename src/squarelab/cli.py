@@ -203,6 +203,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     params = {name: getattr(args, name) for name in _VERIFY_PARAMS[args.target]}
     seed = getattr(args, "seed", None)  # only `verify an` samples
     checks = verify_construction(args.target, seed=seed, **params)
+    if seed is not None and checks[0].sizes["exhaustive"]:
+        seed = None  # an exhaustive replay draws nothing
     report = build_report(f"verify:{args.target}", checks, seed=seed)
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     bad = [c for c in checks if not c.ok]

@@ -25,14 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
 from .core_sets import (
     COORD_LIMIT,
     DEFAULT_ELEMENT_BUDGET,
-    BudgetError,
     IntSet1D,
     ModeError,
     ParameterError,
@@ -70,7 +69,7 @@ def _check_level(k: int) -> int:
     return k**4
 
 
-def gen_Dk(k: int, *, budget: int | None = None) -> IntSet1D:
+def gen_Dk(k: int) -> IntSet1D:
     """All values a + b*k + c*k**2 + d*k**3 with digits in {-k+1..2k-2}, abcd = 0.
 
     Enumerated as four unions (one per vanishing digit) over the remaining
@@ -78,7 +77,7 @@ def gen_Dk(k: int, *, budget: int | None = None) -> IntSet1D:
     (3k-2)**4 tuples.
     """
     _check_level(k)
-    require_budget(dk_size_cap(k), DEFAULT_ELEMENT_BUDGET, f"digit set at level {k}", budget)
+    require_budget(dk_size_cap(k), DEFAULT_ELEMENT_BUDGET, f"digit set at level {k}")
     dig = np.arange(-k + 1, 2 * k - 1, dtype=np.int64)
     b, c, d = np.meshgrid(dig, dig, dig, indexing="ij")
     b, c, d = b.ravel(), c.ravel(), d.ravel()
@@ -124,17 +123,16 @@ def vertex_example_sizes(k: int) -> tuple[int, int]:
     return d * d, (k**4 - 1) ** 2
 
 
-def gen_vertex_example(k: int, *, budget: int | None = None) -> tuple[PointSet2D, PointSet2D]:
+def gen_vertex_example(k: int) -> tuple[PointSet2D, PointSet2D]:
     """B = D_k x D_k together with its center grid S = {1..k**4-1}**2.
 
     Every (x, y) in S is the center of an axis-parallel square with all four
     vertices in B (radius from :func:`witness_radii`), so |S| grows like |B|**(4/3)
     while B stays a product set.
     """
-    dset = gen_Dk(k, budget=budget)
+    dset = gen_Dk(k)
     b_size, s_size = len(dset) ** 2, (k**4 - 1) ** 2
-    require_budget(b_size + s_size, DEFAULT_ELEMENT_BUDGET,
-                   f"vertex example at level {k}", budget)
+    require_budget(b_size + s_size, DEFAULT_ELEMENT_BUDGET, f"vertex example at level {k}")
     grid = IntSet1D.from_sorted_array(np.arange(1, k**4))
     return PointSet2D.product(dset, dset), PointSet2D.product(grid, grid)
 
@@ -152,7 +150,7 @@ def boundary_example_sizes(k: int) -> tuple[int, int]:
     return 2 * d * width - d * d, (k**4 - 1) ** 2
 
 
-def gen_boundary_example(k: int, *, budget: int | None = None) -> tuple[PointSet2D, PointSet2D]:
+def gen_boundary_example(k: int) -> tuple[PointSet2D, PointSet2D]:
     """B = (D_k x I) ∪ (I x D_k) with I = [-k**4, 2k**4], S = {1..k**4-1}**2.
 
     Every center in S carries a full discrete square boundary inside B: the
@@ -160,9 +158,8 @@ def gen_boundary_example(k: int, *, budget: int | None = None) -> tuple[PointSet
     horizontal sides on lines of I x D_k, and the sides stay inside the box.
     """
     b_size, s_size = boundary_example_sizes(k)
-    require_budget(b_size + s_size, DEFAULT_ELEMENT_BUDGET,
-                   f"boundary example at level {k}", budget)
-    dset = gen_Dk(k, budget=budget)
+    require_budget(b_size + s_size, DEFAULT_ELEMENT_BUDGET, f"boundary example at level {k}")
+    dset = gen_Dk(k)
     lo = -k**4
     on_strip = np.zeros(3 * k**4 + 1, dtype=bool)  # over the side [-k**4, 2k**4]
     on_strip[dset.as_array() - lo] = True
@@ -176,8 +173,7 @@ def gen_boundary_example(k: int, *, budget: int | None = None) -> tuple[PointSet
 # ---------------------------------------------------------------------------
 # Multi-level 1D sums of D_k
 
-def _sumset_levels(levels: Sequence[tuple[int, IntSet1D]],
-                   what: str, budget: int | None) -> IntSet1D:
+def _sumset_levels(levels: Sequence[tuple[int, IntSet1D]], what: str) -> IntSet1D:
     """Exact sumset sum_k mult_k * S_k over the given (multiplier, set) levels.
 
     Estimates min(prod |S_k|, span + 1) first and refuses over-budget requests
@@ -193,7 +189,7 @@ def _sumset_levels(levels: Sequence[tuple[int, IntSet1D]],
         peak += mult * max(abs(s.min()), abs(s.max()))
     if peak > COORD_LIMIT:
         raise RangeError(f"{what}: values would exceed the supported magnitude 2**62")
-    require_budget(min(prod, span + 1), DEFAULT_ELEMENT_BUDGET, what, budget)
+    require_budget(min(prod, span + 1), DEFAULT_ELEMENT_BUDGET, what)
 
     acc = np.zeros(1, dtype=np.int64)
     for mult, s in levels:
@@ -216,17 +212,17 @@ def _an_scales(p: int) -> dict[int, int]:
     return {k: (pf // math.factorial(k)) ** 4 for k in range(2, p + 1)}
 
 
-def gen_AN(p: int, *, budget: int | None = None) -> IntSet1D:
+def gen_AN(p: int) -> IntSet1D:
     """The depth-p set A = sum over k<=p of (p!/k!)**4 * D_k.
 
     Element counts grow fast: p = 2, 3, 4 give 42, 3543 and roughly 9e5
     elements, while p = 5 would exceed 5e8 — so 5 and 6 are refused under the
-    default element budget (pass budget= or raise SQUARELAB_BUDGET to insist).
+    default element budget (raise SQUARELAB_BUDGET to insist).
     """
     if not isinstance(p, int) or not 2 <= p <= 6:
         raise ParameterError(f"depth must be an integer in 2..6, got {p!r}")
-    levels = [(mult, gen_Dk(k, budget=budget)) for k, mult in _an_scales(p).items()]
-    return _sumset_levels(levels, f"depth-{p} interpolating set", budget)
+    levels = [(mult, gen_Dk(k)) for k, mult in _an_scales(p).items()]
+    return _sumset_levels(levels, f"depth-{p} interpolating set")
 
 
 def witness_radii_AN(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
@@ -313,8 +309,7 @@ def _level_index_set(k: int) -> IntSet1D:
     return IntSet1D(range(k**4))
 
 
-def gen_cantor_truncation(s: object, p: int, *,
-                          budget: int | None = None) -> CantorTruncation:
+def gen_cantor_truncation(s: object, p: int) -> CantorTruncation:
     """Build the depth-p truncation at dimension parameter s in (0, 2].
 
     Exact mode needs 8/s to be a positive integer (s = 2 gives exponent 4,
@@ -334,14 +329,14 @@ def gen_cantor_truncation(s: object, p: int, *,
         scale = math.lcm(*(w.denominator for w in weights.values()))
         mults = {k: int(w * scale) for k, w in weights.items()}
         # Level 1 is {0} on both sides; it only matters through the lcm above.
-        a_levels = [(mults[k], gen_Dk(k, budget=budget)) for k in range(2, p + 1)]
+        a_levels = [(mults[k], gen_Dk(k)) for k in range(2, p + 1)]
         t_levels = [(mults[k], _level_index_set(k)) for k in range(2, p + 1)]
         if p == 1:
             zero = IntSet1D([0])
             return CantorTruncation(s=s, depth=p, mode="exact", scale=scale,
                                     a_set=zero, t_set=zero)
-        a_set = _sumset_levels(a_levels, f"depth-{p} scaled Cantor A side", budget)
-        t_set = _sumset_levels(t_levels, f"depth-{p} scaled Cantor T side", budget)
+        a_set = _sumset_levels(a_levels, f"depth-{p} scaled Cantor A side")
+        t_set = _sumset_levels(t_levels, f"depth-{p} scaled Cantor T side")
         return CantorTruncation(s=s, depth=p, mode="exact", scale=scale,
                                 a_set=a_set, t_set=t_set)
 
@@ -349,11 +344,10 @@ def gen_cantor_truncation(s: object, p: int, *,
     exp = float(8 / s)
     prod_a = prod_t = 1
     for k in range(2, p + 1):
-        dk = len(gen_Dk(k, budget=budget))
+        dk = len(gen_Dk(k))
         prod_a *= dk
         prod_t *= k**4
-    require_budget(prod_a + prod_t, DEFAULT_ELEMENT_BUDGET,
-                   f"depth-{p} float Cantor truncation", budget)
+    require_budget(prod_a + prod_t, DEFAULT_ELEMENT_BUDGET, f"depth-{p} float Cantor truncation")
     a_vals = np.zeros(1)
     t_vals = np.zeros(1)
     weight_reach = 0.0
@@ -401,8 +395,7 @@ class CountableTruncation:
     blocks: tuple[CountableBlock, ...]
 
 
-def gen_countable_truncation(alpha: int, K: int, *,
-                             budget: int | None = None) -> CountableTruncation:
+def gen_countable_truncation(alpha: int, K: int) -> CountableTruncation:
     """First K blocks of the countable square-boundary configuration.
 
     Block k holds the center grid {0..N_k-1}**2 with N_k = 2**(alpha*k),
@@ -424,11 +417,10 @@ def gen_countable_truncation(alpha: int, K: int, *,
     for k in range(1, K + 1):
         n = 2 ** (alpha * k)
         factor = 2 ** ((1 + alpha) * (K - k))
-        a = gen_AN(interpolation_level(n), budget=budget)
+        a = gen_AN(interpolation_level(n))
         estimate += 2 * len(a) * (7 * n * factor + 1) + n * n
         level_sets.append((k, n, factor, a))
-    require_budget(estimate, DEFAULT_ELEMENT_BUDGET,
-                   f"countable truncation with {K} blocks", budget)
+    require_budget(estimate, DEFAULT_ELEMENT_BUDGET, f"countable truncation with {K} blocks")
 
     blocks = []
     for k, n, factor, a in level_sets:
@@ -462,9 +454,7 @@ def default_a_sequence(n: int) -> tuple[int, ...]:
     return (0,) + tuple(2 ** (2**j) - 1 for j in range(1, n + 1))
 
 
-def splice_En(patterns: Sequence[Collection], a: Sequence[int],
-              n: int | None = None, d: int = 1, *,
-              budget: int | None = None) -> frozenset:
+def splice_En(patterns: Sequence[Collection], a: Sequence[int], d: int = 1) -> frozenset:
     """Concatenate per-level dyadic cell patterns into depth-a_n cell indices.
 
     Level j (1-based) contributes a set of cells at depth a_j - a_{j-1}: plain
@@ -477,10 +467,7 @@ def splice_En(patterns: Sequence[Collection], a: Sequence[int],
     """
     if d not in (1, 2):
         raise ParameterError(f"dimension must be 1 or 2, got {d!r}")
-    if n is None:
-        n = len(patterns)
-    elif n != len(patterns):
-        raise ParameterError(f"n = {n} but {len(patterns)} pattern levels given")
+    n = len(patterns)
     a = tuple(int(v) for v in a)
     if len(a) < n + 1:
         raise ParameterError(f"need {n + 1} depth checkpoints, got {len(a)}")
@@ -493,7 +480,7 @@ def splice_En(patterns: Sequence[Collection], a: Sequence[int],
     size = 1
     for level in patterns:
         size *= len(level)
-    require_budget(size, DEFAULT_ELEMENT_BUDGET, "spliced cell set", budget)
+    require_budget(size, DEFAULT_ELEMENT_BUDGET, "spliced cell set")
 
     def cell_axes(cell, width: int, j: int) -> tuple[int, ...]:
         axes = (cell,) if d == 1 else tuple(cell)

@@ -28,7 +28,7 @@ import numpy as np
 COORD_LIMIT = 2**62
 
 # Default guards, each scaled by the SQUARELAB_BUDGET environment factor.
-DEFAULT_FINDER_BUDGET = 5_000        # max |A| or |B| accepted by a finder
+DEFAULT_FINDER_BUDGET = 5_000        # max |A| of the 1D finder, |B| of the vertex pair scan
 DEFAULT_ELEMENT_BUDGET = 2_000_000   # max elements/points materialized by a generator
 DEFAULT_GRID_CELLS = 4_500_000       # max occupancy-grid area (~2000 x 2000)
 DEFAULT_PAIR_BUDGET = 20_000_000     # max same-row pairs scanned by the vertex finder
@@ -61,7 +61,7 @@ class BudgetError(SquareLabError):
 
     def __init__(self, message: str, *, estimate: int, limit: int):
         super().__init__(f"{message} (estimated {estimate:,}, budget {limit:,}; "
-                         f"raise via {_BUDGET_ENV} or an explicit budget= override)")
+                         f"raise via {_BUDGET_ENV})")
         self.estimate = estimate
         self.limit = limit
 
@@ -90,19 +90,14 @@ def budget_scale() -> float:
     return scale
 
 
-def effective_budget(default: int, override: int | None = None) -> int:
-    """Resolve a guard: explicit override wins, else default times the env scale."""
-    if override is not None:
-        if override <= 0:
-            raise ParameterError(f"budget override must be positive, got {override}")
-        return override
+def effective_budget(default: int) -> int:
+    """A guard's limit: its default times the SQUARELAB_BUDGET scale."""
     return int(default * budget_scale())
 
 
-def require_budget(estimate: int, default: int, what: str,
-                   override: int | None = None) -> None:
+def require_budget(estimate: int, default: int, what: str) -> None:
     """Raise BudgetError if `estimate` exceeds the effective guard."""
-    limit = effective_budget(default, override)
+    limit = effective_budget(default)
     if estimate > limit:
         raise BudgetError(f"refusing to materialize {what}", estimate=estimate, limit=limit)
 
@@ -376,26 +371,16 @@ class OccupancyGrid:
         self._py = py
 
     @classmethod
-    def from_points(cls, points: PointSet2D | Iterable[tuple[int, int]], *,
-                    bbox: tuple[int, int, int, int] | None = None,
-                    budget: int | None = None) -> "OccupancyGrid":
-        if not isinstance(points, PointSet2D):
-            points = PointSet2D(points)
+    def from_points(cls, points: PointSet2D) -> "OccupancyGrid":
+        """The grid over the bounding box of a non-empty point set."""
+        bbox = points.bbox()
         if bbox is None:
-            bbox = points.bbox()
-        if bbox is None:
-            raise ParameterError("cannot build a grid from an empty point set "
-                                 "without an explicit bbox")
+            raise ParameterError("cannot build a grid from an empty point set")
         xmin, ymin, xmax, ymax = bbox
-        if xmin > xmax or ymin > ymax:
-            raise RangeError(f"degenerate bbox {bbox}")
         width, height = xmax - xmin + 1, ymax - ymin + 1
         require_budget(width * height, DEFAULT_GRID_CELLS,
-                       f"a {width} x {height} occupancy grid", budget)
+                       f"a {width} x {height} occupancy grid")
         arr = points.as_array()
-        if bbox != points.bbox():
-            arr = arr[(arr[:, 0] >= xmin) & (arr[:, 0] <= xmax)
-                      & (arr[:, 1] >= ymin) & (arr[:, 1] <= ymax)]
         cells = np.zeros((width, height), dtype=np.uint8)
         cells[arr[:, 0] - xmin, arr[:, 1] - ymin] = 1
         return cls(xmin, ymin, cells)

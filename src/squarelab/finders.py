@@ -184,8 +184,7 @@ def _centers_1d_sparse(a: np.ndarray, mode: str) -> CenterRows | int:
     return CenterRows(np.concatenate((mids, lo, hi)), np.concatenate((mids, hi, lo)))
 
 
-def find_centers_1d(a: IntSet1D, mode: str = "enumerate", *,
-                    budget: int | None = None) -> CenterRows | int:
+def find_centers_1d(a: IntSet1D, mode: str = "enumerate") -> CenterRows | int:
     """All doubled centers (X, Y) admitting a common positive radius in A.
 
     mode='enumerate' returns the center set; mode='count' returns its size
@@ -194,10 +193,9 @@ def find_centers_1d(a: IntSet1D, mode: str = "enumerate", *,
     if mode not in ("enumerate", "count"):
         raise ParameterError(f"mode must be 'enumerate' or 'count', got {mode!r}")
     n = len(a)
-    require_budget(n, DEFAULT_FINDER_BUDGET, "a radii index", budget)
+    require_budget(n, DEFAULT_FINDER_BUDGET, "a radii index")
     # The pair count is a lower bound of the sweep estimate below.
-    require_budget(n * (n - 1) // 2, DEFAULT_PAIR_BUDGET,
-                   "the common-radius pair sweep", budget)
+    require_budget(n * (n - 1) // 2, DEFAULT_PAIR_BUDGET, "the common-radius pair sweep")
     if n < 2:
         return 0 if mode == "count" else CenterRows([], [])
     arr = a.as_array()
@@ -207,18 +205,17 @@ def find_centers_1d(a: IntSet1D, mode: str = "enumerate", *,
     sweep = int(np.dot(sizes, sizes))
     del rad, sizes
     rows, cols = a.max() - a.min(), (a.max() - a.min()) // 2 + 1  # as in the dense kernel
-    if (rows * rows <= effective_budget(DEFAULT_GRID_CELLS, budget)
+    if (rows * rows <= effective_budget(DEFAULT_GRID_CELLS)
             and 2 * rows * rows * cols < DENSE_1D_RATIO * sweep):
         return _centers_1d_dense(arr, mode)
-    require_budget(sweep, DEFAULT_PAIR_BUDGET, "the common-radius pair sweep", budget)
+    require_budget(sweep, DEFAULT_PAIR_BUDGET, "the common-radius pair sweep")
     return _centers_1d_sparse(arr, mode)
 
 
-def _vertex_centers_dense(b: PointSet2D, mode: str, *,
-                          budget: int | None = None) -> CenterRows | int:
+def _vertex_centers_dense(b: PointSet2D, mode: str) -> CenterRows | int:
     """Per-width raster sweep: mark the doubled center of every square whose
     four corners are occupied grid cells."""
-    grid = OccupancyGrid.from_points(b, budget=budget)
+    grid = OccupancyGrid.from_points(b)
     cells = grid.cells.astype(bool)
     w, h = cells.shape
     marks = np.zeros((2 * w - 1, 2 * h - 1), dtype=bool)
@@ -263,12 +260,10 @@ def _vertex_centers_sparse(b: PointSet2D, mode: str) -> CenterRows | int:
     return len(rows) if mode == "count" else rows
 
 
-def find_vertex_centers_2d(b: PointSet2D, mode: str = "enumerate", *,
-                           budget: int | None = None) -> CenterRows | int:
+def find_vertex_centers_2d(b: PointSet2D, mode: str = "enumerate") -> CenterRows | int:
     """Centers of axis-parallel squares with all four vertices in B."""
     if mode not in ("enumerate", "count"):
         raise ParameterError(f"mode must be 'enumerate' or 'count', got {mode!r}")
-    require_budget(len(b), DEFAULT_FINDER_BUDGET, "a vertex-center scan", budget)
     if not len(b):
         return 0 if mode == "count" else CenterRows([], [])
     xmin, ymin, xmax, ymax = b.bbox()
@@ -277,15 +272,16 @@ def find_vertex_centers_2d(b: PointSet2D, mode: str = "enumerate", *,
     sweep = m * w * h - (w + h) * m * (m + 1) // 2 + m * (m + 1) * (2 * m + 1) // 6
     row_sizes = _runs(np.sort(b.as_array()[:, 1]))[1]
     scan = int(np.dot(row_sizes, row_sizes))
-    if w * h <= effective_budget(DEFAULT_GRID_CELLS, budget) and sweep < DENSE_VERTEX_RATIO * scan:
-        return _vertex_centers_dense(b, mode, budget=budget)
-    require_budget(scan, DEFAULT_PAIR_BUDGET, "the same-row pair scan", budget)
+    if w * h <= effective_budget(DEFAULT_GRID_CELLS) and sweep < DENSE_VERTEX_RATIO * scan:
+        return _vertex_centers_dense(b, mode)
+    require_budget(scan, DEFAULT_PAIR_BUDGET, "the same-row pair scan")
+    # the scan's membership set holds every point
+    require_budget(len(b), DEFAULT_FINDER_BUDGET, "a vertex-center scan")
     return _vertex_centers_sparse(b, mode)
 
 
-def find_boundary_centers_2d(b: PointSet2D, r_max: int, mode: str = "enumerate", *,
-                             budget: int | None = None
-                             ) -> CenterRows | int:
+def find_boundary_centers_2d(b: PointSet2D, r_max: int,
+                             mode: str = "enumerate") -> CenterRows | int:
     """All (lattice center, radius) pairs whose full square boundary lies in B.
 
     One vectorized pass per radius: four prefix-sum differences over the
@@ -296,14 +292,12 @@ def find_boundary_centers_2d(b: PointSet2D, r_max: int, mode: str = "enumerate",
         raise ParameterError(f"mode must be 'enumerate' or 'count', got {mode!r}")
     if not isinstance(r_max, int) or r_max < 1:
         raise ParameterError(f"r_max must be an integer >= 1, got {r_max!r}")
-    require_budget(len(b), DEFAULT_FINDER_BUDGET, "a boundary-center scan", budget)
     if not len(b):
         return 0 if mode == "count" else CenterRows([], [], [])
-    grid = OccupancyGrid.from_points(b, budget=budget)
+    grid = OccupancyGrid.from_points(b)
     w, h = grid.width, grid.height
     r_eff = min(r_max, (w - 1) // 2, (h - 1) // 2)
-    require_budget(w * h * max(r_eff, 0), DEFAULT_PAIR_BUDGET,
-                   "the per-radius boundary sweep", budget)
+    require_budget(w * h * max(r_eff, 0), DEFAULT_PAIR_BUDGET, "the per-radius boundary sweep")
     count, found = 0, [np.zeros((0, 3), dtype=np.int64)]
     for r in range(1, r_eff + 1):
         full = grid.boundary_full(np.arange(grid.x0 + r, grid.x0 + w - r)[:, None],

@@ -178,18 +178,20 @@ class TestVerifyConstruction:
             expected.append(sum(1 for x, y in blk.centers
                                 if oracle_boundary_radius(member, x, y, r_cap) is None))
         monkeypatch.setattr(bounds_report.cons, "gen_countable_truncation",
-                            lambda alpha, K, budget=None: trunc)
+                            lambda alpha, K: trunc)
         monkeypatch.setattr(bounds_report, "_CHUNK_CELLS", 100)
         got = [c.lhs for c in verify_construction("countable", alpha=1, K=3)]
         assert got == expected and 0 < sum(expected) < sum(len(b.centers) for b in blocks)
 
-    def test_dk_guard_counts_centers_before_work(self):
-        with pytest.raises(BudgetError, match="witness replay at level 4") as exc:
-            verify_construction("dk", k=4, budget=100)
-        assert (exc.value.estimate, exc.value.limit) == (4**8, 100)
+    def test_dk_guard_counts_centers_before_work(self, monkeypatch):
         with pytest.raises(BudgetError, match="witness replay at level 9"):
             verify_construction("dk", k=9)
-        assert all(c.ok for c in verify_construction("dk", k=4, budget=4**8))
+        monkeypatch.setenv("SQUARELAB_BUDGET", "0.000005")  # 100 pairs
+        with pytest.raises(BudgetError, match="witness replay at level 4") as exc:
+            verify_construction("dk", k=4)
+        assert (exc.value.estimate, exc.value.limit) == (4**8, 100)
+        monkeypatch.setenv("SQUARELAB_BUDGET", "0.0032768")  # 4**8 pairs
+        assert all(c.ok for c in verify_construction("dk", k=4))
 
     def test_unknown_name(self):
         with pytest.raises(ParameterError):

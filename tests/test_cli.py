@@ -179,14 +179,22 @@ class TestVerify:
         assert all(c["ok"] for c in rep["checks"])
 
     def test_an_with_seed(self, capsys):
-        assert run("verify", "an", "--p", "2", "--seed", "5") == 0
+        assert run("verify", "an", "--p", "3", "--seed", "5") == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["seed"] == 5
         assert all(c["ok"] for c in rep["checks"])
 
     def test_an_reports_the_default_seed(self, capsys):
-        assert run("verify", "an", "--p", "2") == 0
+        assert run("verify", "an", "--p", "3") == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 20260816
+
+    @pytest.mark.parametrize("seed", [(), ("--seed", "5")])
+    def test_exhaustive_an_reports_no_seed(self, seed, capsys):
+        # (2!)**8 = 256 centers, fewer than the samples: every one is replayed
+        assert run("verify", "an", "--p", "2", *seed) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["seed"] is None
+        assert rep["checks"][0]["sizes"]["exhaustive"] == 1
 
     @pytest.mark.parametrize("argv", [("dk", "--k", "2"), ("boundary", "--k", "2"),
                                       ("countable", "--alpha", "1", "--K", "2")])
@@ -281,6 +289,17 @@ class TestScanAndTables:
         assert run("gen", "an", "--p", "5") == 2
         err = capsys.readouterr().err
         assert "budget" in err.lower()
+
+    def test_budget_scale_is_the_one_knob(self, tmp_path, capsys, monkeypatch):
+        # D_28 is estimated at 2,165,455 elements against a limit of 2,000,000
+        out = tmp_path / "d28.txt"
+        assert run("gen", "dk", "--k", "28", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "estimated 2,165,455, budget 2,000,000; raise via SQUARELAB_BUDGET)" in err
+        assert "budget=" not in err and not out.exists()
+        monkeypatch.setenv("SQUARELAB_BUDGET", "1.1")
+        assert run("gen", "dk", "--k", "28", "--out", str(out)) == 0
+        assert out.exists()
 
     @pytest.mark.parametrize("scale", ["inf", "1e400", "nan"])
     def test_non_finite_budget_scale_exits_2(self, scale, capsys, monkeypatch):

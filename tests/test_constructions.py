@@ -84,9 +84,10 @@ class TestDigitSets:
         with pytest.raises(ParameterError):
             gen_Dk(bad)
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
+        monkeypatch.setenv("SQUARELAB_BUDGET", "0.00005")  # 100 elements
         with pytest.raises(BudgetError):
-            gen_Dk(50, budget=100)
+            gen_Dk(50)
 
 
 class TestWitness:
@@ -369,9 +370,10 @@ class TestCountableTruncation:
         with pytest.raises(ParameterError):
             gen_countable_truncation(1, 13)
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
+        monkeypatch.setenv("SQUARELAB_BUDGET", "0.0005")  # 1,000 elements
         with pytest.raises(BudgetError):
-            gen_countable_truncation(1, 3, budget=1000)
+            gen_countable_truncation(1, 3)
 
 
 class TestSplicing:
@@ -398,11 +400,6 @@ class TestSplicing:
             default_a_sequence(6)
         with pytest.raises(ParameterError):
             default_a_sequence(-1)
-
-    def test_level_count_must_match(self):
-        with pytest.raises(ParameterError):
-            splice_En([{0}], (0, 1, 2), n=2)
-        splice_En([{0}, {0}], (0, 1, 2), n=2)  # consistent n accepted
 
     def test_a_sequence_validation(self):
         with pytest.raises(ParameterError):

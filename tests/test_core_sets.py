@@ -248,18 +248,13 @@ class TestOccupancyGrid:
         rng = np.random.default_rng(seed)
         mask = rng.random((w, h)) < density
         pts = [(int(x) - 3, int(y) - 2) for x, y in np.argwhere(mask)]
-        return OccupancyGrid.from_points(pts), pts
+        return OccupancyGrid.from_points(PointSet2D(pts)), pts
 
     def test_out_of_bounds_is_not_full(self):
-        grid = OccupancyGrid.from_points([(x, y) for x in range(3) for y in range(3)])
+        grid = OccupancyGrid.from_points(PointSet2D([(x, y) for x in range(3) for y in range(3)]))
         assert grid.boundary_full(1, 1, 1)
         assert not grid.boundary_full(1, 1, 2)  # leaves the box on every side
         assert not grid.boundary_full(np.array([0, 2, 100]), 1, 1).any()
-
-    def test_explicit_bbox_padding(self):
-        grid = OccupancyGrid.from_points([(0, 0), (5, 0)], bbox=(-2, -2, 2, 2))
-        assert (grid.x0, grid.y0, grid.width, grid.height) == (-2, -2, 5, 5)
-        assert np.argwhere(grid.cells).tolist() == [[2, 2]]  # (5, 0) lies outside
 
     @pytest.mark.parametrize("seed", range(4))
     def test_boundary_full_matches_membership_walk(self, seed):
@@ -277,21 +272,18 @@ class TestOccupancyGrid:
             assert bool(got) == expected
 
     def test_boundary_full_broadcasts_scalars(self):
-        grid = OccupancyGrid.from_points([(x, y) for x in range(5) for y in range(5)])
+        grid = OccupancyGrid.from_points(PointSet2D([(x, y) for x in range(5) for y in range(5)]))
         assert grid.boundary_full(2, 2, 2) and not grid.boundary_full(2, 2, 3)
         assert grid.boundary_full(2, 2, np.arange(1, 4)).tolist() == [True, True, False]
         assert grid.boundary_full(np.arange(5)[:, None], np.arange(5), 1).sum() == 9
 
     def test_cell_budget(self):
         with pytest.raises(BudgetError) as exc:
-            OccupancyGrid.from_points([(0, 0), (10**6, 10**6)])
+            OccupancyGrid.from_points(PointSet2D([(0, 0), (10**6, 10**6)]))
         assert exc.value.estimate > exc.value.limit
 
 
 class TestBudgets:
-    def test_effective_budget_override_wins(self):
-        assert effective_budget(100, 7) == 7
-
     def test_env_scale(self, monkeypatch):
         monkeypatch.setenv("SQUARELAB_BUDGET", "2.5")
         assert budget_scale() == 2.5

@@ -14,6 +14,7 @@ from squarelab import (
     find_boundary_centers_2d,
     find_centers_1d,
     find_vertex_centers_2d,
+    gen_boundary_example,
     gen_Dk,
     gen_vertex_example,
     make_intset,
@@ -74,9 +75,10 @@ class TestCenters1D:
         two = find_centers_1d(make_intset([0, 2]))
         assert set(two) == {DoubledPoint(2, 2)}
 
-    def test_budget_override(self):
+    def test_budget_override(self, monkeypatch):
+        monkeypatch.setenv("SQUARELAB_BUDGET", "0.001")  # 5 elements
         with pytest.raises(BudgetError):
-            find_centers_1d(make_intset(range(20)), budget=10)
+            find_centers_1d(make_intset(range(20)))
 
     def test_bad_mode(self):
         with pytest.raises(ParameterError):
@@ -224,18 +226,41 @@ class TestBudgets:
         # budget, but fits the dense kernel's cell budget
         assert find_centers_1d(gen_Dk(4), "count") == 1_109_548
 
-    def test_vertex_point_guard_still_applies(self):
+    def test_vertex_example_k3_under_the_default_budget(self):
+        # 50,625 points on a 244 x 244 grid: the dense kernel, no point guard
         b, _ = gen_vertex_example(3)
+        assert find_vertex_centers_2d(b, "count") == 105_542
+
+    def test_spread_vertices_over_the_point_guard_refuse_before_the_scan(self):
+        # one point per row and a box far over the grid-cell budget: the pair
+        # scan's estimate passes, its membership set of 5,001 points does not
+        b = PointSet2D([(1000 * i, i) for i in range(5_001)])
+        start = time.perf_counter()
         with pytest.raises(BudgetError, match="vertex-center scan"):
             find_vertex_centers_2d(b, "count")
-        assert find_vertex_centers_2d(b, "count", budget=10**8) == 105_542
+        assert time.perf_counter() - start < 1.0
 
-    def test_spread_vertices_take_the_pair_scan(self):
+    def test_spread_vertices_take_the_pair_scan(self, monkeypatch):
         # a bounding box far over the grid-cell budget: no grid is built
         b = PointSet2D([(0, 0), (10**7, 0), (0, 10**7), (10**7, 10**7), (5, 9)])
         assert set(find_vertex_centers_2d(b)) == {DoubledPoint(10**7, 10**7)}
+        monkeypatch.setenv("SQUARELAB_BUDGET", "1e-7")  # 2 pairs
         with pytest.raises(BudgetError, match="same-row pair scan"):
-            find_vertex_centers_2d(b, budget=5)
+            find_vertex_centers_2d(b)
+
+    def test_boundary_example_k3_under_the_default_budget(self):
+        # 59,175 points: no point guard, a 244 x 244 grid and 20 sweeps of it
+        b, _ = gen_boundary_example(3)
+        assert find_boundary_centers_2d(b, 20, "count") == 969_226
+
+    def test_boundary_guards_refuse_before_work(self):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="3001 x 3001 occupancy grid"):
+            find_boundary_centers_2d(PointSet2D([(0, 0), (3_000, 3_000)]), 5)
+        # 1000 x 1000 cells swept once per radius: 20 radii fill the pair budget
+        with pytest.raises(BudgetError, match="per-radius boundary sweep"):
+            find_boundary_centers_2d(PointSet2D([(0, 0), (999, 999)]), 21, "count")
+        assert time.perf_counter() - start < 1.0
 
 
 class TestCenterRows:
