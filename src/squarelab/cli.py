@@ -23,11 +23,13 @@ from .bounds_report import (
     verify_construction,
 )
 from .core_sets import (
+    FormatError,
     IntSet1D,
     PointSet2D,
     SquareLabError,
     format_intset_text,
     format_pointset_text,
+    make_intset,
     parse_intset_text,
     parse_pointset_text,
     _format_rows,
@@ -54,12 +56,25 @@ def _emit(text: str, out: str | None) -> None:
         _say(f"wrote {out}")
 
 
+def _read_text(path: str) -> str:
+    """A UTF-8 file with universal newlines, as text mode reads it; bytes
+    that are not UTF-8 are a FormatError naming the line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((data[:exc.start] + b".").splitlines())
+        raise FormatError(f"not UTF-8 text: byte {data[exc.start]:#04x}",
+                          source=path, lineno=lineno) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _read_intset(path: str) -> IntSet1D:
-    return parse_intset_text(Path(path).read_text(), source=path)
+    return parse_intset_text(_read_text(path), source=path)
 
 
 def _read_pointset(path: str) -> PointSet2D:
-    return parse_pointset_text(Path(path).read_text(), source=path)
+    return parse_pointset_text(_read_text(path), source=path)
 
 
 # ---------------------------------------------------------------------------
@@ -139,16 +154,24 @@ def _cmd_gen_countable(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_splice(args: argparse.Namespace) -> int:
-    raw = json.loads(Path(args.patterns).read_text())
-    patterns = raw["patterns"] if isinstance(raw, dict) else raw
-    if args.d == 2:
-        patterns = [[tuple(cell) for cell in level] for level in patterns]
-    a = tuple(int(v) for v in args.a.split(","))
-    cells = cons.splice_En(patterns, a, d=args.d)
+    try:
+        raw = json.loads(_read_text(args.patterns))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"not JSON: {exc.msg}", source=args.patterns,
+                          lineno=exc.lineno) from None
+    patterns = raw.get("patterns") if isinstance(raw, dict) else raw
+    shape_ok = isinstance(patterns, list) and all(isinstance(lvl, list) for lvl in patterns)
+    if shape_ok and args.d == 2:
+        shape_ok = all(isinstance(cell, list) for lvl in patterns for cell in lvl)
+    if not shape_ok:
+        raise FormatError("expected a list of per-level cell lists ([x, y] cells for "
+                          "--d 2), or an object with one under 'patterns'",
+                          source=args.patterns)
+    cells = cons.splice_En(patterns, args.a, d=args.d)
     if args.d == 1:
-        text = "\n".join(str(v) for v in sorted(cells)) + "\n"
+        text = format_intset_text(make_intset(cells))
     else:
-        text = "\n".join(f"{x} {y}" for x, y in sorted(cells)) + "\n"
+        text = format_pointset_text(PointSet2D(cells))
     _emit(text, args.out)
     return 0
 
@@ -238,7 +261,7 @@ def _cmd_cover(args: argparse.Namespace) -> int:
 
 def _cmd_boxcount(args: argparse.Namespace) -> int:
     pts = _read_pointset(getattr(args, "in"))
-    levels = [int(v) for v in args.m.split(",")]
+    levels = args.m
     if len(levels) == 1:
         _emit(f"{dyadic_box_count_2d(pts, levels[0])}\n", args.out)
     else:
@@ -258,6 +281,15 @@ def _cmd_ratios(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+def _int_list(text: str) -> list[int]:
+    """A comma list of integers, as --a and --m take them."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of integers, got {text!r}") from None
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -311,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     g = gen.add_parser("splice", help="concatenate dyadic cell patterns")
     g.add_argument("--patterns", required=True,
                    help="JSON file: list of per-level cell lists")
-    g.add_argument("--a", required=True, help="depth checkpoints, e.g. 0,2,4")
+    g.add_argument("--a", type=_int_list, required=True,
+                   help="depth checkpoints, e.g. 0,2,4")
     g.add_argument("--d", type=int, choices=(1, 2), default=1)
     add_out(g)
     g.set_defaults(func=_cmd_gen_splice)
@@ -367,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("boxcount", help="dyadic box count of a 2D set")
     c.add_argument("--in", required=True)
-    c.add_argument("--m", required=True,
+    c.add_argument("--m", type=_int_list, required=True,
                    help="level, or comma list of levels for a CSV table")
     add_out(c)
     c.set_defaults(func=_cmd_boxcount)

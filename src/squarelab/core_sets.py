@@ -16,8 +16,10 @@ it spends.
 
 from __future__ import annotations
 
+import io
 import math
 import os
+import warnings
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -412,80 +414,119 @@ class OccupancyGrid:
 # Plain-text set files: one decimal integer per line (1D) or "x y" (2D),
 # '#' starts a comment, blank lines ignored, LF newlines, ascending output.
 
-def _data_lines(text: str, source: str) -> Iterator[tuple[int, str]]:
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+# the bytes numpy's C parser reads exactly as int() reads them, token by token
+_PLAIN_BYTES = b"0123456789- \n"
+
+
+def _int_columns(text: str, k: int) -> np.ndarray | None:
+    """The data lines of a set file as an (n, k) int64 array read by numpy's C
+    parser, or None when the text needs the line walk.
+
+    Past the leading '#' lines the text must hold only digits, '-', spaces and
+    LF, each token one that int() takes and that fits int64, k per line.
+    """
+    start = 0
+    while text.startswith("#", start):
+        start = text.find("\n", start) + 1 or len(text)
+    rest = text[start:]
+    if not rest.isascii():
+        return None
+    data = rest.encode("ascii")
+    if data.translate(None, _PLAIN_BYTES):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 reads a token past int64 as a float, with a
+            # DeprecationWarning; an input with no data warns too
+            warnings.simplefilter("error")
+            rows = np.loadtxt(io.BytesIO(data), dtype=np.int64, comments=None, ndmin=2)
+    except (ValueError, OverflowError, Warning):
+        return None
+    return rows if rows.shape[1] == k else None
+
+
+# per column count: what a data line must hold, and what a bad one is not
+_LINE_FORMS = {1: ("one integer", "an integer"), 2: ("'x y'", "an integer pair")}
+
+
+def _parse_set(text: str, source: str, k: int, build):
+    """The set `build` makes of a file's data lines of k integers each.
+
+    numpy's parser reads the text when it reads it as int() would.  Anything
+    else (CRLF, '+5', '1_000', tabs, comments, values past int64, bad lines)
+    takes the line walk, which names the first bad line; the constructor
+    names the first value past 2**62.
+    """
+    rows = _int_columns(text, k)
+    if rows is None:
+        form, noun = _LINE_FORMS[k]
+        rows = []
+        for lineno, raw in enumerate(text.split("\n"), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != k:
+                raise FormatError(f"expected {form}, got {line!r}",
+                                  source=source, lineno=lineno)
+            try:
+                rows.append([int(part) for part in parts])
+            except ValueError:
+                raise FormatError(f"not {noun}: {line!r}",
+                                  source=source, lineno=lineno) from None
+    try:
+        return build(rows)
+    except RangeError as exc:
+        raise FormatError(str(exc), source=source) from None
 
 
 def parse_intset_text(text: str, *, source: str = "<string>") -> IntSet1D:
-    try:
-        # fast path: a line int() accepts is one integer token with no comment
-        values = list(map(int, [line for line in text.split("\n")
-                                if line and line[0] != "#"]))
-    except ValueError:
-        # inline comments, blank-looking or bad lines: the walk names a bad line
-        values = []
-        for lineno, line in _data_lines(text, source):
-            if len(line.split()) != 1:
-                raise FormatError(f"expected one integer, got {line!r}",
-                                  source=source, lineno=lineno)
-            try:
-                values.append(int(line))
-            except ValueError:
-                raise FormatError(f"not an integer: {line!r}",
-                                  source=source, lineno=lineno) from None
-    try:
-        return make_intset(values)
-    except RangeError as exc:
-        raise FormatError(str(exc), source=source) from None
-
-
-def format_intset_text(s: IntSet1D, *, header: str | None = None) -> str:
-    lines = [f"# {header}"] if header else []
-    lines.extend(map(str, s.as_array().tolist()))
-    return "\n".join(lines) + "\n"
+    return _parse_set(text, source, 1, lambda rows: make_intset(
+        rows[:, 0] if isinstance(rows, np.ndarray) else [v for v, in rows]))
 
 
 def parse_pointset_text(text: str, *, source: str = "<string>") -> PointSet2D:
-    lines = [line for line in text.split("\n") if line and line[0] != "#"]
-    # fast path: join the n lines with ';' tokens.  With 3n - 1 tokens and int()
-    # taking every token outside the n - 1 join slots, each ';' sits in a join
-    # slot, so every line held exactly two integers
-    tokens = " ; ".join(lines).split()
-    try:
-        if len(tokens) != 3 * len(lines) - 1:
-            raise ValueError
-        # numpy converts each str with int(), straight into the array
-        points = np.column_stack([np.array(tokens[c::3], dtype=np.int64) for c in (0, 1)])
-    except (ValueError, OverflowError):
-        # inline comments, blank-looking or bad lines: the walk names a bad
-        # line; values past int64 go to the constructor, which names the first
-        points = []
-        for lineno, line in _data_lines(text, source):
-            parts = line.split()
-            if len(parts) != 2:
-                raise FormatError(f"expected 'x y', got {line!r}",
-                                  source=source, lineno=lineno)
-            try:
-                points.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise FormatError(f"not an integer pair: {line!r}",
-                                  source=source, lineno=lineno) from None
-    try:
-        return PointSet2D(points)
-    except RangeError as exc:
-        raise FormatError(str(exc), source=source) from None
+    return _parse_set(text, source, 2, PointSet2D)
 
 
-def _format_rows(rows: np.ndarray) -> str:
-    """Each row of an (N, k) integer array as one line of space-separated
-    decimals, LF-terminated."""
-    line = " ".join(["%d"] * rows.shape[1]) + "\n"
-    return (line * len(rows)) % tuple(rows.ravel().tolist())
+_FORMAT_BLOCK = 2**16                                  # values per output buffer
+_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)      # 10 .. 10**19
+
+
+def _format_rows(rows: np.ndarray, header: str | None = None) -> str:
+    """Each row of an (N, k) int64 array as one line of space-separated
+    decimals, LF-terminated, after a '# header' line when one is given.
+
+    Blocks of about 2**16 values are written into one uint8 buffer each: the
+    digit count of every value comes from a search over the powers of ten,
+    then each pass writes one digit position of the values that have it.
+    """
+    parts = [f"# {header}\n"] if header else []
+    k = rows.shape[1]
+    flat = rows.reshape(-1)
+    step = max(1, _FORMAT_BLOCK // k) * k
+    for start in range(0, flat.size, step):
+        v = flat[start:start + step]
+        neg = v < 0
+        mag = np.abs(v).view(np.uint64)  # the bits of -2**63 read as 2**63
+        width = np.searchsorted(_POW10, mag, "right") + neg + 2  # digits, sign, separator
+        ends = np.cumsum(width)
+        buf = np.full(int(ends[-1]), ord(" "), dtype=np.uint8)
+        buf[ends[k - 1::k] - 1] = ord("\n")
+        buf[(ends - width)[neg]] = ord("-")
+        pos = ends - 2
+        while mag.size:
+            mag, digit = np.divmod(mag, 10)
+            buf[pos] = digit + ord("0")
+            left = mag > 0
+            mag, pos = mag[left], pos[left] - 1
+        parts.append(buf.tobytes().decode("ascii"))
+    return "".join(parts)
+
+
+def format_intset_text(s: IntSet1D, *, header: str | None = None) -> str:
+    return _format_rows(s.as_array()[:, None], header) or "\n"
 
 
 def format_pointset_text(ps: PointSet2D, *, header: str | None = None) -> str:
-    text = (f"# {header}\n" if header else "") + _format_rows(ps.as_array())
-    return text or "\n"
+    return _format_rows(ps.as_array(), header) or "\n"

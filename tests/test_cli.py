@@ -96,6 +96,25 @@ class TestGenerate:
         out = capsys.readouterr().out
         assert [int(v) for v in out.split()] == [1, 13]
 
+    def test_splice_2d(self, tmp_path, capsys):
+        pat = tmp_path / "p.json"
+        pat.write_text('{"patterns": [[[0, 1], [1, 0]], [[1, 1]]]}')
+        assert run("gen", "splice", "--patterns", str(pat), "--a", "0,1,2", "--d", "2") == 0
+        assert capsys.readouterr().out == "1 3\n3 1\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("[[0, 3], [1]", "p.json:1: not JSON"),
+        ('{"levels": [[0, 3], [1]]}', "under 'patterns'"),
+        ("[[0, 3], 1]", "per-level cell lists"),
+        (b"[[0, 3], \xff]", "p.json:1: not UTF-8"),
+    ])
+    def test_splice_malformed_patterns_exit_2(self, tmp_path, capsys, text, message):
+        pat = tmp_path / "p.json"
+        pat.write_bytes(text if isinstance(text, bytes) else text.encode())
+        assert run("gen", "splice", "--patterns", str(pat), "--a", "0,2,4") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
     def test_gen_dk_bad_k_exits_2(self, capsys):
         assert run("gen", "dk", "--k", "1") == 2
         assert capsys.readouterr().err.strip()
@@ -160,6 +179,13 @@ class TestFind:
     def test_missing_input_exits_2(self, capsys):
         assert run("find", "centers1d", "--in", "/nonexistent/x.txt") == 2
         assert capsys.readouterr().err.strip()
+
+    def test_non_utf8_input_exits_2_naming_the_line(self, tmp_path, capsys):
+        f = tmp_path / "latin1.txt"
+        f.write_bytes(b"# header\r\n# caf\xe9\n1\n")
+        assert run("find", "centers1d", "--in", str(f), "--count") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"{f}:2: not UTF-8 text: byte 0xe9" in err
 
     def test_malformed_input_reports_location(self, tmp_path, capsys):
         f = tmp_path / "bad.txt"
@@ -318,3 +344,13 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             run("frobnicate")
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "splice", "--patterns", "p.json", "--a", "0,x"),
+        ("boxcount", "--in", "b.txt", "--m", "1,,2"),
+    ])
+    def test_bad_comma_list_is_argparse_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        assert "expected a comma list of integers" in capsys.readouterr().err

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from squarelab import (
@@ -13,12 +15,14 @@ from squarelab import (
     RangeError,
     format_intset_text,
     format_pointset_text,
+    gen_AN,
     make_intset,
     parse_intset_text,
     parse_pointset_text,
 )
 from squarelab.core_sets import (
     COORD_LIMIT,
+    _format_rows,
     budget_scale,
     effective_budget,
     require_budget,
@@ -34,6 +38,30 @@ from oracles import (
 
 # coordinates that stress the int64 fast paths: the limit, just past it, past int64
 EDGE_INTS = [2**62, -2**62, 2**62 + 1, -2**62 - 1, 2**63 - 1, 2**63, -2**63 - 1, 2**64]
+# 0, +-1, +-2**62, and +-(10**j - 1), +-10**j where the digit count changes
+DIGIT_EDGES = [0, 1, -1, 2**62, -2**62] + [
+    sign * (10**j + d) for j in range(1, 19) for d in (-1, 0) for sign in (1, -1)]
+# tokens of digits and '-' only, which reach numpy's parser: it must refuse
+# exactly the ones int() refuses
+PLAIN_TOKENS = ["5-3", "--5", "-", "-0", "007", 10**18 - 1, 10**18, -2**63]
+
+
+def _set_file_text(plain, other):
+    """Set-file texts: lines all drawn from `plain` (digits, '-', spaces and
+    '#' lines), or from both strategies, any line then ending in CR."""
+    mixed = st.tuples(st.one_of(plain, other), st.booleans()).map(
+        lambda p: p[0] + "\r" * p[1])
+    return st.tuples(st.one_of(st.lists(plain, max_size=12), st.lists(mixed, max_size=12)),
+                     st.booleans()).map(lambda p: "\n".join(p[0]) + "\n" * p[1])
+
+
+def _examples(*texts):
+    """Apply ``hypothesis.example(text=...)`` once per text."""
+    def apply(test):
+        for text in texts:
+            test = example(text=text)(test)
+        return test
+    return apply
 
 
 class TestIntSet1D:
@@ -340,22 +368,24 @@ class TestTextFormats:
         ps = parse_pointset_text("  1   2\n-3\t4\n")
         assert tuple(ps) == ((-3, 4), (1, 2))
 
-    @given(st.lists(st.one_of(
-        st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)).map(
-            lambda p: f"{p[0]} {p[1]}"),
-        st.integers(0, 10**6).map(lambda v: f"+{v}\t-{v}"),
-        st.integers(1, 999).map(lambda v: f"{v}_000 {v}"),
-        st.tuples(st.sampled_from(EDGE_INTS), st.integers(-3, 3)).map(
-            lambda p: f"{p[1]} {p[0]}" if p[1] % 2 else f"{p[0]} {p[1]}"),
-        st.sampled_from(["# comment", "#", "", "  ", "\t", "5 6 # inline", "7 8#x",
-                         "  -8   9  ", "3", "3 4 5", "1__0 2", "foo 1", "1.0 2",
-                         "# 1 2", "1 2 #", " # 1 2", "1 ;", "; 2", "1 2 ; 3 4",
-                         ";", "1;2 3"]),
-    ), max_size=12), st.lists(st.booleans(), max_size=12), st.booleans())
+    @given(_set_file_text(
+        st.one_of(
+            st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)).map(
+                lambda p: f"{p[0]} {p[1]}"),
+            st.tuples(st.sampled_from(EDGE_INTS + PLAIN_TOKENS), st.integers(-3, 3)).map(
+                lambda p: f"{p[1]} {p[0]}" if p[1] % 2 else f"{p[0]} {p[1]}"),
+            st.sampled_from(["# comment", "", "  ", "  -8   9  ", "3", "3 4 5", "-0 007"])),
+        st.one_of(
+            st.integers(0, 10**6).map(lambda v: f"+{v}\t-{v}"),
+            st.integers(1, 999).map(lambda v: f"{v}_000 {v}"),
+            st.sampled_from(["#", "\t", "5 6 # inline", "7 8#x", "1__0 2", "foo 1",
+                             "1.0 2", "# 1 2", "1 2 #", " # 1 2", "1 ;", "; 2",
+                             "1 2 ; 3 4", ";", "1;2 3", "1\x0b2", "\x1c1 2", "1\r2",
+                             "1 2\x0b"]))))
+    @_examples("0 0\n5-3 1\n", "1 --5\n", "- 2\n", f"-0 007\n{10**18 - 1} {10**18}\n",
+               "1\r2\n3 4\n", "1\x0b2\n", "\x1c1 2\n", "1 2\n# after data\n3 4")
     @settings(max_examples=300, deadline=None)
-    def test_parse_pointset_matches_line_by_line_oracle(self, lines, crlf, trailing):
-        lines = [line + "\r" if cr else line for line, cr in zip(lines, crlf + [False] * 12)]
-        text = "\n".join(lines) + ("\n" if trailing else "")
+    def test_parse_pointset_matches_line_by_line_oracle(self, text):
         expected = oracle_parse_pointset(text, "f.txt")
         try:
             got = tuple(parse_pointset_text(text, source="f.txt"))
@@ -369,25 +399,55 @@ class TestTextFormats:
         ps = PointSet2D([(2**62, -2**62), (-1, 0)])
         assert format_pointset_text(ps, header="h") == f"# h\n-1 0\n{2**62} {-2**62}\n"
 
+    @given(st.integers(1, 3), st.integers(-2, 2), st.booleans(), st.lists(
+        st.one_of(st.integers(-2**62, 2**62), st.sampled_from([0, 1, -1])), max_size=40))
+    @example(k=1, shift=1, across_blocks=True, values=[])
+    @example(k=2, shift=1, across_blocks=True, values=[])
+    @example(k=3, shift=1, across_blocks=True, values=[])
+    @settings(max_examples=40, deadline=None)
+    def test_format_rows_matches_percent_d(self, k, shift, across_blocks, values):
+        pool = np.array(values + DIGIT_EDGES, dtype=np.int64)
+        # short arrays, or lengths that straddle the 2**16-value output block
+        n = max(0, (2**16 // k if across_blocks else len(pool) // k) + shift)
+        rows = np.resize(pool, (n, k))
+        text = _format_rows(rows)
+        assert text == "" if n == 0 else text.endswith("\n")
+        # compared as lines: a failing diff of one long string takes minutes
+        assert text.split("\n")[:-1] == [" ".join("%d" % v for v in row) for row in rows.tolist()]
+
+    def test_format_memory_is_bounded(self):
+        # one str per value peaked at 90.3 MiB for A_4's 916,716 elements;
+        # the formatter holds one block's buffers beside the text it returns
+        s = gen_AN(4)
+        tracemalloc.start()
+        try:
+            text = format_intset_text(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.count("\n") == len(s) == 916_716
+        assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
     @given(st.sets(st.integers(-10**9, 10**9), max_size=40))
     @settings(max_examples=50)
     def test_intset_roundtrip_property(self, xs):
         s = make_intset(xs)
         assert parse_intset_text(format_intset_text(s)) == s
 
-    @given(st.lists(st.one_of(
-        st.integers(-10**6, 10**6).map(str),
-        st.integers(0, 10**6).map(lambda v: f"+{v}"),
-        st.integers(1, 999).map(lambda v: f"{v}_000"),
-        st.sampled_from([2**62, 2**62 + 1, -2**62 - 1, 2**63 - 1, 2**63,
-                         -2**63 - 1, 2**64]).map(str),
-        st.sampled_from(["# comment", "#", "", "  ", "\t", "5 # inline", "7#x",
-                         "  -8  ", "3 4", "1__0", "foo", "1.0", "# 1 2"]),
-    ), max_size=12), st.lists(st.booleans(), max_size=12), st.booleans())
+    @given(_set_file_text(
+        st.one_of(
+            st.integers(-10**6, 10**6).map(str),
+            st.sampled_from(EDGE_INTS + PLAIN_TOKENS).map(str),
+            st.sampled_from(["# comment", "", "  ", "  -8  ", "3 4"])),
+        st.one_of(
+            st.integers(0, 10**6).map(lambda v: f"+{v}"),
+            st.integers(1, 999).map(lambda v: f"{v}_000"),
+            st.sampled_from(["#", "\t", "5 # inline", "7#x", "1__0", "foo", "1.0", "# 1 2",
+                             "\x0b5", "1\x0b2", "\x1c", "1\x1c2", "1\r2"]))))
+    @_examples("1\n5-3\n", "--5\n", "-\n", f"-0\n007\n{10**18 - 1}\n{10**18}\n",
+               "1\r2\n", "1\x0b2\n", "\x0b5\n\x1c\n", "1\n# after data\n2")
     @settings(max_examples=300, deadline=None)
-    def test_parse_matches_line_by_line_oracle(self, lines, crlf, trailing):
-        lines = [line + "\r" if cr else line for line, cr in zip(lines, crlf + [False] * 12)]
-        text = "\n".join(lines) + ("\n" if trailing else "")
+    def test_parse_matches_line_by_line_oracle(self, text):
         expected = oracle_parse_intset(text, "f.txt")
         try:
             got = parse_intset_text(text, source="f.txt").elems
