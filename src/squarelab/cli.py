@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -19,6 +20,8 @@ from . import constructions as cons
 from .bounds_report import (
     DEFAULT_SEED,
     build_report,
+    check_main_lemma_1d,
+    check_main_lemma_2d,
     family_scan,
     verify_construction,
 )
@@ -46,6 +49,11 @@ __all__ = ["main", "build_parser"]
 
 def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """A library warning as one stderr line, in the form of the error lines."""
+    _say(f"warning: {message}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -179,10 +187,10 @@ def _cmd_gen_splice(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # find
 
-def _find(args: argparse.Namespace, size: int, m: int | None, find) -> int:
+def _find(args: argparse.Namespace, size: int, m: int | None, find, check=None) -> int:
     """Call the finder once: print the count (mode='count') or the rows of
     the centers in ascending order, then the JSON summary of the bound
-    |S|**3 <= 16 * m**4."""
+    |S|**3 <= 16 * m**4 that `check(s_count=...)` decides exactly."""
     if args.count:
         count = find(mode="count")
         _emit(f"{count}\n", args.out)
@@ -190,7 +198,7 @@ def _find(args: argparse.Namespace, size: int, m: int | None, find) -> int:
         found = find(mode="enumerate")
         count = len(found)
         _emit(_format_rows(found.as_array()), args.out)
-    bound_ok = m is None or count**3 <= 16 * m**4
+    bound_ok = check is None or check(s_count=count).ok
     line = json.dumps({"input_size": size, "centers": count,
                        "bound": None if m is None else float(2 * m) ** (4 / 3),
                        "bound_ok": bound_ok})
@@ -202,12 +210,14 @@ def _find(args: argparse.Namespace, size: int, m: int | None, find) -> int:
 
 def _cmd_find_centers1d(args: argparse.Namespace) -> int:
     a = _read_intset(getattr(args, "in"))
-    return _find(args, len(a), len(a) ** 2, partial(find_centers_1d, a))
+    return _find(args, len(a), len(a) ** 2, partial(find_centers_1d, a),
+                 partial(check_main_lemma_1d, a))
 
 
 def _cmd_find_vertices(args: argparse.Namespace) -> int:
     b = _read_pointset(getattr(args, "in"))
-    return _find(args, len(b), len(b), partial(find_vertex_centers_2d, b))
+    return _find(args, len(b), len(b), partial(find_vertex_centers_2d, b),
+                 partial(check_main_lemma_2d, b))
 
 
 def _cmd_find_boundaries(args: argparse.Namespace) -> int:
@@ -424,14 +434,13 @@ def main(argv: list[str] | None = None) -> int:
     if func is None:
         parser.print_help(sys.stderr)
         return 2
-    try:
-        return func(args)
-    except SquareLabError as exc:
-        _say(f"error: {exc}")
-        return 2
-    except OSError as exc:
-        _say(f"error: {exc}")
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return func(args)
+        except (SquareLabError, OSError) as exc:
+            _say(f"error: {exc}")
+            return 2
 
 
 if __name__ == "__main__":

@@ -287,6 +287,15 @@ class PointSet2D:
         self._arr = arr
 
     @classmethod
+    def _adopt(cls, points: Iterable[tuple[int, int]] | np.ndarray) -> "PointSet2D":
+        """The set of points, freezing an array that nothing else holds
+        (a parser's fresh rows) in place of copying it."""
+        out = cls.__new__(cls)
+        out._arr = _lex_unique_rows(_point_array(points))
+        out._arr.flags.writeable = False
+        return out
+
+    @classmethod
     def product(cls, xs: IntSet1D, ys: IntSet1D) -> "PointSet2D":
         xa, ya = xs.as_array(), ys.as_array()
         return cls(np.column_stack((np.repeat(xa, len(ya)), np.tile(ya, len(xa)))))
@@ -486,7 +495,7 @@ def parse_intset_text(text: str, *, source: str = "<string>") -> IntSet1D:
 
 
 def parse_pointset_text(text: str, *, source: str = "<string>") -> PointSet2D:
-    return _parse_set(text, source, 2, PointSet2D)
+    return _parse_set(text, source, 2, PointSet2D._adopt)
 
 
 _FORMAT_BLOCK = 2**16                                  # values per output buffer

@@ -285,6 +285,15 @@ class TestScanAndTables:
         assert run("cover", "--in", str(f), "--len", "1") == 0
         assert capsys.readouterr().out.strip() == "22"
 
+    @pytest.mark.parametrize("text", ["", "# header only\n", "\n\n"])
+    def test_cover_of_an_empty_set_warns_in_one_line(self, tmp_path, capsys, text):
+        f = tmp_path / "a.txt"
+        f.write_text(text)
+        assert run("cover", "--in", str(f), "--len", "3") == 0
+        captured = capsys.readouterr()
+        assert captured.out == "0\n"
+        assert captured.err == "warning: covering an empty set needs 0 intervals\n"
+
     def test_boxcount_single_level(self, tmp_path, capsys):
         f = tmp_path / "p.txt"
         f.write_text("0 0\n1 1\n2 2\n3 3\n")

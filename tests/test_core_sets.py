@@ -23,6 +23,7 @@ from squarelab import (
 from squarelab.core_sets import (
     COORD_LIMIT,
     _format_rows,
+    _int_columns,
     budget_scale,
     effective_budget,
     require_budget,
@@ -427,6 +428,24 @@ class TestTextFormats:
             tracemalloc.stop()
         assert text.count("\n") == len(s) == 916_716
         assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_parse_pointset_keeps_the_parsed_array(self):
+        # the set takes numpy's fresh rows as they are: building it adds less
+        # than a quarter of their bytes to the parser's own peak, where a
+        # second copy of the rows added all of them
+        xs = np.arange(300, dtype=np.int64)
+        rows = np.column_stack((np.repeat(xs, 300), np.tile(xs, 300)))
+        text = format_pointset_text(PointSet2D(rows))
+        peaks = []
+        for parse in (lambda: _int_columns(text, 2), lambda: parse_pointset_text(text)):
+            tracemalloc.start()
+            try:
+                out = parse()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert np.array_equal(out.as_array(), rows) and not out.as_array().flags.writeable
+        assert peaks[1] < peaks[0] + rows.nbytes // 4, peaks
 
     @given(st.sets(st.integers(-10**9, 10**9), max_size=40))
     @settings(max_examples=50)
