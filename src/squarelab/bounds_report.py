@@ -107,6 +107,11 @@ def check_main_lemma_1d(a: IntSet1D, *, s_count: int | None = None) -> BoundChec
 _FAMILIES = ("dk_vertex", "dk_boundary", "dk_size", "an_cover")
 
 
+def _cover_length(p: int, j: int) -> int:
+    """The cover length 200*(p!/j!)**4 of the depth-p set at scale j."""
+    return 200 * (math.factorial(p) // math.factorial(j)) ** 4
+
+
 def family_scan(family: str, k_range: Iterable[int]) -> ExponentReport:
     """Exact sizes and log-log slopes across one generated family.
 
@@ -126,7 +131,7 @@ def family_scan(family: str, k_range: Iterable[int]) -> ExponentReport:
     ks = sorted(set(k_range))
     if len(ks) < 2:
         raise ParameterError("a scan needs at least two parameter values")
-    lo_k, hi_cap = (1, 10) if family == "an_cover" else (2, 16)
+    lo_k, hi_cap = (1, 6) if family == "an_cover" else (2, 16)
     if ks[0] < lo_k or ks[-1] > hi_cap:
         raise ParameterError(f"{family} scan supports parameters in "
                              f"{lo_k}..{hi_cap}, got {ks[0]}..{ks[-1]}")
@@ -148,12 +153,9 @@ def family_scan(family: str, k_range: Iterable[int]) -> ExponentReport:
     else:  # an_cover
         target = -0.75
         p = ks[-1]
-        if not 2 <= p <= 6:
-            raise ParameterError(f"covering scan depth must be in 2..6, got {p}")
         a = cons.gen_AN(p)
-        pf = math.factorial(p)
         def row(j: int) -> tuple[int, int, int]:
-            r_j = 200 * (pf // math.factorial(j)) ** 4
+            r_j = _cover_length(p, j)
             return j, r_j, covering_count_1d(a, r_j)
 
     rows = [row(k) for k in ks]
@@ -172,21 +174,25 @@ def _verify_dk(k: int) -> list[BoundCheck]:
 
     Counts the k**8 centers against the pair budget first, then builds the
     radius table r(x, y) a block of rows at a time and checks the four
-    shifted memberships through a boolean lookup over [-k**4, 2k**4].
+    shifted memberships through a boolean lookup over [-k**4, 2k**4] with a
+    False cell past each end, which a probe outside the range reads: a miss.
     """
     n = k**4
     require_budget(n * n, DEFAULT_PAIR_BUDGET, f"the witness replay at level {k}")
     dset = cons.gen_Dk(k)
-    mem = np.zeros(3 * n + 1, dtype=bool)
-    mem[dset.as_array() + n] = True
+    mem = np.zeros(3 * n + 3, dtype=bool)
+    mem[dset.as_array() + n + 1] = True
+    def hit(cells: np.ndarray) -> np.ndarray:
+        return np.take(mem, cells, mode="clip")
 
     ys = np.arange(n, dtype=np.int64)
+    at = ys + (n + 1)  # the lookup cell of each coordinate
     misses = radius_misses = 0
     rows = max(1, _CHUNK_CELLS // n)
     for lo in range(0, n, rows):
-        xs = ys[lo:lo + rows, None]
+        xs, xat = ys[lo:lo + rows, None], at[lo:lo + rows, None]
         r = cons.witness_radii(xs, ys, k)
-        good = mem[xs - r + n] & mem[xs + r + n] & mem[ys - r + n] & mem[ys + r + n]
+        good = hit(xat - r) & hit(xat + r) & hit(at - r) & hit(at + r)
         misses += good.size - int(np.count_nonzero(good))
         radius_misses += int(np.count_nonzero(r > n))
     sizes = {"k": k, "elems": len(dset), "centers": n * n}
@@ -220,12 +226,11 @@ def _verify_an(p: int, seed: int | None, samples: int) -> list[BoundCheck]:
         BoundCheck.compare(f"an{p}_witness_misses", misses, 0, **sizes),
         BoundCheck.compare(f"an{p}_radius_out_of_band", r_misses, 0, **sizes),
     ]
-    pf = math.factorial(p)
     cap = 1
     for j in range(1, p + 1):
         if j > 1:
             cap *= len(cons.gen_Dk(j))
-        r_j = 200 * (pf // math.factorial(j)) ** 4
+        r_j = _cover_length(p, j)
         checks.append(BoundCheck.compare(
             f"an{p}_cover_scale{j}", covering_count_1d(a, r_j), cap,
             p=p, elems=len(a), length=r_j))
@@ -275,6 +280,15 @@ def _verify_countable(alpha: int, big_k: int) -> list[BoundCheck]:
     return checks
 
 
+# verify target -> (the parameters it needs, its replay of them); only `an` samples
+_VERIFY = {
+    "dk": (("k",), lambda kw: _verify_dk(kw["k"])),
+    "an": (("p",), lambda kw: _verify_an(kw["p"], kw["seed"], kw["samples"])),
+    "boundary": (("k",), lambda kw: _verify_boundary(kw["k"])),
+    "countable": (("alpha", "K"), lambda kw: _verify_countable(kw["alpha"], kw["K"])),
+}
+
+
 def verify_construction(name: str, *, k: int | None = None, p: int | None = None,
                         alpha: int | None = None, K: int | None = None,
                         seed: int | None = None, samples: int = 100_000) -> list[BoundCheck]:
@@ -287,24 +301,15 @@ def verify_construction(name: str, *, k: int | None = None, p: int | None = None
     name='countable' needs alpha, K: per-block boundary search for every
                      scaled center, radius capped at 3*N_k in block units.
     """
-    if name == "dk":
-        if k is None:
-            raise ParameterError("verify dk needs k")
-        return _verify_dk(k)
-    if name == "an":
-        if p is None:
-            raise ParameterError("verify an needs p")
-        return _verify_an(p, seed, samples)
-    if name == "boundary":
-        if k is None:
-            raise ParameterError("verify boundary needs k")
-        return _verify_boundary(k)
-    if name == "countable":
-        if alpha is None or K is None:
-            raise ParameterError("verify countable needs alpha and K")
-        return _verify_countable(alpha, K)
-    raise ParameterError(f"unknown construction {name!r}; "
-                         "choose dk, an, boundary, or countable")
+    if name not in _VERIFY:
+        *rest, last = _VERIFY
+        raise ParameterError(f"unknown construction {name!r}; "
+                             f"choose {', '.join(rest)}, or {last}")
+    needs, replay = _VERIFY[name]
+    given = {"k": k, "p": p, "alpha": alpha, "K": K, "seed": seed, "samples": samples}
+    if any(given[param] is None for param in needs):
+        raise ParameterError(f"verify {name} needs {' and '.join(needs)}")
+    return replay(given)
 
 
 def build_report(suite: str, checks: Sequence[BoundCheck],

@@ -19,6 +19,8 @@ from pathlib import Path
 from . import constructions as cons
 from .bounds_report import (
     DEFAULT_SEED,
+    _FAMILIES,
+    _VERIFY,
     build_report,
     check_main_lemma_1d,
     check_main_lemma_2d,
@@ -88,36 +90,20 @@ def _read_pointset(path: str) -> PointSet2D:
 # ---------------------------------------------------------------------------
 # gen
 
-def _cmd_gen_dk(args: argparse.Namespace) -> int:
-    s = cons.gen_Dk(args.k)
-    _emit(format_intset_text(s, header=f"digit set, level {args.k}, {len(s)} elements"),
-          args.out)
+def _cmd_gen_set(gen, param: str, what: str, args: argparse.Namespace) -> int:
+    value = getattr(args, param)
+    s = gen(value)
+    _emit(format_intset_text(s, header=f"{what} {value}, {len(s)} elements"), args.out)
     return 0
 
 
-def _cmd_gen_an(args: argparse.Namespace) -> int:
-    s = cons.gen_AN(args.p)
-    _emit(format_intset_text(
-        s, header=f"interpolating set, depth {args.p}, {len(s)} elements"), args.out)
-    return 0
-
-
-def _cmd_gen_vertex(args: argparse.Namespace) -> int:
-    b, s = cons.gen_vertex_example(args.k)
+def _cmd_gen_example(gen, noun: str, args: argparse.Namespace) -> int:
+    """Write the point set B and the center grid S of a `noun` example."""
+    b, s = gen(args.k)
     Path(args.out_b).write_text(format_pointset_text(
-        b, header=f"vertex example points, level {args.k}"))
+        b, header=f"{noun} example points, level {args.k}"))
     Path(args.out_s).write_text(format_pointset_text(
-        s, header=f"vertex example centers, level {args.k}"))
-    _say(f"wrote {args.out_b} ({len(b)} points) and {args.out_s} ({len(s)} centers)")
-    return 0
-
-
-def _cmd_gen_boundary(args: argparse.Namespace) -> int:
-    b, s = cons.gen_boundary_example(args.k)
-    Path(args.out_b).write_text(format_pointset_text(
-        b, header=f"boundary example points, level {args.k}"))
-    Path(args.out_s).write_text(format_pointset_text(
-        s, header=f"boundary example centers, level {args.k}"))
+        s, header=f"{noun} example centers, level {args.k}"))
     _say(f"wrote {args.out_b} ({len(b)} points) and {args.out_s} ({len(s)} centers)")
     return 0
 
@@ -229,11 +215,8 @@ def _cmd_find_boundaries(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # verify / scan / measure
 
-_VERIFY_PARAMS = {"dk": ("k",), "an": ("p",), "boundary": ("k",), "countable": ("alpha", "K")}
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    params = {name: getattr(args, name) for name in _VERIFY_PARAMS[args.target]}
+    params = {name: getattr(args, name) for name in _VERIFY[args.target][0]}
     seed = getattr(args, "seed", None)  # only `verify an` samples
     checks = verify_construction(args.target, seed=seed, **params)
     if seed is not None and checks[0].sizes["exhaustive"]:
@@ -317,24 +300,24 @@ def build_parser() -> argparse.ArgumentParser:
     g = gen.add_parser("dk", help="level-k digit set")
     g.add_argument("--k", type=int, required=True)
     add_out(g)
-    g.set_defaults(func=_cmd_gen_dk)
+    g.set_defaults(func=partial(_cmd_gen_set, cons.gen_Dk, "k", "digit set, level"))
 
     g = gen.add_parser("an", help="depth-p interpolating set")
     g.add_argument("--p", type=int, required=True)
     add_out(g)
-    g.set_defaults(func=_cmd_gen_an)
+    g.set_defaults(func=partial(_cmd_gen_set, cons.gen_AN, "p", "interpolating set, depth"))
 
     g = gen.add_parser("vertex-example", help="square-vertex example (B, S)")
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--out-b", required=True, help="file for the point set B")
     g.add_argument("--out-s", required=True, help="file for the center grid S")
-    g.set_defaults(func=_cmd_gen_vertex)
+    g.set_defaults(func=partial(_cmd_gen_example, cons.gen_vertex_example, "vertex"))
 
     g = gen.add_parser("boundary-example", help="square-boundary example (B, S)")
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--out-b", required=True)
     g.add_argument("--out-s", required=True)
-    g.set_defaults(func=_cmd_gen_boundary)
+    g.set_defaults(func=partial(_cmd_gen_example, cons.gen_boundary_example, "boundary"))
 
     g = gen.add_parser("cantor", help="Cantor-type truncation (scaled integer sets)")
     g.add_argument("--s", required=True, help="dimension parameter, e.g. 2 or 8/5")
@@ -384,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="replay a construction's defining property"
                          ).add_subparsers(dest="target")
-    for target, names in _VERIFY_PARAMS.items():
+    for target, (names, _) in _VERIFY.items():
         v = ver.add_parser(target)
         for name in names:
             v.add_argument(f"--{name}", type=int, required=True)
@@ -394,8 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         v.set_defaults(func=_cmd_verify)
 
     sc = sub.add_parser("scan", help="size-law scan across a family")
-    sc.add_argument("--family", required=True,
-                    choices=("dk_vertex", "dk_boundary", "dk_size", "an_cover"))
+    sc.add_argument("--family", required=True, choices=_FAMILIES)
     sc.add_argument("--kmin", type=int, required=True)
     sc.add_argument("--kmax", type=int, required=True)
     sc.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -37,6 +37,8 @@ from .core_sets import (
     ParameterError,
     PointSet2D,
     RangeError,
+    _as_fraction,
+    make_intset,
     require_budget,
     unique_ints,
 )
@@ -87,8 +89,7 @@ def gen_Dk(k: int) -> IntSet1D:
         b + c * k + d * k**3,          # c = 0
         b + c * k + d * k**2,          # d = 0
     ]
-    values = unique_ints(np.concatenate(parts))
-    out = IntSet1D.from_sorted_array(values)
+    out = make_intset(np.concatenate(parts))
     # Containment in the ambient interval is a theorem; cheap to keep honest.
     assert -k**4 <= out.min() and out.max() <= 2 * k**4
     return out
@@ -258,21 +259,6 @@ def interpolation_level(n: int) -> int:
 # ---------------------------------------------------------------------------
 # Cantor-type truncations
 
-def _as_fraction(s: object) -> Fraction:
-    if isinstance(s, Fraction):
-        return s
-    if isinstance(s, int):
-        return Fraction(s)
-    if isinstance(s, str):
-        try:
-            return Fraction(s)
-        except (ValueError, ZeroDivisionError):
-            raise ParameterError(f"cannot parse {s!r} as an exact fraction") from None
-    if isinstance(s, tuple) and len(s) == 2:
-        return Fraction(s[0], s[1])
-    raise ParameterError(f"expected a fraction, got {type(s).__name__}")
-
-
 @dataclass(frozen=True)
 class CantorTruncation:
     """Depth-p truncation of the Cantor-type pair (A, T) at dimension s.
@@ -305,10 +291,6 @@ class CantorTruncation:
                      for k in range(1, self.depth + 1))
 
 
-def _level_index_set(k: int) -> IntSet1D:
-    return IntSet1D(range(k**4))
-
-
 def gen_cantor_truncation(s: object, p: int) -> CantorTruncation:
     """Build the depth-p truncation at dimension parameter s in (0, 2].
 
@@ -330,11 +312,8 @@ def gen_cantor_truncation(s: object, p: int) -> CantorTruncation:
         mults = {k: int(w * scale) for k, w in weights.items()}
         # Level 1 is {0} on both sides; it only matters through the lcm above.
         a_levels = [(mults[k], gen_Dk(k)) for k in range(2, p + 1)]
-        t_levels = [(mults[k], _level_index_set(k)) for k in range(2, p + 1)]
-        if p == 1:
-            zero = IntSet1D([0])
-            return CantorTruncation(s=s, depth=p, mode="exact", scale=scale,
-                                    a_set=zero, t_set=zero)
+        t_levels = [(mults[k], IntSet1D.from_sorted_array(np.arange(k**4)))
+                    for k in range(2, p + 1)]
         a_set = _sumset_levels(a_levels, f"depth-{p} scaled Cantor A side")
         t_set = _sumset_levels(t_levels, f"depth-{p} scaled Cantor T side")
         return CantorTruncation(s=s, depth=p, mode="exact", scale=scale,

@@ -7,6 +7,11 @@ radii travel in *doubled* coordinates (2x, 2y, 2r) so half-integer centers stay
 exact.  Real-valued constructions are scaled into integers before they reach
 this layer.
 
+Every set is built by one rule: one coordinate check (:func:`_coord_array`),
+a sort and deduplication unless the input is canonical already, and a frozen
+array that is copied only when it shares memory with the caller's array, so
+a fresh array (a parser's, a sort's) is kept as it is.
+
 The :class:`OccupancyGrid` is a dense 0/1 raster with prefix sums along both
 axes, so "is the whole boundary of this square occupied" is four subtractions
 and four comparisons, broadcast over arrays of centers and radii.  That test is
@@ -20,6 +25,7 @@ import io
 import math
 import os
 import warnings
+from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -113,24 +119,55 @@ def _check_coord(v: int) -> int:
     return v
 
 
-def _coord_array(values: Iterable[int]) -> np.ndarray:
-    """Integers as an int64 array, refused as :func:`_check_coord` refuses the
-    first bad one in iteration order."""
+def _as_fraction(s: object) -> Fraction:
+    if isinstance(s, Fraction):
+        return s
+    if isinstance(s, int):
+        return Fraction(s)
+    if isinstance(s, str):
+        try:
+            return Fraction(s)
+        except (ValueError, ZeroDivisionError):
+            raise ParameterError(f"cannot parse {s!r} as an exact fraction") from None
+    if isinstance(s, tuple) and len(s) == 2:
+        return Fraction(s[0], s[1])
+    raise ParameterError(f"expected a fraction, got {type(s).__name__}")
+
+
+def _coord_array(values: Iterable, width: int) -> np.ndarray:
+    """Integers (width 1) or (x, y) pairs (width 2) as an int64 array of shape
+    (N,) or (N, 2), refused as :func:`_check_coord` refuses the first bad
+    coordinate in iteration order (x before y)."""
     values = values if isinstance(values, np.ndarray) else list(values)
+    shape = (-1,) if width == 1 else (-1, width)
     try:
         arr = np.asarray(values)
     except (OverflowError, ValueError):
         arr = None
-    if (arr is None or arr.ndim != 1 or arr.dtype.kind not in "iu"
+    if (arr is None or arr.ndim != len(shape) or arr.shape[1:] != shape[1:]
+            or arr.dtype.kind not in "iu"
             or arr.size and (arr.max() > COORD_LIMIT or arr.min() < -COORD_LIMIT)):
         # only the scalar check names the first culprit
-        return np.array([_check_coord(v) for v in values], dtype=np.int64)
-    return arr.astype(np.int64)
+        rows = zip(values) if width == 1 else values
+        checked = [tuple(map(_check_coord, row)) for row in rows]
+        return np.array(checked, dtype=np.int64).reshape(len(checked), *shape[1:])
+    return arr.astype(np.int64, copy=False)
+
+
+def _frozen(arr: np.ndarray, given: object = None) -> np.ndarray:
+    """`arr` read-only, copied first if it shares memory with the caller's `given`."""
+    if isinstance(given, np.ndarray) and np.may_share_memory(arr, given):
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
 
 
 def unique_ints(values: np.ndarray) -> np.ndarray:
-    """``np.unique`` of an integer array as a sort and a neighbour mask, which
-    on numpy 2.4 is ~100x faster for millions of int64 keys."""
+    """The distinct values of an integer array, ascending: strictly increasing
+    1D input as is, anything else by a sort and a neighbour mask, which on
+    numpy 2.4 is ~100x faster than ``np.unique`` for millions of int64 keys."""
+    if values.ndim == 1 and np.all(values[1:] > values[:-1]):
+        return values
     out = np.sort(values, axis=None)
     if out.size > 1:
         out = out[np.concatenate(([True], out[1:] != out[:-1]))]
@@ -141,31 +178,35 @@ class IntSet1D:
     """A finite set of integers: one read-only, strictly increasing int64 array.
 
     Construct through :func:`make_intset` (which sorts and deduplicates) or
-    :meth:`from_sorted_array`, the fast path of the generators.
+    :meth:`from_sorted_array`, the strict constructor of the generators.
     """
 
     __slots__ = ("_arr",)
 
     def __init__(self, elems: Iterable[int]):
-        arr = _coord_array(elems)
-        if arr.size > 1 and not np.all(arr[1:] > arr[:-1]):
-            raise ParameterError(
-                "IntSet1D requires strictly increasing elements; "
-                "use make_intset() to sort and deduplicate")
-        arr.flags.writeable = False
-        self._arr = arr
+        arr = _coord_array(elems, 1)
+        if not np.all(arr[1:] > arr[:-1]):
+            raise ParameterError("IntSet1D requires strictly increasing elements; "
+                                 "use make_intset() to sort and deduplicate")
+        self._arr = _frozen(arr, elems)
 
     @classmethod
     def from_sorted_array(cls, arr: np.ndarray) -> "IntSet1D":
-        """Build from a strictly increasing int64 array without re-sorting."""
-        arr = np.array(arr, dtype=np.int64)
-        if arr.size and not np.all(arr[1:] > arr[:-1]):
+        """The set of a strictly increasing int64 array: one order check, one range check."""
+        values = np.asarray(arr, dtype=np.int64)
+        if not np.all(values[1:] > values[:-1]):
             raise ParameterError("array is not strictly increasing")
-        if arr.size and max(abs(int(arr[0])), abs(int(arr[-1]))) > COORD_LIMIT:
+        if values.size and max(abs(int(values[0])), abs(int(values[-1]))) > COORD_LIMIT:
             raise RangeError("array values exceed the supported magnitude 2**62")
-        arr.flags.writeable = False
         out = cls.__new__(cls)
-        out._arr = arr
+        out._arr = _frozen(values, arr)
+        return out
+
+    @classmethod
+    def _adopt(cls, values: Iterable[int], given: object = None) -> "IntSet1D":
+        """The set of the integers, its array copied only if it shares `given`'s."""
+        out = cls.__new__(cls)
+        out._arr = _frozen(unique_ints(_coord_array(values, 1)), given)
         return out
 
     @property
@@ -217,23 +258,7 @@ class IntSet1D:
 
 def make_intset(values: Iterable[int]) -> IntSet1D:
     """Sort, deduplicate, and validate integers into an :class:`IntSet1D`."""
-    return IntSet1D.from_sorted_array(unique_ints(_coord_array(values)))
-
-
-def _point_array(points: Iterable[tuple[int, int]]) -> np.ndarray:
-    """Pairs of integers as an (N, 2) int64 array, refused as :func:`_check_coord`
-    refuses the first bad coordinate in iteration order (x before y)."""
-    points = points if isinstance(points, np.ndarray) else list(points)
-    try:
-        arr = np.asarray(points)
-    except (OverflowError, ValueError):
-        arr = None
-    if (arr is None or arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu"
-            or arr.size and (arr.max() > COORD_LIMIT or arr.min() < -COORD_LIMIT)):
-        # only the scalar check names the first culprit
-        return np.array([(_check_coord(x), _check_coord(y)) for x, y in points],
-                        dtype=np.int64).reshape(-1, 2)
-    return arr.astype(np.int64, copy=False)
+    return IntSet1D._adopt(values, values)
 
 
 def _lex_unique_rows(rows: np.ndarray) -> np.ndarray:
@@ -280,19 +305,14 @@ class PointSet2D:
     __slots__ = ("_arr",)
 
     def __init__(self, points: Iterable[tuple[int, int]] | np.ndarray):
-        arr = _lex_unique_rows(_point_array(points))
-        if isinstance(points, np.ndarray) and np.may_share_memory(arr, points):
-            arr = arr.copy()  # never freeze or alias a caller's array
-        arr.flags.writeable = False
-        self._arr = arr
+        self._arr = _frozen(_lex_unique_rows(_coord_array(points, 2)), points)
 
     @classmethod
     def _adopt(cls, points: Iterable[tuple[int, int]] | np.ndarray) -> "PointSet2D":
         """The set of points, freezing an array that nothing else holds
         (a parser's fresh rows) in place of copying it."""
         out = cls.__new__(cls)
-        out._arr = _lex_unique_rows(_point_array(points))
-        out._arr.flags.writeable = False
+        out._arr = _frozen(_lex_unique_rows(_coord_array(points, 2)))
         return out
 
     @classmethod
@@ -490,7 +510,7 @@ def _parse_set(text: str, source: str, k: int, build):
 
 
 def parse_intset_text(text: str, *, source: str = "<string>") -> IntSet1D:
-    return _parse_set(text, source, 1, lambda rows: make_intset(
+    return _parse_set(text, source, 1, lambda rows: IntSet1D._adopt(
         rows[:, 0] if isinstance(rows, np.ndarray) else [v for v, in rows]))
 
 

@@ -21,13 +21,13 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .constructions import _as_fraction
 from .core_sets import (
     COORD_LIMIT,
     IntSet1D,
     ParameterError,
     PointSet2D,
     RangeError,
+    _as_fraction,
 )
 
 __all__ = [

@@ -193,7 +193,7 @@ def find_centers_1d(a: IntSet1D, mode: str = "enumerate") -> CenterRows | int:
     if mode not in ("enumerate", "count"):
         raise ParameterError(f"mode must be 'enumerate' or 'count', got {mode!r}")
     n = len(a)
-    require_budget(n, DEFAULT_FINDER_BUDGET, "a radii index")
+    require_budget(n, DEFAULT_FINDER_BUDGET, "the pair arrays of the set")
     # The pair count is a lower bound of the sweep estimate below.
     require_budget(n * (n - 1) // 2, DEFAULT_PAIR_BUDGET, "the common-radius pair sweep")
     if n < 2:

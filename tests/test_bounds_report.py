@@ -118,6 +118,21 @@ class TestVerifyConstruction:
         misses = verify_construction("dk", k=3)[0]
         assert misses.lhs == expected > 0
 
+    def test_dk_replay_counts_probes_past_the_range_as_misses(self, monkeypatch):
+        # radii bent by 40 send probes past [-81, 162]: each is a miss, and
+        # the replay counts exactly the centers a scalar walk finds
+        d3 = set(gen_Dk(3))
+        true = bounds_report.cons.witness_radii
+        def bent(x, y, k):
+            return true(x, y, k) + 40
+        expected = sum(
+            1 for x in range(81) for y in range(81)
+            if not {x - (r := int(bent(x, y, 3))), x + r, y - r, y + r} <= d3)
+        monkeypatch.setattr(bounds_report.cons, "witness_radii", bent)
+        misses, over_cap = verify_construction("dk", k=3)[:2]
+        assert misses.lhs == expected == 1791
+        assert not over_cap.ok
+
     def test_an_replay_counts_every_failed_probe(self, monkeypatch):
         # radii bent on every third column must miss exactly the centers a
         # scalar walk finds with one of its four probes outside A (53 of 256)
@@ -194,14 +209,19 @@ class TestVerifyConstruction:
         assert all(c.ok for c in verify_construction("dk", k=4))
 
     def test_unknown_name(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="unknown construction 'pentagon'; "
+                                                 "choose dk, an, boundary, or countable"):
             verify_construction("pentagon", k=2)
 
     def test_missing_parameters(self):
-        with pytest.raises(ParameterError):
-            verify_construction("dk")
-        with pytest.raises(ParameterError):
-            verify_construction("countable", alpha=1)
+        # every target of the verify table, with each needed parameter absent
+        for name, given, needs in [("dk", {"p": 2}, "k"), ("an", {"k": 2}, "p"),
+                                   ("boundary", {}, "k"),
+                                   ("countable", {}, "alpha and K"),
+                                   ("countable", {"alpha": 1}, "alpha and K"),
+                                   ("countable", {"K": 2}, "alpha and K")]:
+            with pytest.raises(ParameterError, match=f"^verify {name} needs {needs}$"):
+                verify_construction(name, **given)
 
 
 class TestFamilyScan:

@@ -244,6 +244,20 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "refusing to materialize" in err and "4,294,967,296" in err
 
+    def test_dk_with_a_bent_witness_fails_without_a_traceback(self, capsys, monkeypatch):
+        # probes past the membership table are misses, not an IndexError
+        import squarelab.constructions as cons
+        true = cons.witness_radii
+        monkeypatch.setattr(cons, "witness_radii", lambda x, y, k: true(x, y, k) + 40)
+        assert run("verify", "dk", "--k", "3") == 1
+        captured = capsys.readouterr()
+        rep = json.loads(captured.out)
+        assert [c["name"] for c in rep["checks"] if not c["ok"]] == [
+            "dk3_witness_misses", "dk3_radius_over_cap"]
+        assert captured.err.splitlines() == [
+            "FAILED dk3_witness_misses: lhs=1791 rhs=0",
+            "FAILED dk3_radius_over_cap: lhs=1539 rhs=0"]
+
     def test_failing_check_exits_1(self, capsys, monkeypatch):
         # no real construction fails, so fail the plumbing deliberately
         import squarelab.cli as cli_mod

@@ -25,6 +25,7 @@ from squarelab.core_sets import (
     _format_rows,
     _int_columns,
     budget_scale,
+    unique_ints,
     effective_budget,
     require_budget,
 )
@@ -115,6 +116,25 @@ class TestIntSet1D:
             s.min()
         with pytest.raises(RangeError):
             s.max()
+
+    @pytest.mark.parametrize("build, src", [
+        (IntSet1D, [1, 4, 9]), (IntSet1D.from_sorted_array, [1, 4, 9]),
+        (make_intset, [1, 4, 9]), (make_intset, [9, 1, 4, 1])])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_never_freezes_or_aliases_a_callers_array(self, build, src, dtype):
+        arr = np.array(src, dtype=dtype)
+        s = build(arr)
+        assert arr.flags.writeable and not np.may_share_memory(s.as_array(), arr)
+        arr[:] = 100
+        assert s.elems == (1, 4, 9) and not s.as_array().flags.writeable
+
+    def test_unique_ints_keeps_canonical_input(self):
+        arr = np.array([-3, 0, 9], dtype=np.int64)
+        assert unique_ints(arr) is arr
+        for arr in (np.array([], dtype=np.int64), np.array([5], dtype=np.int64)):
+            assert unique_ints(arr) is arr
+        assert unique_ints(np.array([9, 0, 0, -3])).tolist() == [-3, 0, 9]
+        assert unique_ints(np.array([[2, 1], [1, 0]])).tolist() == [0, 1, 2]
 
     def test_array_is_a_read_only_copy(self):
         src = np.array([1, 4, 9], dtype=np.int64)
@@ -428,6 +448,23 @@ class TestTextFormats:
             tracemalloc.stop()
         assert text.count("\n") == len(s) == 916_716
         assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_parse_intset_keeps_the_parsed_column(self):
+        # the set takes numpy's fresh column as it is: parsing A_4's text
+        # peaks within 10% of numpy's parse alone, where sorting, masking
+        # and copying the column again took it to 1.45x
+        s = gen_AN(4)
+        text = format_intset_text(s)
+        peaks = []
+        for parse in (lambda: _int_columns(text, 1), lambda: parse_intset_text(text)):
+            tracemalloc.start()
+            try:
+                out = parse()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert out == s and not out.as_array().flags.writeable
+        assert peaks[1] < 1.1 * peaks[0], peaks
 
     def test_parse_pointset_keeps_the_parsed_array(self):
         # the set takes numpy's fresh rows as they are: building it adds less

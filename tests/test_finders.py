@@ -77,7 +77,7 @@ class TestCenters1D:
 
     def test_budget_override(self, monkeypatch):
         monkeypatch.setenv("SQUARELAB_BUDGET", "0.001")  # 5 elements
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match="the pair arrays of the set"):
             find_centers_1d(make_intset(range(20)))
 
     def test_bad_mode(self):
