@@ -206,6 +206,8 @@ def _verify_dk(k: int) -> list[BoundCheck]:
 
 
 def _verify_an(p: int, seed: int | None, samples: int) -> list[BoundCheck]:
+    if seed is not None and seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed}")
     a = cons.gen_AN(p)
     n = cons.an_modulus(p)
 

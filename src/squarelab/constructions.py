@@ -134,7 +134,7 @@ def gen_vertex_example(k: int) -> tuple[PointSet2D, PointSet2D]:
     dset = gen_Dk(k)
     b_size, s_size = len(dset) ** 2, (k**4 - 1) ** 2
     require_budget(b_size + s_size, DEFAULT_ELEMENT_BUDGET, f"vertex example at level {k}")
-    grid = IntSet1D.from_sorted_array(np.arange(1, k**4))
+    grid = IntSet1D._adopt(np.arange(1, k**4))
     return PointSet2D.product(dset, dset), PointSet2D.product(grid, grid)
 
 
@@ -165,9 +165,9 @@ def gen_boundary_example(k: int) -> tuple[PointSet2D, PointSet2D]:
     on_strip = np.zeros(3 * k**4 + 1, dtype=bool)  # over the side [-k**4, 2k**4]
     on_strip[dset.as_array() - lo] = True
     xs, ys = np.nonzero(on_strip[:, None] | on_strip[None, :])  # in (x, y) order
-    b = PointSet2D(np.column_stack((xs + lo, ys + lo)))
+    b = PointSet2D._adopt(np.column_stack((xs + lo, ys + lo)))
     assert len(b) == b_size
-    grid = IntSet1D.from_sorted_array(np.arange(1, k**4))
+    grid = IntSet1D._adopt(np.arange(1, k**4))
     return b, PointSet2D.product(grid, grid)
 
 
@@ -199,7 +199,7 @@ def _sumset_levels(levels: Sequence[tuple[int, IntSet1D]], what: str) -> IntSet1
         pieces = [unique_ints(acc[i:i + step, None] + vals[None, :])
                   for i in range(0, acc.size, step)]
         acc = unique_ints(np.concatenate(pieces))
-    return IntSet1D.from_sorted_array(acc)
+    return IntSet1D._adopt(acc)
 
 
 def an_modulus(p: int) -> int:
@@ -312,8 +312,7 @@ def gen_cantor_truncation(s: object, p: int) -> CantorTruncation:
         mults = {k: int(w * scale) for k, w in weights.items()}
         # Level 1 is {0} on both sides; it only matters through the lcm above.
         a_levels = [(mults[k], gen_Dk(k)) for k in range(2, p + 1)]
-        t_levels = [(mults[k], IntSet1D.from_sorted_array(np.arange(k**4)))
-                    for k in range(2, p + 1)]
+        t_levels = [(mults[k], IntSet1D._adopt(np.arange(k**4))) for k in range(2, p + 1)]
         a_set = _sumset_levels(a_levels, f"depth-{p} scaled Cantor A side")
         t_set = _sumset_levels(t_levels, f"depth-{p} scaled Cantor T side")
         return CantorTruncation(s=s, depth=p, mode="exact", scale=scale,
@@ -412,10 +411,9 @@ def gen_countable_truncation(alpha: int, K: int) -> CountableTruncation:
             np.column_stack((np.repeat(off_x + lines, len(seg)), np.tile(seg, len(lines)))),
             np.column_stack((np.tile(off_x + seg, len(lines)), np.repeat(lines, len(seg))))))
         steps = factor * np.arange(n)
-        centers = PointSet2D.product(IntSet1D.from_sorted_array(off_x + steps),
-                                     IntSet1D.from_sorted_array(steps))
+        centers = PointSet2D.product(IntSet1D._adopt(off_x + steps), IntSet1D._adopt(steps))
         blocks.append(CountableBlock(k=k, n=n, factor=factor, offset=(off_x, 0),
-                                     centers=centers, boundary_set=PointSet2D(pts)))
+                                     centers=centers, boundary_set=PointSet2D._adopt(pts)))
     return CountableTruncation(alpha=alpha, K=K, scale=scale, blocks=tuple(blocks))
 
 

@@ -10,11 +10,11 @@ this layer.
 Every set is built by one rule: one coordinate check (:func:`_coord_array`),
 a sort and deduplication unless the input is canonical already, and a frozen
 array that is copied only when it shares memory with the caller's array, so
-a fresh array (a parser's, a sort's) is kept as it is.
+a fresh array (a parser's, a generator's, a sort's) is kept as it is.
 
-The :class:`OccupancyGrid` is a dense 0/1 raster with prefix sums along both
-axes, so "is the whole boundary of this square occupied" is four subtractions
-and four comparisons, broadcast over arrays of centers and radii.  That test is
+The :class:`OccupancyGrid` is a dense 0/1 raster with run lengths along both
+axes, so "is the whole boundary of this square occupied" is four lookups and
+four comparisons, broadcast over arrays of centers and radii.  That test is
 the inner loop of boundary-square detection, which is why it earns the memory
 it spends.
 """
@@ -36,8 +36,8 @@ import numpy as np
 COORD_LIMIT = 2**62
 
 # Default guards, each scaled by the SQUARELAB_BUDGET environment factor.
-DEFAULT_FINDER_BUDGET = 5_000        # max |A| of the 1D finder, |B| of the vertex pair scan
-DEFAULT_ELEMENT_BUDGET = 2_000_000   # max elements/points materialized by a generator
+DEFAULT_FINDER_BUDGET = 5_000        # max |A| of the 1D finder's pair arrays
+DEFAULT_ELEMENT_BUDGET = 2_000_000   # max elements/points a generator or the pair scan holds
 DEFAULT_GRID_CELLS = 4_500_000       # max occupancy-grid area (~2000 x 2000)
 DEFAULT_PAIR_BUDGET = 20_000_000     # max same-row pairs scanned by the vertex finder
 
@@ -177,8 +177,8 @@ def unique_ints(values: np.ndarray) -> np.ndarray:
 class IntSet1D:
     """A finite set of integers: one read-only, strictly increasing int64 array.
 
-    Construct through :func:`make_intset` (which sorts and deduplicates) or
-    :meth:`from_sorted_array`, the strict constructor of the generators.
+    Construct through :func:`make_intset` (which sorts and deduplicates) or the
+    strict constructor, which :meth:`from_sorted_array` calls under its own name.
     """
 
     __slots__ = ("_arr",)
@@ -192,15 +192,8 @@ class IntSet1D:
 
     @classmethod
     def from_sorted_array(cls, arr: np.ndarray) -> "IntSet1D":
-        """The set of a strictly increasing int64 array: one order check, one range check."""
-        values = np.asarray(arr, dtype=np.int64)
-        if not np.all(values[1:] > values[:-1]):
-            raise ParameterError("array is not strictly increasing")
-        if values.size and max(abs(int(values[0])), abs(int(values[-1]))) > COORD_LIMIT:
-            raise RangeError("array values exceed the supported magnitude 2**62")
-        out = cls.__new__(cls)
-        out._arr = _frozen(values, arr)
-        return out
+        """The set of a strictly increasing integer array, checked as the constructor checks."""
+        return cls(arr)
 
     @classmethod
     def _adopt(cls, values: Iterable[int], given: object = None) -> "IntSet1D":
@@ -310,7 +303,7 @@ class PointSet2D:
     @classmethod
     def _adopt(cls, points: Iterable[tuple[int, int]] | np.ndarray) -> "PointSet2D":
         """The set of points, freezing an array that nothing else holds
-        (a parser's fresh rows) in place of copying it."""
+        (a parser's or a generator's fresh rows) in place of copying it."""
         out = cls.__new__(cls)
         out._arr = _frozen(_lex_unique_rows(_coord_array(points, 2)))
         return out
@@ -318,7 +311,7 @@ class PointSet2D:
     @classmethod
     def product(cls, xs: IntSet1D, ys: IntSet1D) -> "PointSet2D":
         xa, ya = xs.as_array(), ys.as_array()
-        return cls(np.column_stack((np.repeat(xa, len(ya)), np.tile(ya, len(xa)))))
+        return cls._adopt(np.column_stack((np.repeat(xa, len(ya)), np.tile(ya, len(xa)))))
 
     def as_array(self) -> np.ndarray:
         return self._arr
@@ -336,12 +329,7 @@ class PointSet2D:
 
     def translate(self, dx: int, dy: int) -> "PointSet2D":
         dx, dy = _check_coord(dx), _check_coord(dy)
-        box = self.bbox()
-        if box is None or max(abs(box[0] + dx), abs(box[2] + dx),
-                              abs(box[1] + dy), abs(box[3] + dy)) > COORD_LIMIT:
-            # the constructor names the first coordinate out of range
-            return PointSet2D((x + dx, y + dy) for x, y in self)
-        return PointSet2D(self._arr + np.array([dx, dy], dtype=np.int64))
+        return PointSet2D((x + dx, y + dy) for x, y in self)
 
     def transpose(self) -> "PointSet2D":
         return PointSet2D(self._arr[:, ::-1])
@@ -378,13 +366,14 @@ class OccupancyGrid:
     """Dense membership raster over a bounding box with a four-sides test of
     whole square boundaries (:meth:`boundary_full`).
 
-    ``cells[i, j]`` covers the lattice point ``(x0 + i, y0 + j)``.  Two prefix
-    tables (cumulative along x and along y) turn "is every point of this side
-    occupied" into a subtraction and a comparison.  A square that leaves the
-    stored box is simply not full — never an error.
+    ``cells[i, j]`` covers the lattice point ``(x0 + i, y0 + j)``.  Two run
+    tables hold the number of consecutive occupied cells that end at each
+    cell, counting toward -x and toward -y, so "is every point of this side
+    occupied" is one lookup at the side's far end and a comparison.  A square
+    that leaves the stored box is simply not full — never an error.
     """
 
-    __slots__ = ("x0", "y0", "width", "height", "cells", "_px", "_py")
+    __slots__ = ("x0", "y0", "width", "height", "cells", "_runs")
 
     def __init__(self, x0: int, y0: int, cells: np.ndarray):
         if cells.ndim != 2 or cells.dtype != np.uint8:
@@ -393,13 +382,14 @@ class OccupancyGrid:
         self.y0 = y0
         self.width, self.height = cells.shape
         self.cells = cells
-        # int32 is enough: a prefix never exceeds the grid-cell budget.
-        px = np.zeros((self.width + 1, self.height), dtype=np.int32)
-        np.cumsum(cells, axis=0, dtype=np.int32, out=px[1:, :])
-        py = np.zeros((self.width, self.height + 1), dtype=np.int32)
-        np.cumsum(cells, axis=1, dtype=np.int32, out=py[:, 1:])
-        self._px = px
-        self._py = py
+        # The run ending at index i of an axis is i minus the last empty index
+        # at or before i (-1 if none); int32 holds any run the cell budget allows.
+        self._runs = []
+        for axis, idx in enumerate((np.arange(self.width, dtype=np.int32)[:, None],
+                                    np.arange(self.height, dtype=np.int32))):
+            run = np.where(cells.view(bool), np.int32(-1), idx)
+            np.maximum.accumulate(run, axis=axis, out=run)
+            self._runs.append(np.subtract(idx, run, out=run))
 
     @classmethod
     def from_points(cls, points: PointSet2D) -> "OccupancyGrid":
@@ -421,8 +411,8 @@ class OccupancyGrid:
         radius r >= 1 around the lattice center (sx, sy) is occupied,
         broadcast over integer arrays.
 
-        Each side is one prefix-sum difference; a square leaving the stored
-        box is not full (out of the box is empty space).
+        Each side is one run-length lookup at its far end; a square leaving
+        the stored box is not full (out of the box is empty space).
         """
         i = np.asarray(sx, dtype=np.int64) - self.x0
         j = np.asarray(sy, dtype=np.int64) - self.y0
@@ -431,11 +421,11 @@ class OccupancyGrid:
         if not full.all():
             i, j, r = (np.where(full, v, 0) for v in (i, j, r))
         n = 2 * r + 1
-        px, py = self._px, self._py
-        full &= px[i + r + 1, j + r] - px[i - r, j + r] == n  # top
-        full &= px[i + r + 1, j - r] - px[i - r, j - r] == n  # bottom
-        full &= py[i - r, j + r + 1] - py[i - r, j - r] == n  # left
-        full &= py[i + r, j + r + 1] - py[i + r, j - r] == n  # right
+        along_x, along_y = self._runs
+        full &= along_x[i + r, j + r] >= n  # top
+        full &= along_x[i + r, j - r] >= n  # bottom
+        full &= along_y[i - r, j + r] >= n  # left
+        full &= along_y[i + r, j + r] >= n  # right
         return full
 
 

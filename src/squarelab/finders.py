@@ -24,6 +24,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .core_sets import (
+    DEFAULT_ELEMENT_BUDGET,
     DEFAULT_FINDER_BUDGET,
     DEFAULT_GRID_CELLS,
     DEFAULT_PAIR_BUDGET,
@@ -276,7 +277,7 @@ def find_vertex_centers_2d(b: PointSet2D, mode: str = "enumerate") -> CenterRows
         return _vertex_centers_dense(b, mode)
     require_budget(scan, DEFAULT_PAIR_BUDGET, "the same-row pair scan")
     # the scan's membership set holds every point
-    require_budget(len(b), DEFAULT_FINDER_BUDGET, "a vertex-center scan")
+    require_budget(len(b), DEFAULT_ELEMENT_BUDGET, "a vertex-center scan")
     return _vertex_centers_sparse(b, mode)
 
 
@@ -284,9 +285,9 @@ def find_boundary_centers_2d(b: PointSet2D, r_max: int,
                              mode: str = "enumerate") -> CenterRows | int:
     """All (lattice center, radius) pairs whose full square boundary lies in B.
 
-    One vectorized pass per radius: four prefix-sum differences over the
-    occupancy grid decide "row/column segment completely occupied" for every
-    in-range center simultaneously.
+    One vectorized pass per radius: four run-length lookups in the occupancy
+    grid decide "row/column segment completely occupied" for every in-range
+    center simultaneously.
     """
     if mode not in ("enumerate", "count"):
         raise ParameterError(f"mode must be 'enumerate' or 'count', got {mode!r}")

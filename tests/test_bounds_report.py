@@ -155,6 +155,15 @@ class TestVerifyConstruction:
         assert "an3_witness_misses" in names
         assert "an3_cover_scale3" in names
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_an_refuses_a_negative_seed_before_any_work(self, p, monkeypatch):
+        # the exhaustive p = 2 draws nothing, yet the seed is refused as well
+        def no_work(p):
+            raise AssertionError("gen_AN ran")
+        monkeypatch.setattr(bounds_report.cons, "gen_AN", no_work)
+        with pytest.raises(ParameterError, match="seed must be a non-negative integer, got -1"):
+            verify_construction("an", p=p, seed=-1)
+
     def test_an_sampling_is_seeded(self):
         a = verify_construction("an", p=3, samples=500, seed=1)
         b = verify_construction("an", p=3, samples=500, seed=1)

@@ -147,6 +147,16 @@ class TestFind:
         assert out == "1109548\n"
         assert json.loads(err)["centers"] == 1_109_548
 
+    def test_vertices_countable_block1_default_budget(self, tmp_path, capsys):
+        # 18,675 points in a 673 x 673 box: the same-row pair scan
+        d = tmp_path / "ct"
+        assert run("gen", "countable", "--alpha", "1", "--K", "3", "--out-dir", str(d)) == 0
+        capsys.readouterr()
+        assert run("find", "vertices", "--in", str(d / "block1_b.txt"), "--count") == 0
+        out, err = capsys.readouterr()
+        assert out == "32159\n"
+        assert json.loads(err)["centers"] == 32_159
+
     def test_vertices(self, tmp_path, capsys):
         f = tmp_path / "b.txt"
         f.write_text("0 0\n2 0\n0 2\n2 2\n1 5\n")
@@ -221,6 +231,13 @@ class TestVerify:
         rep = json.loads(capsys.readouterr().out)
         assert rep["seed"] is None
         assert rep["checks"][0]["sizes"]["exhaustive"] == 1
+
+    @pytest.mark.parametrize("p", ["2", "3"])
+    def test_an_negative_seed_exits_2(self, p, capsys):
+        assert run("verify", "an", "--p", p, "--seed", "-1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be a non-negative integer, got -1\n"
 
     @pytest.mark.parametrize("argv", [("dk", "--k", "2"), ("boundary", "--k", "2"),
                                       ("countable", "--alpha", "1", "--K", "2")])

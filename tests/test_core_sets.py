@@ -99,6 +99,11 @@ class TestIntSet1D:
         arr = np.array([-3, 0, 9], dtype=np.int64)
         assert IntSet1D.from_sorted_array(arr) == make_intset([9, -3, 0])
 
+    @pytest.mark.parametrize("floats", [[0.5, 1.9], np.array([0.5, 1.9])])
+    def test_from_sorted_array_refuses_floats_as_the_constructor(self, floats):
+        with pytest.raises(ParameterError, match="got float"):
+            IntSet1D.from_sorted_array(floats)
+
     def test_as_array_roundtrip(self):
         s = make_intset(range(-5, 6))
         assert IntSet1D.from_sorted_array(s.as_array()) == s

@@ -231,9 +231,11 @@ class TestBudgets:
         b, _ = gen_vertex_example(3)
         assert find_vertex_centers_2d(b, "count") == 105_542
 
-    def test_spread_vertices_over_the_point_guard_refuse_before_the_scan(self):
+    def test_spread_vertices_over_the_point_guard_refuse_before_the_scan(self, monkeypatch):
         # one point per row and a box far over the grid-cell budget: the pair
         # scan's estimate passes, its membership set of 5,001 points does not
+        # (the scale leaves an element budget of 5,000 and 50,000 pairs)
+        monkeypatch.setenv("SQUARELAB_BUDGET", "0.0025")
         b = PointSet2D([(1000 * i, i) for i in range(5_001)])
         start = time.perf_counter()
         with pytest.raises(BudgetError, match="vertex-center scan"):
