@@ -9,9 +9,9 @@ import os
 # busy-waits for up to 2**28 cycles before it sleeps: ~50 ms of CPU per
 # process that makes no BLAS call at all, and every CLI run is a fresh
 # process.  A timeout of 4 (2**4 cycles) puts idle workers to sleep at once
-# and keeps the pool for the one BLAS product (finders._centers_1d_dense).
-# It must be set before numpy is first imported; a value already set wins,
-# and numpy builds without OpenBLAS ignore it.
+# and keeps the pool for the one BLAS kernel, the strip products of
+# finders._join_dense.  It must be set before numpy is first imported; a
+# value already set wins, and numpy builds without OpenBLAS ignore it.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 from .core_sets import (

@@ -508,7 +508,7 @@ def parse_pointset_text(text: str, *, source: str = "<string>") -> PointSet2D:
     return _parse_set(text, source, 2, PointSet2D._adopt)
 
 
-_FORMAT_BLOCK = 2**16                                  # values per output buffer
+_FORMAT_BLOCK = 2**14                                  # values per output buffer
 _POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)      # 10 .. 10**19
 
 
@@ -516,7 +516,7 @@ def _format_rows(rows: np.ndarray, header: str | None = None) -> str:
     """Each row of an (N, k) int64 array as one line of space-separated
     decimals, LF-terminated, after a '# header' line when one is given.
 
-    Blocks of about 2**16 values are written into one uint8 buffer each: the
+    Blocks of about 2**14 values are written into one uint8 buffer each: the
     digit count of every value comes from a search over the powers of ten,
     then each pass writes one digit position of the values that have it.
     """

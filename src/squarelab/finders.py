@@ -10,11 +10,16 @@ stay exact integers:
   discrete square boundary (the Chebyshev sphere of radius r, 8r points)
   lies in B.
 
-1D and vertex search each pick a dense or a sparse kernel from cost estimates
-made before either allocates: a float32 product of a 0/1 midpoint-by-radius
-matrix or a sort-and-group of pairs by radius for 1D, a per-width raster sweep
-or a same-row pair scan for vertices; boundaries use per-radius raster sweeps.
-Budget guards refuse pathological inputs instead of hanging.
+1D and vertex search rest on one identity: a square with its four vertices in
+X x Y is a pair of X and a pair of Y that share a radius, and its doubled
+center is their two doubled midpoints; a 1D set A is the case X = Y = A.  The
+dense common-radius join reads this off 0/1 occupancy vectors, as float32
+products of midpoint-by-radius matrices computed one strip of rows at a time.
+1D search takes it or a sort-and-group of all pairs by radius; vertex search
+takes it for product sets and otherwise a per-width raster sweep or a same-row
+pair scan.  Each pick is made from cost estimates before any kernel allocates.
+Boundaries use per-radius raster sweeps.  Budget guards refuse pathological
+inputs instead of hanging.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core_sets import (
     DEFAULT_ELEMENT_BUDGET,
@@ -36,6 +42,7 @@ from .core_sets import (
     effective_budget,
     require_budget,
     unique_ints,
+    _frozen,
     _lex_contains,
     _lex_unique_rows,
 )
@@ -57,16 +64,24 @@ class CenterRows:
     """What a finder enumerates: one read-only int64 array of distinct rows in
     lexicographic order, (X, Y) per center or (X, Y, R) per boundary witness.
 
-    Built from its columns.  Iteration yields :class:`DoubledPoint` or
+    Built from its columns, or adopted whole by the finders that make the rows
+    themselves.  Iteration yields :class:`DoubledPoint` or
     :class:`CenterWitness` values one at a time, in ascending order.
     """
 
     __slots__ = ("_rows",)
 
     def __init__(self, *columns):
-        rows = _lex_unique_rows(np.column_stack(columns).astype(np.int64, copy=False))
-        rows.flags.writeable = False
-        self._rows = rows
+        self._rows = _frozen(_lex_unique_rows(
+            np.column_stack(columns).astype(np.int64, copy=False)))
+
+    @classmethod
+    def _adopt(cls, rows: np.ndarray) -> "CenterRows":
+        """The rows of a fresh (N, k) int64 array that nothing else holds,
+        frozen in place of copying them; sorted only if not in order yet."""
+        out = cls.__new__(cls)
+        out._rows = _frozen(_lex_unique_rows(rows))
+        return out
 
     def as_array(self) -> np.ndarray:
         return self._rows
@@ -109,41 +124,111 @@ def _runs(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.diff(np.append(starts, len(sorted_keys)))
 
 
-def _pairs_1d(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Doubled midpoints a_i + a_j and doubled radii a_j - a_i of all i < j,
-    ordered by i, so by ascending midpoint within one radius."""
-    mid = np.empty(len(a) * (len(a) - 1) // 2, dtype=np.int64)
-    rad = np.empty_like(mid)
+def _pairs_1d(a: np.ndarray, *ops) -> list[np.ndarray]:
+    """One array per ufunc of op(a_j, a_i) over all i < j, ordered by i: with
+    np.add and np.subtract, the doubled midpoints and doubled radii of the
+    pairs, by ascending midpoint within one radius."""
+    cols = [np.empty(len(a) * (len(a) - 1) // 2, dtype=np.int64) for _ in ops]
     end = 0
     for i in range(len(a) - 1):
         start, end = end, end + len(a) - 1 - i
-        np.add(a[i + 1:], a[i], out=mid[start:end])
-        np.subtract(a[i + 1:], a[i], out=rad[start:end])
-    return mid, rad
+        for op, col in zip(ops, cols):
+            op(a[i + 1:], a[i], out=col[start:end])
+    return cols
 
 
-def _centers_1d_dense(a: np.ndarray, mode: str) -> CenterRows | int:
-    """Nonzeros of M @ M.T for the 0/1 matrix M[midpoint, radius], split into
-    its even and odd block (a center and its radius share a parity)."""
-    mid, rad = _pairs_1d(a - a[0])
-    rows, cols = int(a[-1] - a[0]), int(a[-1] - a[0]) // 2 + 1  # one parity block
+def _radius_counts(a: np.ndarray) -> np.ndarray:
+    """c[d] = the number of pairs of A at distance d, for d = 0 .. max A - min A,
+    by one exact integer autocorrelation of the occupancy vector."""
+    f = np.zeros(int(a[-1] - a[0]) + 1, dtype=np.int64)
+    f[a - a[0]] = 1
+    return np.correlate(f, f, "full")[len(f) - 1:]
+
+
+def _join_plan(xs: np.ndarray, ys: np.ndarray) -> tuple[bool, int | None]:
+    """Whether the dense join of X and Y pays, and its sparse cost: the sum over
+    radii r > 0 of c_X(r) * c_Y(r), the midpoint pairs that share a radius.
+
+    The cost is read off the occupancy vectors when each span squared fits the
+    grid budget, which also bounds the dense join's matrices, and when the
+    cost's upper bound still lets the dense join pay; otherwise the dense join
+    is out and the cost is None.
+    """
+    spans = int(xs[-1] - xs[0]), int(ys[-1] - ys[0])
+    dense = 2 * spans[0] * spans[1] * (min(spans) // 2 + 1)  # as in the dense join
+    # the cost is at most the pairs of X times |Y| - 1, since no radius has
+    # more than |Y| - 1 pairs in Y
+    most = len(xs) * (len(xs) - 1) // 2 * (len(ys) - 1)
+    if (max(spans) ** 2 > effective_budget(DEFAULT_GRID_CELLS)
+            or dense >= DENSE_1D_RATIO * most):
+        return False, None
+    common = min(spans) + 1  # the radii both sets can have, and 0
+    cx = _radius_counts(xs)[1:common]
+    cy = cx if np.array_equal(xs, ys) else _radius_counts(ys)[1:common]
+    sweep = int(np.dot(cx, cy))
+    return dense < DENSE_1D_RATIO * sweep, sweep
+
+
+# float32 cells of one strip of the dense join's product
+_STRIP_CELLS = 2**18
+
+
+def _radius_matrix(a: np.ndarray, parity: int, cols: int) -> np.ndarray:
+    """M[u, c] = f[u - c] & f[u + c + parity] over the occupancy vector f of
+    A - min A, as float32: the pair at doubled midpoint 2u + parity and doubled
+    radius 2c + parity.  One row per u in 0 .. max A - min A."""
+    rows = int(a[-1] - a[0]) + 1
+    f = np.zeros(rows + 2 * cols, dtype=bool)  # cols empty cells either side
+    f[a - a[0] + cols] = True
+    win = sliding_window_view(f, cols)  # win[s, j] = f[s + j - cols]
+    m = np.logical_and(win[1:rows + 1, ::-1], win[cols + parity:cols + parity + rows],
+                       out=np.empty((rows, cols), dtype=np.float32))
+    if parity == 0:
+        m[:, 0] = 0  # radius 0 is no square
+    return m
+
+
+def _join_dense(xs: np.ndarray, ys: np.ndarray, mode: str) -> CenterRows | int:
+    """Doubled centers (X, Y) with a radius shared by a pair of X with midpoint
+    X and a pair of Y with midpoint Y: the nonzeros of M_X @ M_Y.T per parity
+    (a center and its radius share one), one strip of rows at a time.
+
+    With X = Y (the 1D finder) a count needs only the strips on and right of
+    the diagonal.  Enumerated centers are marked in one bool raster whose
+    nonzeros come out in lexicographic order.
+    """
+    rows_x, rows_y = int(xs[-1] - xs[0]) + 1, int(ys[-1] - ys[0]) + 1
+    cols = (min(rows_x, rows_y) - 1) // 2 + 1  # the radii both sets can have
     assert cols < 2**24  # so float32 holds every sum of `cols` 0/1 products exactly
-    count, xs, ys = 0, [], []
+    same = np.array_equal(xs, ys)
+    marks = None if mode == "count" else np.zeros((2 * rows_x, 2 * rows_y), dtype=bool)
+    count = 0
     for parity in (0, 1):
-        m = np.zeros((rows, cols), dtype=np.float32)
-        sel = rad % 2 == parity
-        m[mid[sel] // 2, rad[sel] // 2] = 1
-        product = m @ m.T
-        if mode == "count":
-            count += int(np.count_nonzero(product))
-        else:
-            u, v = np.nonzero(product)
-            xs.append(2 * u + parity)
-            ys.append(2 * v + parity)
-    if mode == "count":
+        mx = _radius_matrix(xs, parity, cols)
+        my = mx if same else _radius_matrix(ys, parity, cols)
+        step = max(1, _STRIP_CELLS // rows_y)
+        for i0 in range(0, rows_x, step):
+            strip = mx[i0:i0 + step]
+            if marks is not None:
+                marks[2 * i0 + parity:2 * (i0 + step):2, parity::2] = strip @ my.T
+            elif same:  # the block left of the diagonal mirrors one above it
+                block = strip @ my[i0:].T
+                count += (2 * int(np.count_nonzero(block))
+                          - int(np.count_nonzero(block[:, :step])))
+            else:
+                count += int(np.count_nonzero(strip @ my.T))
+        del mx, my  # one parity's matrices alive at a time
+    if marks is None:
         return count
-    shift = 2 * int(a[0])
-    return CenterRows(np.concatenate(xs) + shift, np.concatenate(ys) + shift)
+    found = np.empty((int(np.count_nonzero(marks)), 2), dtype=np.int64)
+    end, step = 0, max(1, _STRIP_CELLS // marks.shape[1])
+    for i0 in range(0, len(marks), step):
+        flat = np.flatnonzero(marks[i0:i0 + step])
+        start, end = end, end + len(flat)
+        np.divmod(flat, marks.shape[1], out=(found[start:end, 0], found[start:end, 1]))
+        found[start:end, 0] += i0
+    found += (2 * int(xs[0]), 2 * int(ys[0]))
+    return CenterRows._adopt(found)
 
 
 def _centers_1d_sparse(a: np.ndarray, mode: str) -> CenterRows | int:
@@ -154,7 +239,7 @@ def _centers_1d_sparse(a: np.ndarray, mode: str) -> CenterRows | int:
     """
     # Arrays of all pairs dominate the memory held: reorder them one at a
     # time and drop each as soon as it is used up.
-    mid, rad = _pairs_1d(a)
+    mid, rad = _pairs_1d(a, np.add, np.subtract)
     order = np.argsort(rad, kind="stable")
     mid = mid[order]
     rad = rad[order]
@@ -200,15 +285,15 @@ def find_centers_1d(a: IntSet1D, mode: str = "enumerate") -> CenterRows | int:
     if n < 2:
         return 0 if mode == "count" else CenterRows([], [])
     arr = a.as_array()
-    rad = _pairs_1d(arr)[1]
-    rad.sort()
-    sizes = _runs(rad)[1]
-    sweep = int(np.dot(sizes, sizes))
-    del rad, sizes
-    rows, cols = a.max() - a.min(), (a.max() - a.min()) // 2 + 1  # as in the dense kernel
-    if (rows * rows <= effective_budget(DEFAULT_GRID_CELLS)
-            and 2 * rows * rows * cols < DENSE_1D_RATIO * sweep):
-        return _centers_1d_dense(arr, mode)
+    dense, sweep = _join_plan(arr, arr)
+    if dense:
+        return _join_dense(arr, arr, mode)
+    if sweep is None:  # the radii of all pairs, sorted into runs
+        rad, = _pairs_1d(arr, np.subtract)
+        rad.sort()
+        sizes = _runs(rad)[1]
+        sweep = int(np.dot(sizes, sizes))
+        del rad, sizes
     require_budget(sweep, DEFAULT_PAIR_BUDGET, "the common-radius pair sweep")
     return _centers_1d_sparse(arr, mode)
 
@@ -271,14 +356,23 @@ def find_vertex_centers_2d(b: PointSet2D, mode: str = "enumerate") -> CenterRows
     w, h, m = xmax - xmin + 1, ymax - ymin + 1, min(xmax - xmin, ymax - ymin)
     # sweep = sum of (w - s) * (h - s) over the widths s = 1..m
     sweep = m * w * h - (w + h) * m * (m + 1) // 2 + m * (m + 1) * (2 * m + 1) // 6
-    row_sizes = _runs(np.sort(b.as_array()[:, 1]))[1]
+    pts = b.as_array()
+    ys = np.sort(pts[:, 1])
+    row_starts, row_sizes = _runs(ys)
     scan = int(np.dot(row_sizes, row_sizes))
-    if w * h <= effective_budget(DEFAULT_GRID_CELLS) and sweep < DENSE_VERTEX_RATIO * scan:
-        return _vertex_centers_dense(b, mode)
-    require_budget(scan, DEFAULT_PAIR_BUDGET, "the same-row pair scan")
-    # the scan's membership set holds every point
-    require_budget(len(b), DEFAULT_ELEMENT_BUDGET, "a vertex-center scan")
-    return _vertex_centers_sparse(b, mode)
+    raster = w * h <= effective_budget(DEFAULT_GRID_CELLS) and sweep < DENSE_VERTEX_RATIO * scan
+    if not raster:
+        require_budget(scan, DEFAULT_PAIR_BUDGET, "the same-row pair scan")
+        # the scan's membership set holds every point
+        require_budget(len(b), DEFAULT_ELEMENT_BUDGET, "a vertex-center scan")
+    # B = X x Y exactly when it has |X| * |Y| points: its squares are the
+    # common-radius join of X and Y
+    x_starts = _runs(pts[:, 0])[0]
+    if len(x_starts) * len(row_starts) == len(b):
+        xs, ys = pts[x_starts, 0], ys[row_starts]
+        if _join_plan(xs, ys)[0]:
+            return _join_dense(xs, ys, mode)
+    return (_vertex_centers_dense if raster else _vertex_centers_sparse)(b, mode)
 
 
 def find_boundary_centers_2d(b: PointSet2D, r_max: int,
@@ -310,5 +404,5 @@ def find_boundary_centers_2d(b: PointSet2D, r_max: int,
         found.append(np.column_stack((u + grid.x0 + r, v + grid.y0 + r, np.full(len(u), r))))
     if mode == "count":
         return count
-    return CenterRows(*(2 * np.concatenate(found)).T)
+    return CenterRows._adopt(2 * np.concatenate(found))
 

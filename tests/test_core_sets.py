@@ -22,6 +22,7 @@ from squarelab import (
 )
 from squarelab.core_sets import (
     COORD_LIMIT,
+    _FORMAT_BLOCK,
     _format_rows,
     _int_columns,
     budget_scale,
@@ -433,8 +434,8 @@ class TestTextFormats:
     @settings(max_examples=40, deadline=None)
     def test_format_rows_matches_percent_d(self, k, shift, across_blocks, values):
         pool = np.array(values + DIGIT_EDGES, dtype=np.int64)
-        # short arrays, or lengths that straddle the 2**16-value output block
-        n = max(0, (2**16 // k if across_blocks else len(pool) // k) + shift)
+        # short arrays, or lengths that straddle the formatter's output block
+        n = max(0, (_FORMAT_BLOCK // k if across_blocks else len(pool) // k) + shift)
         rows = np.resize(pool, (n, k))
         text = _format_rows(rows)
         assert text == "" if n == 0 else text.endswith("\n")

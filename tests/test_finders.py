@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,10 +20,11 @@ from squarelab import (
     gen_vertex_example,
     make_intset,
 )
+from squarelab import finders
 from squarelab.finders import (
     CenterRows,
-    _centers_1d_dense,
     _centers_1d_sparse,
+    _join_dense,
     _vertex_centers_dense,
     _vertex_centers_sparse,
 )
@@ -179,17 +181,44 @@ class TestBoundaryCenters2D:
         assert set(find_boundary_centers_2d(PointSet2D([]), 3)) == set()
 
 
+def _join_1d(a, mode):
+    return _join_dense(a, a, mode)
+
+
+# strip sizes of the dense join: one row per strip, a few rows, one strip
+STRIPS = st.one_of(st.just(1), st.integers(2, 64), st.just(2**18))
+
+
 class TestBackendsAgree:
     """Dense and sparse kernels against each other and the naive oracles."""
 
-    @given(st.sets(st.integers(-30, 30), min_size=2, max_size=16))
+    @given(st.sets(st.integers(-30, 30), min_size=2, max_size=16), STRIPS)
     @settings(max_examples=80, deadline=None)
-    def test_centers_1d(self, vals):
+    def test_centers_1d(self, vals, strip):
         a = make_intset(vals).as_array()
         expected = oracle_centers_1d(vals)
-        for kernel in (_centers_1d_dense, _centers_1d_sparse):
-            assert {(p.X, p.Y) for p in kernel(a, "enumerate")} == expected
-            assert kernel(a, "count") == len(expected)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(finders, "_STRIP_CELLS", strip)
+            for kernel in (_join_1d, _centers_1d_sparse):
+                found = kernel(a, "enumerate")
+                assert {(p.X, p.Y) for p in found} == expected
+                assert list(found) == sorted(found)
+                assert kernel(a, "count") == len(expected)
+
+    @given(st.sets(st.integers(-12, 9), min_size=1, max_size=6),
+           st.sets(st.integers(-3, 25), min_size=1, max_size=6), STRIPS)
+    @settings(max_examples=80, deadline=None)
+    def test_join_of_a_product(self, xs, ys, strip):
+        # X != Y in general, with unequal spans and a common radius range
+        # set by the shorter one
+        x, y = make_intset(xs), make_intset(ys)
+        expected = oracle_vertex_centers_2d(PointSet2D.product(x, y).points)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(finders, "_STRIP_CELLS", strip)
+            found = _join_dense(x.as_array(), y.as_array(), "enumerate")
+            assert {(p.X, p.Y) for p in found} == expected
+            assert list(found) == sorted(found)
+            assert _join_dense(x.as_array(), y.as_array(), "count") == len(expected)
 
     @given(st.sets(st.tuples(st.integers(-6, 8), st.integers(-4, 10)),
                    min_size=1, max_size=45))
@@ -205,9 +234,62 @@ class TestBackendsAgree:
 
     def test_paper_examples(self):
         d3 = gen_Dk(3).as_array()
-        assert _centers_1d_dense(d3, "count") == _centers_1d_sparse(d3, "count") == 105_542
+        assert _join_1d(d3, "count") == _centers_1d_sparse(d3, "count") == 105_542
+        assert _join_1d(d3, "enumerate") == _centers_1d_sparse(d3, "enumerate")
         b, _ = gen_vertex_example(2)
         assert _vertex_centers_dense(b, "enumerate") == _vertex_centers_sparse(b, "enumerate")
+
+
+def _spy_join(monkeypatch):
+    """Record each call of the dense join that find_vertex_centers_2d makes."""
+    calls = []
+
+    def spy(xs, ys, mode):
+        calls.append(mode)
+        return _join_dense(xs, ys, mode)
+
+    monkeypatch.setattr(finders, "_join_dense", spy)
+    return calls
+
+
+class TestProductDispatch:
+    """Product sets X x Y take the common-radius join; every other set keeps
+    the raster sweep or the pair scan."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_products_take_the_join(self, monkeypatch, seed):
+        # 6 x 8 points, X != Y, spans up to 10 and 16: small enough for the oracle,
+        # dense enough for the join
+        rng = np.random.default_rng(300 + seed)
+        x = make_intset(rng.choice(11, size=6, replace=False) - 5)
+        y = make_intset(rng.choice(17, size=8, replace=False) + 3)
+        b = PointSet2D.product(x, y)
+        calls = _spy_join(monkeypatch)
+        expected = oracle_vertex_centers_2d(b.points)
+        assert {(p.X, p.Y) for p in find_vertex_centers_2d(b)} == expected
+        assert find_vertex_centers_2d(b, "count") == len(expected)
+        assert calls == ["enumerate", "count"]
+
+    @given(st.sets(st.integers(-8, 8), min_size=2, max_size=5),
+           st.sets(st.integers(0, 20), min_size=2, max_size=5), st.integers(0, 24))
+    @settings(max_examples=60, deadline=None)
+    def test_near_products_keep_the_old_kernels(self, xs, ys, drop):
+        # one point removed: no longer a product, so no join
+        pts = sorted(PointSet2D.product(make_intset(xs), make_intset(ys)))
+        del pts[drop % len(pts)]
+        b = PointSet2D(pts)
+        expected = oracle_vertex_centers_2d(pts)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _spy_join(mp)
+            assert {(p.X, p.Y) for p in find_vertex_centers_2d(b)} == expected
+            assert find_vertex_centers_2d(b, "count") == len(expected)
+        assert calls == []
+
+    def test_vertex_example_k4_is_counted_by_the_join(self, monkeypatch):
+        b, _ = gen_vertex_example(4)
+        calls = _spy_join(monkeypatch)
+        assert find_vertex_centers_2d(b, "count") == 1_109_548
+        assert calls == ["count"]
 
 
 class TestBudgets:
@@ -220,6 +302,33 @@ class TestBudgets:
         with pytest.raises(BudgetError, match="common-radius pair sweep"):
             find_centers_1d(a, "count")
         assert time.perf_counter() - start < 1.0
+
+    def test_dense_1d_memory_is_set_by_the_strip(self):
+        # the join holds one parity's midpoint-by-radius matrix and one strip
+        # of its product: no pair arrays and no rows x rows product, which
+        # peaked at 9.3 MiB for the D_4 count and 10.7 MiB for D_3's rows
+        for k, mode, limit in ((4, "count", 3), (3, "enumerate", 5)):
+            d = gen_Dk(k)
+            tracemalloc.start()
+            try:
+                found = find_centers_1d(d, mode)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (found if mode == "count" else len(found)) == (1_109_548, 105_542)[k - 4]
+            assert peak < limit * 2**20, f"D_{k} {mode}: peak {peak / 2**20:.1f} MiB"
+
+    def test_wide_sparse_1d_skips_the_occupancy_counts(self, monkeypatch):
+        # 300 elements over a span of ~20,000: the dense join cannot pay
+        # whatever the radii, so no O(span**2) autocorrelation runs (0.26 s
+        # of a 0.31 s count under this budget when it did)
+        monkeypatch.setenv("SQUARELAB_BUDGET", "100")
+        rng = np.random.default_rng(1)
+        a = make_intset(rng.choice(20_001, size=300, replace=False).tolist())
+        expected = _centers_1d_sparse(a.as_array(), "count")
+        monkeypatch.setattr(finders, "_radius_counts",
+                            lambda arr: pytest.fail("occupancy counts of a sparse set"))
+        assert find_centers_1d(a, "count") == expected
 
     def test_dense_1d_runs_past_the_pair_budget(self):
         # D_4 has 104,464,421 same-radius midpoint pairs, five times the pair
