@@ -19,7 +19,8 @@ from __future__ import annotations
 import datetime as _dt
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -166,7 +167,20 @@ def family_scan(family: str, k_range: Iterable[int]) -> ExponentReport:
 # ---------------------------------------------------------------------------
 # Construction verification (replay of the defining properties)
 
-_CHUNK_CELLS = 2**20  # radius-table cells per block: the replay's memory bound
+_CHUNK_CELLS = 2**16  # radius-table cells per block: the replay's memory bound
+
+
+def _lookup(s: IntSet1D) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
+    """Membership in a non-empty set as `hit(cells)` over the cells of a
+    boolean table over [min - 1, max + 1], and the offset o that puts a value
+    v at cell v - o.  A cell outside the table reads the False cell past
+    that end: a miss."""
+    arr = s.as_array()
+    o = int(arr[0]) - 1
+    table = np.zeros(int(arr[-1]) - o + 2, dtype=bool)
+    for i in range(0, arr.size, _CHUNK_CELLS):
+        table[arr[i:i + _CHUNK_CELLS] - o] = True
+    return partial(table.take, mode="clip"), o
 
 
 def _verify_dk(k: int) -> list[BoundCheck]:
@@ -174,19 +188,14 @@ def _verify_dk(k: int) -> list[BoundCheck]:
 
     Counts the k**8 centers against the pair budget first, then builds the
     radius table r(x, y) a block of rows at a time and checks the four
-    shifted memberships through a boolean lookup over [-k**4, 2k**4] with a
-    False cell past each end, which a probe outside the range reads: a miss.
+    shifted memberships through a boolean lookup of D_k.
     """
     n = k**4
     require_budget(n * n, DEFAULT_PAIR_BUDGET, f"the witness replay at level {k}")
     dset = cons.gen_Dk(k)
-    mem = np.zeros(3 * n + 3, dtype=bool)
-    mem[dset.as_array() + n + 1] = True
-    def hit(cells: np.ndarray) -> np.ndarray:
-        return np.take(mem, cells, mode="clip")
-
+    hit, o = _lookup(dset)
     ys = np.arange(n, dtype=np.int64)
-    at = ys + (n + 1)  # the lookup cell of each coordinate
+    at = ys - o  # the lookup cell of each coordinate
     misses = radius_misses = 0
     rows = max(1, _CHUNK_CELLS // n)
     for lo in range(0, n, rows):
@@ -219,10 +228,15 @@ def _verify_an(p: int, seed: int | None, samples: int) -> list[BoundCheck]:
         xs = rng.integers(0, n, size=samples)
         ys = rng.integers(0, n, size=samples)
 
-    r = cons.witness_radii_AN(xs, ys, p)
-    r_misses = int(np.count_nonzero((r < 1) | (r > 3 * n)))
-    good = np.isin(np.stack((xs - r, xs + r, ys - r, ys + r)), a.as_array()).all(axis=0)
-    misses = xs.size - int(np.count_nonzero(good))
+    hit, o = _lookup(a)
+    misses = r_misses = 0
+    for i in range(0, xs.size, _CHUNK_CELLS):  # a block of samples at a time
+        x, y = xs[i:i + _CHUNK_CELLS], ys[i:i + _CHUNK_CELLS]
+        r = cons.witness_radii_AN(x, y, p)
+        r_misses += int(np.count_nonzero((r < 1) | (r > 3 * n)))
+        xat, yat = x - o, y - o
+        good = hit(xat - r) & hit(xat + r) & hit(yat - r) & hit(yat + r)
+        misses += good.size - int(np.count_nonzero(good))
     sizes = {"p": p, "elems": len(a), "tested": xs.size, "exhaustive": int(exhaustive)}
     checks = [
         BoundCheck.compare(f"an{p}_witness_misses", misses, 0, **sizes),

@@ -15,6 +15,7 @@ import sys
 import warnings
 from functools import partial
 from pathlib import Path
+from typing import Iterable
 
 from . import constructions as cons
 from .bounds_report import (
@@ -37,7 +38,8 @@ from .core_sets import (
     make_intset,
     parse_intset_text,
     parse_pointset_text,
-    _format_rows,
+    _decode_text,
+    _format_blocks,
 )
 from .dimension_lab import dyadic_box_count_2d, covering_count_1d, falconer_ratios
 from .finders import (
@@ -58,33 +60,26 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
     _say(f"warning: {message}")
 
 
-def _emit(text: str, out: str | None) -> None:
+def _write(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write text, or its blocks one at a time, to the file at `path`."""
+    with open(path, "w") as f:
+        f.writelines((text,) if isinstance(text, str) else text)
+
+
+def _emit(text: str | Iterable[str], out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines((text,) if isinstance(text, str) else text)
     else:
-        Path(out).write_text(text)
+        _write(out, text)
         _say(f"wrote {out}")
 
 
-def _read_text(path: str) -> str:
-    """A UTF-8 file with universal newlines, as text mode reads it; bytes
-    that are not UTF-8 are a FormatError naming the line."""
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = len((data[:exc.start] + b".").splitlines())
-        raise FormatError(f"not UTF-8 text: byte {data[exc.start]:#04x}",
-                          source=path, lineno=lineno) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
-
-
 def _read_intset(path: str) -> IntSet1D:
-    return parse_intset_text(_read_text(path), source=path)
+    return parse_intset_text(Path(path).read_bytes(), source=path)
 
 
 def _read_pointset(path: str) -> PointSet2D:
-    return parse_pointset_text(_read_text(path), source=path)
+    return parse_pointset_text(Path(path).read_bytes(), source=path)
 
 
 # ---------------------------------------------------------------------------
@@ -93,17 +88,16 @@ def _read_pointset(path: str) -> PointSet2D:
 def _cmd_gen_set(gen, param: str, what: str, args: argparse.Namespace) -> int:
     value = getattr(args, param)
     s = gen(value)
-    _emit(format_intset_text(s, header=f"{what} {value}, {len(s)} elements"), args.out)
+    _emit(_format_blocks(s.as_array()[:, None], f"{what} {value}, {len(s)} elements"),
+          args.out)
     return 0
 
 
 def _cmd_gen_example(gen, noun: str, args: argparse.Namespace) -> int:
     """Write the point set B and the center grid S of a `noun` example."""
     b, s = gen(args.k)
-    Path(args.out_b).write_text(format_pointset_text(
-        b, header=f"{noun} example points, level {args.k}"))
-    Path(args.out_s).write_text(format_pointset_text(
-        s, header=f"{noun} example centers, level {args.k}"))
+    _write(args.out_b, _format_blocks(b.as_array(), f"{noun} example points, level {args.k}"))
+    _write(args.out_s, _format_blocks(s.as_array(), f"{noun} example centers, level {args.k}"))
     _say(f"wrote {args.out_b} ({len(b)} points) and {args.out_s} ({len(s)} centers)")
     return 0
 
@@ -113,9 +107,9 @@ def _cmd_gen_cantor(args: argparse.Namespace) -> int:
     side = args.which
     if trunc.mode == "exact":
         chosen = trunc.a_set if side == "a" else trunc.t_set
-        _emit(format_intset_text(
-            chosen, header=f"cantor truncation {side}-side, s={trunc.s}, "
-                           f"depth {trunc.depth}, scale {trunc.scale}"), args.out)
+        _emit(_format_blocks(chosen.as_array()[:, None],
+                             f"cantor truncation {side}-side, s={trunc.s}, "
+                             f"depth {trunc.depth}, scale {trunc.scale}"), args.out)
     else:
         vals = trunc.a_floats if side == "a" else trunc.t_floats
         lines = [f"# cantor truncation {side}-side, s={trunc.s}, depth {trunc.depth}, "
@@ -133,10 +127,10 @@ def _cmd_gen_countable(args: argparse.Namespace) -> int:
     manifest = {"alpha": trunc.alpha, "K": trunc.K, "scale": trunc.scale, "blocks": []}
     for blk in trunc.blocks:
         s_file, b_file = f"block{blk.k}_s.txt", f"block{blk.k}_b.txt"
-        (out / s_file).write_text(format_pointset_text(
-            blk.centers, header=f"block {blk.k} centers (scaled)"))
-        (out / b_file).write_text(format_pointset_text(
-            blk.boundary_set, header=f"block {blk.k} strip points (scaled)"))
+        _write(out / s_file, _format_blocks(blk.centers.as_array(),
+                                            f"block {blk.k} centers (scaled)"))
+        _write(out / b_file, _format_blocks(blk.boundary_set.as_array(),
+                                            f"block {blk.k} strip points (scaled)"))
         manifest["blocks"].append({
             "k": blk.k, "n": blk.n, "factor": blk.factor,
             "offset": list(blk.offset), "s_file": s_file, "b_file": b_file,
@@ -149,7 +143,7 @@ def _cmd_gen_countable(args: argparse.Namespace) -> int:
 
 def _cmd_gen_splice(args: argparse.Namespace) -> int:
     try:
-        raw = json.loads(_read_text(args.patterns))
+        raw = json.loads(_decode_text(Path(args.patterns).read_bytes(), args.patterns))
     except json.JSONDecodeError as exc:
         raise FormatError(f"not JSON: {exc.msg}", source=args.patterns,
                           lineno=exc.lineno) from None
@@ -183,7 +177,7 @@ def _find(args: argparse.Namespace, size: int, m: int | None, find, check=None) 
     else:
         found = find(mode="enumerate")
         count = len(found)
-        _emit(_format_rows(found.as_array()), args.out)
+        _emit(_format_blocks(found.as_array()), args.out)
     bound_ok = check is None or check(s_count=count).ok
     line = json.dumps({"input_size": size, "centers": count,
                        "bound": None if m is None else float(2 * m) ** (4 / 3),

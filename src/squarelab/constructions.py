@@ -174,12 +174,20 @@ def gen_boundary_example(k: int) -> tuple[PointSet2D, PointSet2D]:
 # ---------------------------------------------------------------------------
 # Multi-level 1D sums of D_k
 
+_MARK_BLOCK = 2**18   # sums marked on the occupancy vector per block
+_SORT_BLOCK = 2**20   # sums sorted and deduplicated per block
+
+
 def _sumset_levels(levels: Sequence[tuple[int, IntSet1D]], what: str) -> IntSet1D:
     """Exact sumset sum_k mult_k * S_k over the given (multiplier, set) levels.
 
     Estimates min(prod |S_k|, span + 1) first and refuses over-budget requests
-    before allocating anything.  Chunked so intermediate outer-sum arrays stay
-    below ~3e7 entries.
+    before allocating anything.  Each level adds mult * S to the running sum
+    B, marked on a bool vector over the new span when span + 1 <= |B| * |S|,
+    else sorted and deduplicated.  Sums are formed in blocks of 2**18 (2 MiB)
+    to mark or 2**20 (8 MiB) to sort, one row of S if S is longer; the
+    vector, or the deduplicated blocks of a sorted level (fewer than
+    span + 1 entries), stay within the element budget.
     """
     prod = 1
     span = 0
@@ -195,10 +203,20 @@ def _sumset_levels(levels: Sequence[tuple[int, IntSet1D]], what: str) -> IntSet1
     acc = np.zeros(1, dtype=np.int64)
     for mult, s in levels:
         vals = mult * s.as_array()
-        step = max(1, 30_000_000 // max(vals.size, 1))
-        pieces = [unique_ints(acc[i:i + step, None] + vals[None, :])
-                  for i in range(0, acc.size, step)]
-        acc = unique_ints(np.concatenate(pieces))
+        lo = int(acc[0] + vals[0])
+        width = int(acc[-1] + vals[-1]) - lo + 1
+        if width <= acc.size * vals.size:
+            occupied = np.zeros(width, dtype=bool)
+            vals -= lo
+            rows = max(1, _MARK_BLOCK // vals.size)
+            for i in range(0, acc.size, rows):
+                occupied[(acc[i:i + rows, None] + vals).ravel()] = True
+            acc = np.flatnonzero(occupied)
+            acc += lo
+        else:
+            rows = max(1, _SORT_BLOCK // vals.size)
+            acc = unique_ints(np.concatenate([unique_ints(acc[i:i + rows, None] + vals)
+                                              for i in range(0, acc.size, rows)]))
     return IntSet1D._adopt(acc)
 
 
@@ -216,7 +234,7 @@ def _an_scales(p: int) -> dict[int, int]:
 def gen_AN(p: int) -> IntSet1D:
     """The depth-p set A = sum over k<=p of (p!/k!)**4 * D_k.
 
-    Element counts grow fast: p = 2, 3, 4 give 42, 3543 and roughly 9e5
+    Element counts grow fast: p = 2, 3, 4 give 42, 3,627 and 916,716
     elements, while p = 5 would exceed 5e8 — so 5 and 6 are refused under the
     default element budget (raise SQUARELAB_BUDGET to insist).
     """

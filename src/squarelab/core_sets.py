@@ -24,6 +24,7 @@ from __future__ import annotations
 import io
 import math
 import os
+import re
 import warnings
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
@@ -433,32 +434,53 @@ class OccupancyGrid:
 # Plain-text set files: one decimal integer per line (1D) or "x y" (2D),
 # '#' starts a comment, blank lines ignored, LF newlines, ascending output.
 
+# the leading '#' lines of a file, each ended by LF (a CR is data, so a
+# header with CR line ends leaves the rest to the line walk)
+_HEADER_LINES = re.compile(rb"(?:#[^\r\n]*\n)*")
 # the bytes numpy's C parser reads exactly as int() reads them, token by token
 _PLAIN_BYTES = b"0123456789- \n"
+_CHECK_BLOCK = 2**20  # bytes checked per slice, so no slice copies the file
 
 
-def _int_columns(text: str, k: int) -> np.ndarray | None:
+def _decode_text(data: bytes, source: str) -> str:
+    """A UTF-8 file's text with universal newlines, as text mode reads it;
+    bytes that are not UTF-8 are a FormatError naming the line."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((data[:exc.start] + b".").splitlines())
+        raise FormatError(f"not UTF-8 text: byte {data[exc.start]:#04x}",
+                          source=source, lineno=lineno) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _int_columns(data: bytes | str, k: int) -> np.ndarray | None:
     """The data lines of a set file as an (n, k) int64 array read by numpy's C
-    parser, or None when the text needs the line walk.
+    parser, or None when the file needs the line walk.
 
-    Past the leading '#' lines the text must hold only digits, '-', spaces and
-    LF, each token one that int() takes and that fits int64, k per line.
+    Past the leading '#' lines, which must be UTF-8, the file must hold only
+    digits, '-', spaces and LF, each token one that int() takes and that
+    fits int64, k per line.  Bytes are checked a slice at a time and parsed
+    where they lie, never copied whole; text is encoded first.
     """
-    start = 0
-    while text.startswith("#", start):
-        start = text.find("\n", start) + 1 or len(text)
-    rest = text[start:]
-    if not rest.isascii():
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    start = _HEADER_LINES.match(data).end()
+    if any(data[i:i + _CHECK_BLOCK].translate(None, _PLAIN_BYTES)
+           for i in range(start, len(data), _CHECK_BLOCK)):
         return None
-    data = rest.encode("ascii")
-    if data.translate(None, _PLAIN_BYTES):
+    try:
+        data[:start].decode("utf-8")
+    except UnicodeDecodeError:
         return None
+    stream = io.BytesIO(data)  # shares the bytes object's buffer
+    stream.seek(start)
     try:
         with warnings.catch_warnings():
             # numpy < 2 reads a token past int64 as a float, with a
             # DeprecationWarning; an input with no data warns too
             warnings.simplefilter("error")
-            rows = np.loadtxt(io.BytesIO(data), dtype=np.int64, comments=None, ndmin=2)
+            rows = np.loadtxt(stream, dtype=np.int64, comments=None, ndmin=2)
     except (ValueError, OverflowError, Warning):
         return None
     return rows if rows.shape[1] == k else None
@@ -468,19 +490,22 @@ def _int_columns(text: str, k: int) -> np.ndarray | None:
 _LINE_FORMS = {1: ("one integer", "an integer"), 2: ("'x y'", "an integer pair")}
 
 
-def _parse_set(text: str, source: str, k: int, build):
+def _parse_set(data: bytes | str, source: str, k: int, build):
     """The set `build` makes of a file's data lines of k integers each.
 
-    numpy's parser reads the text when it reads it as int() would.  Anything
-    else (CRLF, '+5', '1_000', tabs, comments, values past int64, bad lines)
-    takes the line walk, which names the first bad line; the constructor
-    names the first value past 2**62.
+    numpy's parser reads the file when it reads it as int() would.  Bytes it
+    does not read are decoded (CRLF becomes LF, a byte that is not UTF-8 is
+    refused) and the text tried again.  Anything else ('+5', '1_000', tabs,
+    comments, values past int64, bad lines) takes the line walk, which names
+    the first bad line; the constructor names the first value past 2**62.
     """
-    rows = _int_columns(text, k)
+    rows = _int_columns(data, k)
+    if rows is None and isinstance(data, bytes):
+        return _parse_set(_decode_text(data, source), source, k, build)
     if rows is None:
         form, noun = _LINE_FORMS[k]
         rows = []
-        for lineno, raw in enumerate(text.split("\n"), start=1):
+        for lineno, raw in enumerate(data.split("\n"), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -499,12 +524,16 @@ def _parse_set(text: str, source: str, k: int, build):
         raise FormatError(str(exc), source=source) from None
 
 
-def parse_intset_text(text: str, *, source: str = "<string>") -> IntSet1D:
+def parse_intset_text(text: str | bytes, *, source: str = "<string>") -> IntSet1D:
+    """The set of a 1D set file's text, or of its bytes read as UTF-8 with
+    universal newlines."""
     return _parse_set(text, source, 1, lambda rows: IntSet1D._adopt(
         rows[:, 0] if isinstance(rows, np.ndarray) else [v for v, in rows]))
 
 
-def parse_pointset_text(text: str, *, source: str = "<string>") -> PointSet2D:
+def parse_pointset_text(text: str | bytes, *, source: str = "<string>") -> PointSet2D:
+    """The set of a 2D set file's text, or of its bytes read as UTF-8 with
+    universal newlines."""
     return _parse_set(text, source, 2, PointSet2D._adopt)
 
 
@@ -512,15 +541,17 @@ _FORMAT_BLOCK = 2**14                                  # values per output buffe
 _POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)      # 10 .. 10**19
 
 
-def _format_rows(rows: np.ndarray, header: str | None = None) -> str:
+def _format_blocks(rows: np.ndarray, header: str | None = None) -> Iterator[str]:
     """Each row of an (N, k) int64 array as one line of space-separated
-    decimals, LF-terminated, after a '# header' line when one is given.
+    decimals, LF-terminated, after a '# header' line when one is given,
+    yielded a block of about 2**14 values at a time.
 
-    Blocks of about 2**14 values are written into one uint8 buffer each: the
-    digit count of every value comes from a search over the powers of ten,
-    then each pass writes one digit position of the values that have it.
+    Each block is written into one uint8 buffer: the digit count of every
+    value comes from a search over the powers of ten, then each pass writes
+    one digit position of the values that have it.
     """
-    parts = [f"# {header}\n"] if header else []
+    if header:
+        yield f"# {header}\n"
     k = rows.shape[1]
     flat = rows.reshape(-1)
     step = max(1, _FORMAT_BLOCK // k) * k
@@ -539,8 +570,12 @@ def _format_rows(rows: np.ndarray, header: str | None = None) -> str:
             buf[pos] = digit + ord("0")
             left = mag > 0
             mag, pos = mag[left], pos[left] - 1
-        parts.append(buf.tobytes().decode("ascii"))
-    return "".join(parts)
+        yield buf.tobytes().decode("ascii")
+
+
+def _format_rows(rows: np.ndarray, header: str | None = None) -> str:
+    """The blocks of :func:`_format_blocks` joined into one string."""
+    return "".join(_format_blocks(rows, header))
 
 
 def format_intset_text(s: IntSet1D, *, header: str | None = None) -> str:

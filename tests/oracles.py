@@ -186,6 +186,15 @@ def oracle_parse_intset(text: str, source: str):
     return tuple(sorted(set(values)))
 
 
+def oracle_sumset(levels) -> tuple[int, ...]:
+    """Every sum of one element per (multiplier, elements) level, each element
+    times its level's multiplier, collected in a Python set; sorted."""
+    sums = {0}
+    for mult, elems in levels:
+        sums = {acc + mult * v for acc in sums for v in elems}
+    return tuple(sorted(sums))
+
+
 def oracle_witness_r(x: int, y: int, k: int) -> int:
     """The D_k witness radius from base-k digits, one center at a time."""
     x0, x1 = x % k, x // k % k

@@ -96,7 +96,8 @@ class TestVerifyConstruction:
 
     def test_dk8_replay_memory_is_bounded(self):
         # the whole 4096 x 4096 radius table and its temporaries peaked at
-        # ~290 MiB; the replay now holds one block of rows at a time
+        # ~290 MiB, blocks of 2**20 cells at 25.1 MiB; the replay holds one
+        # block of 2**16 cells at a time
         tracemalloc.start()
         try:
             checks = verify_construction("dk", k=8)
@@ -104,7 +105,7 @@ class TestVerifyConstruction:
         finally:
             tracemalloc.stop()
         assert all(c.ok for c in checks)
-        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_dk_replay_counts_misses_across_row_blocks(self, monkeypatch):
         # a digit set with holes, replayed one row per block, must miss

@@ -1,11 +1,20 @@
 import json
+import os
+import subprocess
+import sys
 import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import squarelab
 from squarelab import (
+    FormatError,
+    covering_count_1d,
     find_boundary_centers_2d,
     find_vertex_centers_2d,
+    format_intset_text,
     gen_AN,
     gen_cantor_truncation,
     gen_Dk,
@@ -13,7 +22,9 @@ from squarelab import (
     parse_intset_text,
     parse_pointset_text,
 )
-from squarelab.cli import main
+from squarelab.cli import _read_intset, _read_pointset, main
+
+from oracles import oracle_parse_intset, oracle_parse_pointset
 
 
 def run(*argv):
@@ -203,6 +214,85 @@ class TestFind:
         assert run("find", "centers1d", "--in", str(f)) == 2
         err = capsys.readouterr().err
         assert "bad.txt" in err and "2" in err
+
+
+class TestReadSetFiles:
+    """Set files read as bytes: numpy parses the data past the '#' lines where
+    they lie; anything else is decoded and walked line by line."""
+
+    @pytest.mark.parametrize("data", [
+        b"# header\n# second header\n3\n-1\n2\n",
+        b"# caf\xc3\xa9, a UTF-8 header\n5\n4\n",
+        b"1\r\n2\r\n",                # CRLF
+        b"# header\r5\n6\n",          # a lone CR ends the header line
+        b"+5\n7 # seven\n\n-0\n",     # tokens and comments only int() reads
+        b"1\t2\n",
+        b"",
+        b"# only a header",
+        b"# only a header\n",
+    ])
+    def test_intset_file_reads_as_its_text(self, tmp_path, data):
+        f = tmp_path / "a.txt"
+        f.write_bytes(data)
+        text = data.decode().replace("\r\n", "\n").replace("\r", "\n")
+        expected = oracle_parse_intset(text, str(f))
+        if isinstance(expected, tuple) and expected and isinstance(expected[0], str):
+            with pytest.raises(FormatError) as exc:
+                _read_intset(str(f))
+            assert (str(exc.value), exc.value.lineno) == expected
+        else:
+            assert _read_intset(str(f)).elems == expected
+
+    @pytest.mark.parametrize("data", [
+        b"# points\n1 2\n-3 4\n1 2\n",
+        b"1 2\r\n3 4\r\n",
+        b"# header\n1 +2 # a comment\n",
+        b"",
+    ])
+    def test_pointset_file_reads_as_its_text(self, tmp_path, data):
+        f = tmp_path / "b.txt"
+        f.write_bytes(data)
+        text = data.decode().replace("\r\n", "\n").replace("\r", "\n")
+        assert tuple(_read_pointset(str(f))) == oracle_parse_pointset(text, str(f))
+
+    @pytest.mark.parametrize("read, data, lineno, byte", [
+        (_read_intset, b"# caf\xe9\n1\n", 1, "0xe9"),        # in a header line
+        (_read_intset, b"# ok\n1\n2\xff\n3\n", 3, "0xff"),   # in a data line
+        (_read_intset, b"1\n\n\x80\n", 3, "0x80"),
+        (_read_pointset, b"# ok\n1 2\n3 \xfe\n", 3, "0xfe"),
+        (_read_pointset, b"# h\xc3\n1 2\n", 1, "0xc3"),      # a truncated sequence
+    ])
+    def test_non_utf8_bytes_name_their_line(self, tmp_path, read, data, lineno, byte):
+        f = tmp_path / "bad.txt"
+        f.write_bytes(data)
+        with pytest.raises(FormatError) as exc:
+            read(str(f))
+        assert exc.value.lineno == lineno
+        assert str(exc.value) == f"{f}:{lineno}: not UTF-8 text: byte {byte}"
+
+    def test_reads_from_a_pipe(self):
+        # as CI does: one process writes A_3, another reads /dev/stdin
+        env = dict(os.environ, PYTHONPATH=str(Path(squarelab.__file__).parents[1]))
+        text = format_intset_text(gen_AN(3), header="interpolating set, depth 3")
+        out = subprocess.run(
+            [sys.executable, "-m", "squarelab.cli", "cover", "--in", "/dev/stdin",
+             "--len", "200"], input=text.encode(), capture_output=True, env=env, check=True)
+        assert out.stdout.decode() == f"{covering_count_1d(gen_AN(3), 200)}\n"
+
+    def test_reading_a4_holds_about_its_bytes_and_its_array(self, tmp_path):
+        # bytes, decoded text, its data slice and that slice's encoding took
+        # ~4.2x the file's size; the file's bytes, the parsed column and
+        # numpy's line buffers now stay under 2.5x
+        f = tmp_path / "a4.txt"
+        assert run("gen", "an", "--p", "4", "--out", str(f)) == 0
+        tracemalloc.start()
+        try:
+            a = _read_intset(str(f))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(a) == 916_716
+        assert peak <= 2.5 * f.stat().st_size, f"{peak / f.stat().st_size:.2f}x"
 
 
 class TestVerify:

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from squarelab import (
@@ -24,7 +26,9 @@ from squarelab import (
     witness_radii,
     witness_radii_AN,
 )
+from squarelab import constructions
 from squarelab.constructions import (
+    _sumset_levels,
     an_modulus,
     boundary_example_sizes,
     dk_size_cap,
@@ -32,7 +36,7 @@ from squarelab.constructions import (
     vertex_example_sizes,
 )
 
-from oracles import oracle_witness_r, oracle_witness_r_AN
+from oracles import oracle_sumset, oracle_witness_r, oracle_witness_r_AN
 
 # Exact cardinalities and spans of the digit sets, frozen from an
 # independent nested-loop enumeration (re-derived from scratch below
@@ -251,6 +255,77 @@ class TestAdditiveTowers:
         assert interpolation_level(1297) == 4
         with pytest.raises(ParameterError):
             interpolation_level(1)
+
+
+# one level of a sumset: a multiplier and a set that is either scattered
+# (sparse sums) or an interval (dense sums); single elements included
+_LEVEL = st.tuples(
+    st.integers(1, 50),
+    st.one_of(st.sets(st.integers(-40, 40), min_size=1, max_size=12),
+              st.builds(lambda lo, n: set(range(lo, lo + n)),
+                        st.integers(-40, 40), st.integers(1, 30))))
+
+# fixed inputs: every level dense, every level sparse, one of each
+_DENSE = [(1, set(range(10))), (10, set(range(10))), (1, set(range(-5, 5)))]
+_SPARSE = [(1, {0, 7}), (50, {0, 3}), (3, {-4})]
+_MIXED = [(7, {-2, 0, 5}), (1, set(range(-20, 20)))]
+
+
+class TestSumsetLevels:
+    @given(st.lists(_LEVEL, min_size=1, max_size=4), st.integers(1, 64), st.integers(1, 64))
+    @example(_DENSE, 2**18, 2**20)
+    @example(_SPARSE, 2**18, 2**20)
+    @example(_MIXED, 1, 1)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_oracle(self, levels, mark_block, sort_block):
+        # small blocks split every level across many of them
+        sets = [(mult, make_intset(elems)) for mult, elems in levels]
+        with mock.patch.object(constructions, "_MARK_BLOCK", mark_block), \
+                mock.patch.object(constructions, "_SORT_BLOCK", sort_block):
+            out = _sumset_levels(sets, "a test sumset")
+        assert out.elems == oracle_sumset(levels)
+        assert not out.as_array().flags.writeable
+
+    @pytest.mark.parametrize("levels, marks, sorts", [
+        (_DENSE, True, False), (_SPARSE, False, True), (_MIXED, True, True)])
+    def test_each_kernel_runs(self, levels, marks, sorts):
+        # span + 1 <= |B| * |S| marks the occupancy vector, else the sort runs
+        sets = [(mult, make_intset(elems)) for mult, elems in levels]
+        with mock.patch.object(constructions.np, "flatnonzero",
+                               wraps=np.flatnonzero) as marked, \
+                mock.patch.object(constructions, "unique_ints",
+                                  wraps=constructions.unique_ints) as sorted_:
+            out = _sumset_levels(sets, "a test sumset")
+        assert out.elems == oracle_sumset(levels)
+        assert (marked.called, sorted_.called) == (marks, sorts)
+
+    @pytest.mark.parametrize("levels, error", [
+        ([(1, range(2000)), (10**6, range(2000))], BudgetError),  # 4e6 sums over 2e9
+        ([(1, range(3000)), (2**51, range(3000))], RangeError),  # 9e6 sums past 2**62
+    ])
+    def test_guard_refuses_before_allocating(self, levels, error):
+        sets = [(mult, make_intset(elems)) for mult, elems in levels]
+        tracemalloc.start()
+        try:
+            with pytest.raises(error):
+                _sumset_levels(sets, "a test sumset")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10, f"peak {peak / 2**10:.1f} KiB"
+
+    def test_an4_memory_is_its_output(self):
+        # the whole 3,627 x 690 outer sum and its sorted copy peaked at
+        # 47.6 MiB; the occupancy vector and one block of marks sit beside
+        # the 7.0 MiB of A_4 itself
+        tracemalloc.start()
+        try:
+            a = gen_AN(4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(a) == 916_716 and (a.min(), a.max()) == (-310_524, 621_048)
+        assert peak < 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestCantorTruncation:
