@@ -75,11 +75,13 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
 
 
 def _read_intset(path: str) -> IntSet1D:
-    return parse_intset_text(Path(path).read_bytes(), source=path)
+    with open(path, "rb") as f:
+        return parse_intset_text(f, source=path)
 
 
 def _read_pointset(path: str) -> PointSet2D:
-    return parse_pointset_text(Path(path).read_bytes(), source=path)
+    with open(path, "rb") as f:
+        return parse_pointset_text(f, source=path)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Collection, Sequence
 
 import numpy as np
@@ -38,13 +39,12 @@ from .core_sets import (
     PointSet2D,
     RangeError,
     _as_fraction,
-    make_intset,
     require_budget,
     unique_ints,
 )
 
 __all__ = [
-    "gen_Dk", "dk_size_cap", "witness_radii",
+    "gen_Dk", "dk_size", "dk_size_cap", "witness_radii",
     "gen_vertex_example", "vertex_example_sizes",
     "gen_boundary_example", "boundary_example_sizes",
     "gen_AN", "an_modulus", "witness_radii_AN",
@@ -71,28 +71,37 @@ def _check_level(k: int) -> int:
     return k**4
 
 
-def gen_Dk(k: int) -> IntSet1D:
-    """All values a + b*k + c*k**2 + d*k**3 with digits in {-k+1..2k-2}, abcd = 0.
+def _dk_occupancy(k: int) -> np.ndarray:
+    """D_k as a bool vector over [-k**4, 2k**4]: cell v + k**4 holds v.
 
-    Enumerated as four unions (one per vanishing digit) over the remaining
-    three digits, which keeps the working set at 4*(3k-2)**3 values instead of
-    (3k-2)**4 tuples.
+    Marked as four unions (one per vanishing digit), each a (3k-2)**2 plane
+    of the two lower remaining digits shifted by every value of the third,
+    so no more than one plane of sums is held at a time.
     """
-    _check_level(k)
+    n = _check_level(k)
     require_budget(dk_size_cap(k), DEFAULT_ELEMENT_BUDGET, f"digit set at level {k}")
     dig = np.arange(-k + 1, 2 * k - 1, dtype=np.int64)
-    b, c, d = np.meshgrid(dig, dig, dig, indexing="ij")
-    b, c, d = b.ravel(), c.ravel(), d.ravel()
-    parts = [
-        b * k + c * k**2 + d * k**3,   # a = 0
-        b + c * k**2 + d * k**3,       # b = 0
-        b + c * k + d * k**3,          # c = 0
-        b + c * k + d * k**2,          # d = 0
-    ]
-    out = make_intset(np.concatenate(parts))
-    # Containment in the ambient interval is a theorem; cheap to keep honest.
-    assert -k**4 <= out.min() and out.max() <= 2 * k**4
-    return out
+    occupied = np.zeros(3 * n + 1, dtype=bool)
+    for lo, mid, hi in ((k, k**2, k**3), (1, k**2, k**3), (1, k, k**3), (1, k, k**2)):
+        plane = (lo * dig[:, None] + mid * dig).ravel() + n
+        # Containment in the ambient interval is a theorem; cheap to keep honest.
+        assert 0 <= plane[0] + hi * dig[0] and plane[-1] + hi * dig[-1] <= 3 * n
+        for d in hi * dig:
+            occupied[plane + d] = True
+    return occupied
+
+
+def gen_Dk(k: int) -> IntSet1D:
+    """All values a + b*k + c*k**2 + d*k**3 with digits in {-k+1..2k-2}, abcd = 0,
+    read off the occupancy vector of :func:`_dk_occupancy` in ascending order."""
+    vals = np.flatnonzero(_dk_occupancy(k))
+    vals -= k**4
+    return IntSet1D._adopt(vals)
+
+
+def dk_size(k: int) -> int:
+    """|D_k|, counted on its occupancy vector without materializing D_k."""
+    return int(np.count_nonzero(_dk_occupancy(k)))
 
 
 def witness_radii(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
@@ -120,7 +129,7 @@ def witness_radii(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
 
 def vertex_example_sizes(k: int) -> tuple[int, int]:
     """Exact (|B|, |S|) for the vertex example, without materializing it."""
-    d = len(gen_Dk(k))
+    d = dk_size(k)
     return d * d, (k**4 - 1) ** 2
 
 
@@ -131,9 +140,9 @@ def gen_vertex_example(k: int) -> tuple[PointSet2D, PointSet2D]:
     vertices in B (radius from :func:`witness_radii`), so |S| grows like |B|**(4/3)
     while B stays a product set.
     """
-    dset = gen_Dk(k)
-    b_size, s_size = len(dset) ** 2, (k**4 - 1) ** 2
+    b_size, s_size = vertex_example_sizes(k)
     require_budget(b_size + s_size, DEFAULT_ELEMENT_BUDGET, f"vertex example at level {k}")
+    dset = gen_Dk(k)
     grid = IntSet1D._adopt(np.arange(1, k**4))
     return PointSet2D.product(dset, dset), PointSet2D.product(grid, grid)
 
@@ -146,7 +155,7 @@ def boundary_example_sizes(k: int) -> tuple[int, int]:
     two strip families overlap in exactly D_k x D_k, so inclusion-exclusion
     gives |B| = 2|D_k|(3k**4+1) - |D_k|**2 exactly.
     """
-    d = len(gen_Dk(k))
+    d = dk_size(k)
     width = 3 * k**4 + 1
     return 2 * d * width - d * d, (k**4 - 1) ** 2
 
@@ -160,12 +169,9 @@ def gen_boundary_example(k: int) -> tuple[PointSet2D, PointSet2D]:
     """
     b_size, s_size = boundary_example_sizes(k)
     require_budget(b_size + s_size, DEFAULT_ELEMENT_BUDGET, f"boundary example at level {k}")
-    dset = gen_Dk(k)
-    lo = -k**4
-    on_strip = np.zeros(3 * k**4 + 1, dtype=bool)  # over the side [-k**4, 2k**4]
-    on_strip[dset.as_array() - lo] = True
+    on_strip = _dk_occupancy(k)  # over the side [-k**4, 2k**4]
     xs, ys = np.nonzero(on_strip[:, None] | on_strip[None, :])  # in (x, y) order
-    b = PointSet2D._adopt(np.column_stack((xs + lo, ys + lo)))
+    b = PointSet2D._adopt(np.column_stack((xs - k**4, ys - k**4)))
     assert len(b) == b_size
     grid = IntSet1D._adopt(np.arange(1, k**4))
     return b, PointSet2D.product(grid, grid)
@@ -340,8 +346,7 @@ def gen_cantor_truncation(s: object, p: int) -> CantorTruncation:
     exp = float(8 / s)
     prod_a = prod_t = 1
     for k in range(2, p + 1):
-        dk = len(gen_Dk(k))
-        prod_a *= dk
+        prod_a *= dk_size(k)
         prod_t *= k**4
     require_budget(prod_a + prod_t, DEFAULT_ELEMENT_BUDGET, f"depth-{p} float Cantor truncation")
     a_vals = np.zeros(1)
@@ -409,11 +414,12 @@ def gen_countable_truncation(alpha: int, K: int) -> CountableTruncation:
     scale = 2 ** ((1 + alpha) * K)
 
     level_sets: list[tuple[int, int, int, IntSet1D]] = []
+    depth_set = cache(gen_AN)  # blocks of one depth share its set
     estimate = 0
     for k in range(1, K + 1):
         n = 2 ** (alpha * k)
         factor = 2 ** ((1 + alpha) * (K - k))
-        a = gen_AN(interpolation_level(n))
+        a = depth_set(interpolation_level(n))
         estimate += 2 * len(a) * (7 * n * factor + 1) + n * n
         level_sets.append((k, n, factor, a))
     require_budget(estimate, DEFAULT_ELEMENT_BUDGET, f"countable truncation with {K} blocks")

@@ -27,7 +27,8 @@ import os
 import re
 import warnings
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from functools import partial
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -434,12 +435,12 @@ class OccupancyGrid:
 # Plain-text set files: one decimal integer per line (1D) or "x y" (2D),
 # '#' starts a comment, blank lines ignored, LF newlines, ascending output.
 
-# the leading '#' lines of a file, each ended by LF (a CR is data, so a
-# header with CR line ends leaves the rest to the line walk)
-_HEADER_LINES = re.compile(rb"(?:#[^\r\n]*\n)*")
+# a leading '#' line of a file, ended by LF (a CR is data, so a header with
+# CR line ends leaves the rest to the line walk)
+_HEADER_LINE = re.compile(rb"#[^\r\n]*\n")
 # the bytes numpy's C parser reads exactly as int() reads them, token by token
 _PLAIN_BYTES = b"0123456789- \n"
-_CHECK_BLOCK = 2**20  # bytes checked per slice, so no slice copies the file
+_CHECK_BLOCK = 2**20  # bytes read per check, so no check holds the file
 
 
 def _decode_text(data: bytes, source: str) -> str:
@@ -454,26 +455,38 @@ def _decode_text(data: bytes, source: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _int_columns(data: bytes | str, k: int) -> np.ndarray | None:
-    """The data lines of a set file as an (n, k) int64 array read by numpy's C
-    parser, or None when the file needs the line walk.
+def _seekable(data: str | bytes | BinaryIO) -> BinaryIO:
+    """A set file's text, bytes or open binary file as a seekable binary
+    stream: a file that can seek as it stands, anything else in a BytesIO."""
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    if isinstance(data, bytes):
+        return io.BytesIO(data)  # shares the bytes object's buffer
+    return data if data.seekable() else io.BytesIO(data.read())
+
+
+def _int_columns(data: str | bytes | BinaryIO, k: int) -> np.ndarray | None:
+    """The data lines of a set file, from where its stream stands, as an
+    (n, k) int64 array read by numpy's C parser, or None when the file needs
+    the line walk.
 
     Past the leading '#' lines, which must be UTF-8, the file must hold only
     digits, '-', spaces and LF, each token one that int() takes and that
-    fits int64, k per line.  Bytes are checked a slice at a time and parsed
-    where they lie, never copied whole; text is encoded first.
+    fits int64, k per line.  The header is read a line and the data a 1 MiB
+    block at a time; numpy then reads the data from the stream itself.
     """
-    if isinstance(data, str):
-        data = data.encode("utf-8", "surrogatepass")
-    start = _HEADER_LINES.match(data).end()
-    if any(data[i:i + _CHECK_BLOCK].translate(None, _PLAIN_BYTES)
-           for i in range(start, len(data), _CHECK_BLOCK)):
+    stream = _seekable(data)
+    start = stream.tell()
+    while _HEADER_LINE.fullmatch(line := stream.readline(_CHECK_BLOCK)):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        start += len(line)
+    stream.seek(start)
+    if any(block.translate(None, _PLAIN_BYTES)
+           for block in iter(partial(stream.read, _CHECK_BLOCK), b"")):
         return None
-    try:
-        data[:start].decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-    stream = io.BytesIO(data)  # shares the bytes object's buffer
     stream.seek(start)
     try:
         with warnings.catch_warnings():
@@ -490,7 +503,7 @@ def _int_columns(data: bytes | str, k: int) -> np.ndarray | None:
 _LINE_FORMS = {1: ("one integer", "an integer"), 2: ("'x y'", "an integer pair")}
 
 
-def _parse_set(data: bytes | str, source: str, k: int, build):
+def _parse_set(data: str | bytes | BinaryIO, source: str, k: int, build):
     """The set `build` makes of a file's data lines of k integers each.
 
     numpy's parser reads the file when it reads it as int() would.  Bytes it
@@ -499,9 +512,12 @@ def _parse_set(data: bytes | str, source: str, k: int, build):
     comments, values past int64, bad lines) takes the line walk, which names
     the first bad line; the constructor names the first value past 2**62.
     """
-    rows = _int_columns(data, k)
-    if rows is None and isinstance(data, bytes):
-        return _parse_set(_decode_text(data, source), source, k, build)
+    stream = _seekable(data)
+    origin = stream.tell()
+    rows = _int_columns(stream, k)
+    if rows is None and not isinstance(data, str):
+        stream.seek(origin)
+        return _parse_set(_decode_text(stream.read(), source), source, k, build)
     if rows is None:
         form, noun = _LINE_FORMS[k]
         rows = []
@@ -524,16 +540,16 @@ def _parse_set(data: bytes | str, source: str, k: int, build):
         raise FormatError(str(exc), source=source) from None
 
 
-def parse_intset_text(text: str | bytes, *, source: str = "<string>") -> IntSet1D:
-    """The set of a 1D set file's text, or of its bytes read as UTF-8 with
-    universal newlines."""
+def parse_intset_text(text: str | bytes | BinaryIO, *, source: str = "<string>") -> IntSet1D:
+    """The set of a 1D set file's text, or of its bytes or open binary file
+    read as UTF-8 with universal newlines."""
     return _parse_set(text, source, 1, lambda rows: IntSet1D._adopt(
         rows[:, 0] if isinstance(rows, np.ndarray) else [v for v, in rows]))
 
 
-def parse_pointset_text(text: str | bytes, *, source: str = "<string>") -> PointSet2D:
-    """The set of a 2D set file's text, or of its bytes read as UTF-8 with
-    universal newlines."""
+def parse_pointset_text(text: str | bytes | BinaryIO, *, source: str = "<string>") -> PointSet2D:
+    """The set of a 2D set file's text, or of its bytes or open binary file
+    read as UTF-8 with universal newlines."""
     return _parse_set(text, source, 2, PointSet2D._adopt)
 
 

@@ -195,6 +195,17 @@ def oracle_sumset(levels) -> tuple[int, ...]:
     return tuple(sorted(sums))
 
 
+def oracle_dk(k: int) -> tuple[int, ...]:
+    """D_k as four unions, one per vanishing digit, each enumerating the
+    other three digits in {-k+1..2k-2} into a Python set; sorted."""
+    digits = range(-k + 1, 2 * k - 1)
+    out = set()
+    for places in ((k, k**2, k**3), (1, k**2, k**3), (1, k, k**3), (1, k, k**2)):
+        out |= {b * places[0] + c * places[1] + d * places[2]
+                for b in digits for c in digits for d in digits}
+    return tuple(sorted(out))
+
+
 def oracle_witness_r(x: int, y: int, k: int) -> int:
     """The D_k witness radius from base-k digits, one center at a time."""
     x0, x1 = x % k, x // k % k

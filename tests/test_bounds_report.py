@@ -97,7 +97,7 @@ class TestVerifyConstruction:
     def test_dk8_replay_memory_is_bounded(self):
         # the whole 4096 x 4096 radius table and its temporaries peaked at
         # ~290 MiB, blocks of 2**20 cells at 25.1 MiB; the replay holds one
-        # block of 2**16 cells at a time
+        # block of 2**14 cells at a time
         tracemalloc.start()
         try:
             checks = verify_construction("dk", k=8)
@@ -164,6 +164,21 @@ class TestVerifyConstruction:
         monkeypatch.setattr(bounds_report.cons, "gen_AN", no_work)
         with pytest.raises(ParameterError, match="seed must be a non-negative integer, got -1"):
             verify_construction("an", p=p, seed=-1)
+
+    def test_an4_replay_peaks_where_building_a4_does(self):
+        # A_4, the samples, the lookup table and blocks of 2**16 samples
+        # held together peaked at 14.1 MiB; A_4 is released after its
+        # covers and the table, so the replay stays under gen_AN(4)'s peak
+        peaks = []
+        for build in (lambda: gen_AN(4), lambda: verify_construction("an", p=4)):
+            tracemalloc.start()
+            try:
+                out = build()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert [c.lhs for c in out] == [0, 0, 1, 1, 19, 4632]
+        assert peaks[1] < peaks[0] + 2**20, [f"{v / 2**20:.1f} MiB" for v in peaks]
 
     def test_an_sampling_is_seeded(self):
         a = verify_construction("an", p=3, samples=500, seed=1)

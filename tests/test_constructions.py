@@ -31,12 +31,13 @@ from squarelab.constructions import (
     _sumset_levels,
     an_modulus,
     boundary_example_sizes,
+    dk_size,
     dk_size_cap,
     interpolation_level,
     vertex_example_sizes,
 )
 
-from oracles import oracle_sumset, oracle_witness_r, oracle_witness_r_AN
+from oracles import oracle_dk, oracle_sumset, oracle_witness_r, oracle_witness_r_AN
 
 # Exact cardinalities and spans of the digit sets, frozen from an
 # independent nested-loop enumeration (re-derived from scratch below
@@ -92,6 +93,39 @@ class TestDigitSets:
         monkeypatch.setenv("SQUARELAB_BUDGET", "0.00005")  # 100 elements
         with pytest.raises(BudgetError):
             gen_Dk(50)
+
+    @pytest.mark.parametrize("k", range(2, 17))
+    def test_occupancy_matches_four_union_oracle(self, k):
+        expected = oracle_dk(k)
+        assert gen_Dk(k).elems == expected
+        assert dk_size(k) == len(expected)
+
+    @pytest.mark.parametrize("count", [dk_size, gen_Dk])
+    def test_guard_refuses_before_allocating(self, count, monkeypatch):
+        # D_60's occupancy vector would be 38.9 MB; the guard prices the
+        # (3k-2)**4 - (3k-3)**4 digit tuples first
+        monkeypatch.setenv("SQUARELAB_BUDGET", "0.00005")  # 100 elements
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="digit set at level 60"):
+                count(60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10, f"peak {peak / 2**10:.1f} KiB"
+
+    def test_d16_memory_is_its_occupancy(self):
+        # four unions of 97,336 sums, concatenated and sorted, peaked at
+        # 12.1 MiB; the 197 KB vector, one 2,116-sum plane and the
+        # 0.6 MiB of D_16 itself stay under 1.5 MiB
+        tracemalloc.start()
+        try:
+            d = gen_Dk(16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (d.min(), d.max()) == (-15 * (16 + 16**2 + 16**3), 2 * 16**4 - 32)
+        assert peak < 1.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestWitness:
@@ -449,6 +483,17 @@ class TestCountableTruncation:
         monkeypatch.setenv("SQUARELAB_BUDGET", "0.0005")  # 1,000 elements
         with pytest.raises(BudgetError):
             gen_countable_truncation(1, 3)
+
+    @pytest.mark.parametrize("K, depths", [(5, [2, 3]), (12, [2, 3, 4])])
+    def test_each_depth_is_built_once(self, K, depths, monkeypatch):
+        # blocks 1-4 interpolate at depth 2, 5-10 at depth 3 and 11-12 at
+        # depth 4; every block of a depth shares its one set
+        monkeypatch.setenv("SQUARELAB_BUDGET", "0.5")  # A_4 fits, the blocks do not
+        with mock.patch.object(constructions, "gen_AN",
+                               wraps=constructions.gen_AN) as built:
+            with pytest.raises(BudgetError, match=f"countable truncation with {K} blocks"):
+                gen_countable_truncation(1, K)
+        assert [c.args[0] for c in built.call_args_list] == depths
 
 
 class TestSplicing:
