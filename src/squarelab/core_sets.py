@@ -12,11 +12,11 @@ a sort and deduplication unless the input is canonical already, and a frozen
 array that is copied only when it shares memory with the caller's array, so
 a fresh array (a parser's, a generator's, a sort's) is kept as it is.
 
-The :class:`OccupancyGrid` is a dense 0/1 raster with run lengths along both
-axes, so "is the whole boundary of this square occupied" is four lookups and
-four comparisons, broadcast over arrays of centers and radii.  That test is
-the inner loop of boundary-square detection, which is why it earns the memory
-it spends.
+The :class:`OccupancyGrid` holds the run lengths of a dense 0/1 raster along
+both axes, so "is the whole boundary of this square occupied" is four
+lookups and four comparisons, broadcast over arrays of centers and radii.
+That test is the inner loop of boundary-square detection, which is why it
+earns the memory it spends.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 COORD_LIMIT = 2**62
 
 # Default guards, each scaled by the SQUARELAB_BUDGET environment factor.
-DEFAULT_FINDER_BUDGET = 5_000        # max |A| of the 1D finder's pair arrays
+DEFAULT_FINDER_BUDGET = 5_000        # max |A| of the sparse join's pair arrays
 DEFAULT_ELEMENT_BUDGET = 2_000_000   # max elements/points a generator or the pair scan holds
 DEFAULT_GRID_CELLS = 4_500_000       # max occupancy-grid area (~2000 x 2000)
 DEFAULT_PAIR_BUDGET = 20_000_000     # max same-row pairs scanned by the vertex finder
@@ -364,9 +364,30 @@ class DoubledPoint(NamedTuple):
     Y: int
 
 
+def _grid_box(points: PointSet2D) -> tuple[int, int, int, int]:
+    """(x0, y0, width, height) of a point set's grid, refused before it is built."""
+    bbox = points.bbox()
+    if bbox is None:
+        raise ParameterError("cannot build a grid from an empty point set")
+    xmin, ymin, xmax, ymax = bbox
+    width, height = xmax - xmin + 1, ymax - ymin + 1
+    require_budget(width * height, DEFAULT_GRID_CELLS, f"a {width} x {height} occupancy grid")
+    return xmin, ymin, width, height
+
+
+def _raster(points: PointSet2D) -> tuple[int, int, np.ndarray]:
+    """(x0, y0, cells): bool cells over the bounding box of a non-empty point
+    set, ``cells[i, j]`` for the lattice point ``(x0 + i, y0 + j)``."""
+    x0, y0, width, height = _grid_box(points)
+    cells = np.zeros((width, height), dtype=bool)
+    arr = points.as_array()
+    cells[arr[:, 0] - x0, arr[:, 1] - y0] = True
+    return x0, y0, cells
+
+
 class OccupancyGrid:
-    """Dense membership raster over a bounding box with a four-sides test of
-    whole square boundaries (:meth:`boundary_full`).
+    """Run lengths along both axes of a bool raster over a bounding box, with
+    a four-sides test of whole square boundaries (:meth:`boundary_full`).
 
     ``cells[i, j]`` covers the lattice point ``(x0 + i, y0 + j)``.  Two run
     tables hold the number of consecutive occupied cells that end at each
@@ -375,38 +396,26 @@ class OccupancyGrid:
     that leaves the stored box is simply not full — never an error.
     """
 
-    __slots__ = ("x0", "y0", "width", "height", "cells", "_runs")
+    __slots__ = ("x0", "y0", "width", "height", "_runs")
 
     def __init__(self, x0: int, y0: int, cells: np.ndarray):
-        if cells.ndim != 2 or cells.dtype != np.uint8:
-            raise ParameterError("cells must be a 2D uint8 array")
-        self.x0 = x0
-        self.y0 = y0
+        if cells.ndim != 2 or cells.dtype != bool:
+            raise ParameterError("cells must be a 2D bool array")
+        self.x0, self.y0 = x0, y0
         self.width, self.height = cells.shape
-        self.cells = cells
         # The run ending at index i of an axis is i minus the last empty index
         # at or before i (-1 if none); int32 holds any run the cell budget allows.
         self._runs = []
         for axis, idx in enumerate((np.arange(self.width, dtype=np.int32)[:, None],
                                     np.arange(self.height, dtype=np.int32))):
-            run = np.where(cells.view(bool), np.int32(-1), idx)
+            run = np.where(cells, np.int32(-1), idx)
             np.maximum.accumulate(run, axis=axis, out=run)
             self._runs.append(np.subtract(idx, run, out=run))
 
     @classmethod
     def from_points(cls, points: PointSet2D) -> "OccupancyGrid":
         """The grid over the bounding box of a non-empty point set."""
-        bbox = points.bbox()
-        if bbox is None:
-            raise ParameterError("cannot build a grid from an empty point set")
-        xmin, ymin, xmax, ymax = bbox
-        width, height = xmax - xmin + 1, ymax - ymin + 1
-        require_budget(width * height, DEFAULT_GRID_CELLS,
-                       f"a {width} x {height} occupancy grid")
-        arr = points.as_array()
-        cells = np.zeros((width, height), dtype=np.uint8)
-        cells[arr[:, 0] - xmin, arr[:, 1] - ymin] = 1
-        return cls(xmin, ymin, cells)
+        return cls(*_raster(points))
 
     def boundary_full(self, sx, sy, r) -> np.ndarray:
         """Whether every one of the 8r points on the boundary of the square of

@@ -12,14 +12,13 @@ stay exact integers:
 
 1D and vertex search rest on one identity: a square with its four vertices in
 X x Y is a pair of X and a pair of Y that share a radius, and its doubled
-center is their two doubled midpoints; a 1D set A is the case X = Y = A.  The
-dense common-radius join reads this off 0/1 occupancy vectors, as float32
-products of midpoint-by-radius matrices computed one strip of rows at a time.
-1D search takes it or a sort-and-group of all pairs by radius; vertex search
-takes it for product sets and otherwise a per-width raster sweep or a same-row
-pair scan.  Each pick is made from cost estimates before any kernel allocates.
-Boundaries use per-radius raster sweeps.  Budget guards refuse pathological
-inputs instead of hanging.
+center is their two doubled midpoints; a 1D set A is the case X = Y = A.  One
+function owns that join: a dense kernel of float32 midpoint-by-radius matrix
+products over 0/1 occupancy vectors, one strip of rows at a time, and for
+X = Y a sort-and-group of all pairs by radius.  Only sets that are not
+products reach the per-width raster sweep or the same-row pair scan, and
+boundaries take per-radius raster sweeps.  Each pick is made from cost
+estimates, and each guard refuses in front of the kernel it prices.
 """
 
 from __future__ import annotations
@@ -43,8 +42,10 @@ from .core_sets import (
     require_budget,
     unique_ints,
     _frozen,
+    _grid_box,
     _lex_contains,
     _lex_unique_rows,
+    _raster,
 )
 
 __all__ = [
@@ -118,23 +119,29 @@ DENSE_1D_RATIO = 1_000
 DENSE_VERTEX_RATIO = 30
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("enumerate", "count"):
+        raise ParameterError(f"mode must be 'enumerate' or 'count', got {mode!r}")
+
+
 def _runs(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start index and length of each run of equal keys in a sorted array."""
-    starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
+    new = np.ones(len(sorted_keys), dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
     return starts, np.diff(np.append(starts, len(sorted_keys)))
 
 
-def _pairs_1d(a: np.ndarray, *ops) -> list[np.ndarray]:
-    """One array per ufunc of op(a_j, a_i) over all i < j, ordered by i: with
-    np.add and np.subtract, the doubled midpoints and doubled radii of the
-    pairs, by ascending midpoint within one radius."""
-    cols = [np.empty(len(a) * (len(a) - 1) // 2, dtype=np.int64) for _ in ops]
+def _pairs_1d(a: np.ndarray, op) -> np.ndarray:
+    """The ufunc op(a_j, a_i) over all i < j, ordered by i: with np.add and
+    np.subtract, the doubled midpoints and doubled radii of the pairs, by
+    ascending midpoint within one radius."""
+    out = np.empty(len(a) * (len(a) - 1) // 2, dtype=np.int64)
     end = 0
     for i in range(len(a) - 1):
         start, end = end, end + len(a) - 1 - i
-        for op, col in zip(ops, cols):
-            op(a[i + 1:], a[i], out=col[start:end])
-    return cols
+        op(a[i + 1:], a[i], out=out[start:end])
+    return out
 
 
 def _radius_counts(a: np.ndarray) -> np.ndarray:
@@ -143,30 +150,6 @@ def _radius_counts(a: np.ndarray) -> np.ndarray:
     f = np.zeros(int(a[-1] - a[0]) + 1, dtype=np.int64)
     f[a - a[0]] = 1
     return np.correlate(f, f, "full")[len(f) - 1:]
-
-
-def _join_plan(xs: np.ndarray, ys: np.ndarray) -> tuple[bool, int | None]:
-    """Whether the dense join of X and Y pays, and its sparse cost: the sum over
-    radii r > 0 of c_X(r) * c_Y(r), the midpoint pairs that share a radius.
-
-    The cost is read off the occupancy vectors when each span squared fits the
-    grid budget, which also bounds the dense join's matrices, and when the
-    cost's upper bound still lets the dense join pay; otherwise the dense join
-    is out and the cost is None.
-    """
-    spans = int(xs[-1] - xs[0]), int(ys[-1] - ys[0])
-    dense = 2 * spans[0] * spans[1] * (min(spans) // 2 + 1)  # as in the dense join
-    # the cost is at most the pairs of X times |Y| - 1, since no radius has
-    # more than |Y| - 1 pairs in Y
-    most = len(xs) * (len(xs) - 1) // 2 * (len(ys) - 1)
-    if (max(spans) ** 2 > effective_budget(DEFAULT_GRID_CELLS)
-            or dense >= DENSE_1D_RATIO * most):
-        return False, None
-    common = min(spans) + 1  # the radii both sets can have, and 0
-    cx = _radius_counts(xs)[1:common]
-    cy = cx if np.array_equal(xs, ys) else _radius_counts(ys)[1:common]
-    sweep = int(np.dot(cx, cy))
-    return dense < DENSE_1D_RATIO * sweep, sweep
 
 
 # float32 cells of one strip of the dense join's product
@@ -239,25 +222,23 @@ def _centers_1d_sparse(a: np.ndarray, mode: str) -> CenterRows | int:
     """
     # Arrays of all pairs dominate the memory held: reorder them one at a
     # time and drop each as soon as it is used up.
-    mid, rad = _pairs_1d(a, np.add, np.subtract)
+    mid, rad = _pairs_1d(a, np.add), _pairs_1d(a, np.subtract)
     order = np.argsort(rad, kind="stable")
     mid = mid[order]
     rad = rad[order]
     del order
     starts, sizes = _runs(rad)
     del rad
-    shared = sizes > 1
-    starts, sizes = starts[shared], sizes[shared]
+    starts, sizes = starts[sizes > 1], sizes[sizes > 1]
     # Rank the midpoints among the distinct ones by a sort: searchsorted on
     # needles in radius order is ~10x slower once they outgrow the cache.
     by_mid = np.argsort(mid)
     mid = mid[by_mid]
-    first = np.concatenate(([True], mid[1:] != mid[:-1]))
-    mids = mid[first]
+    mid_starts, mid_sizes = _runs(mid)
+    mids = mid[mid_starts]
     del mid
     rank = np.empty_like(by_mid)
-    rank[by_mid] = np.cumsum(first)
-    rank -= 1
+    rank[by_mid] = np.repeat(np.arange(len(mids)), mid_sizes)
     keys = [np.zeros(0, dtype=np.int64)]
     for size in unique_ints(sizes).tolist():
         group = rank[starts[sizes == size, None] + np.arange(size)]
@@ -270,39 +251,54 @@ def _centers_1d_sparse(a: np.ndarray, mode: str) -> CenterRows | int:
     return CenterRows(np.concatenate((mids, lo, hi)), np.concatenate((mids, hi, lo)))
 
 
+def _join(xs: np.ndarray, ys: np.ndarray, mode: str) -> CenterRows | int | None:
+    """Doubled centers of the squares with vertices in X x Y (sorted X, Y): the
+    dense join if it costs under DENSE_1D_RATIO times the sparse sweep (the sum
+    over r > 0 of c_X(r) * c_Y(r), read off occupancy vectors the grid budget
+    allows), else for X = Y the sparse join behind its guards, else None."""
+    if len(xs) < 2 or len(ys) < 2:
+        return 0 if mode == "count" else CenterRows([], [])
+    same = np.array_equal(xs, ys)
+    spans = int(xs[-1] - xs[0]), int(ys[-1] - ys[0])
+    dense = 2 * spans[0] * spans[1] * (min(spans) // 2 + 1)  # as in the dense join
+    pairs = len(xs) * (len(xs) - 1) // 2
+    most = pairs * (len(ys) - 1)  # no radius has more than |Y| - 1 pairs in Y
+    sweep = None
+    if (max(spans) ** 2 <= effective_budget(DEFAULT_GRID_CELLS)
+            and dense < DENSE_1D_RATIO * most):
+        common = min(spans) + 1  # the radii both sets can have, and 0
+        cx = _radius_counts(xs)[1:common]
+        sweep = int(np.dot(cx, cx if same else _radius_counts(ys)[1:common]))
+        if dense < DENSE_1D_RATIO * sweep:
+            return _join_dense(xs, ys, mode)
+    if not same:
+        return None
+    require_budget(len(xs), DEFAULT_FINDER_BUDGET, "the pair arrays of the set")
+    # The pair count is a lower bound of the sweep.
+    require_budget(pairs, DEFAULT_PAIR_BUDGET, "the common-radius pair sweep")
+    if sweep is None:  # the radii of all pairs, sorted into runs
+        rad = _pairs_1d(xs, np.subtract)
+        rad.sort()
+        sweep = int(np.sum(_runs(rad)[1] ** 2))
+        del rad
+    require_budget(sweep, DEFAULT_PAIR_BUDGET, "the common-radius pair sweep")
+    return _centers_1d_sparse(xs, mode)
+
+
 def find_centers_1d(a: IntSet1D, mode: str = "enumerate") -> CenterRows | int:
     """All doubled centers (X, Y) admitting a common positive radius in A.
 
     mode='enumerate' returns the center set; mode='count' returns its size
     without building center objects.
     """
-    if mode not in ("enumerate", "count"):
-        raise ParameterError(f"mode must be 'enumerate' or 'count', got {mode!r}")
-    n = len(a)
-    require_budget(n, DEFAULT_FINDER_BUDGET, "the pair arrays of the set")
-    # The pair count is a lower bound of the sweep estimate below.
-    require_budget(n * (n - 1) // 2, DEFAULT_PAIR_BUDGET, "the common-radius pair sweep")
-    if n < 2:
-        return 0 if mode == "count" else CenterRows([], [])
-    arr = a.as_array()
-    dense, sweep = _join_plan(arr, arr)
-    if dense:
-        return _join_dense(arr, arr, mode)
-    if sweep is None:  # the radii of all pairs, sorted into runs
-        rad, = _pairs_1d(arr, np.subtract)
-        rad.sort()
-        sizes = _runs(rad)[1]
-        sweep = int(np.dot(sizes, sizes))
-        del rad, sizes
-    require_budget(sweep, DEFAULT_PAIR_BUDGET, "the common-radius pair sweep")
-    return _centers_1d_sparse(arr, mode)
+    _check_mode(mode)
+    return _join(a.as_array(), a.as_array(), mode)
 
 
 def _vertex_centers_dense(b: PointSet2D, mode: str) -> CenterRows | int:
     """Per-width raster sweep: mark the doubled center of every square whose
     four corners are occupied grid cells."""
-    grid = OccupancyGrid.from_points(b)
-    cells = grid.cells.astype(bool)
+    x0, y0, cells = _raster(b)
     w, h = cells.shape
     marks = np.zeros((2 * w - 1, 2 * h - 1), dtype=bool)
     for s in range(1, min(w, h)):
@@ -311,7 +307,7 @@ def _vertex_centers_dense(b: PointSet2D, mode: str) -> CenterRows | int:
     if mode == "count":
         return int(np.count_nonzero(marks))
     u, v = np.nonzero(marks)
-    return CenterRows(u + 2 * grid.x0, v + 2 * grid.y0)
+    return CenterRows(u + 2 * x0, v + 2 * y0)
 
 
 def _vertex_centers_sparse(b: PointSet2D, mode: str) -> CenterRows | int:
@@ -348,31 +344,27 @@ def _vertex_centers_sparse(b: PointSet2D, mode: str) -> CenterRows | int:
 
 def find_vertex_centers_2d(b: PointSet2D, mode: str = "enumerate") -> CenterRows | int:
     """Centers of axis-parallel squares with all four vertices in B."""
-    if mode not in ("enumerate", "count"):
-        raise ParameterError(f"mode must be 'enumerate' or 'count', got {mode!r}")
-    if not len(b):
-        return 0 if mode == "count" else CenterRows([], [])
+    _check_mode(mode)
+    pts = b.as_array()
+    ys = np.sort(pts[:, 1])
+    row_starts, row_sizes = _runs(ys)
+    # B = X x Y (the empty set too) exactly when |B| = |X| * |Y|: the join's case
+    x_starts = _runs(pts[:, 0])[0]
+    if len(x_starts) * len(row_starts) == len(b):
+        found = _join(pts[x_starts, 0], ys[row_starts], mode)
+        if found is not None:
+            return found
     xmin, ymin, xmax, ymax = b.bbox()
     w, h, m = xmax - xmin + 1, ymax - ymin + 1, min(xmax - xmin, ymax - ymin)
     # sweep = sum of (w - s) * (h - s) over the widths s = 1..m
     sweep = m * w * h - (w + h) * m * (m + 1) // 2 + m * (m + 1) * (2 * m + 1) // 6
-    pts = b.as_array()
-    ys = np.sort(pts[:, 1])
-    row_starts, row_sizes = _runs(ys)
     scan = int(np.dot(row_sizes, row_sizes))
-    raster = w * h <= effective_budget(DEFAULT_GRID_CELLS) and sweep < DENSE_VERTEX_RATIO * scan
-    if not raster:
-        require_budget(scan, DEFAULT_PAIR_BUDGET, "the same-row pair scan")
-        # the scan's membership set holds every point
-        require_budget(len(b), DEFAULT_ELEMENT_BUDGET, "a vertex-center scan")
-    # B = X x Y exactly when it has |X| * |Y| points: its squares are the
-    # common-radius join of X and Y
-    x_starts = _runs(pts[:, 0])[0]
-    if len(x_starts) * len(row_starts) == len(b):
-        xs, ys = pts[x_starts, 0], ys[row_starts]
-        if _join_plan(xs, ys)[0]:
-            return _join_dense(xs, ys, mode)
-    return (_vertex_centers_dense if raster else _vertex_centers_sparse)(b, mode)
+    if w * h <= effective_budget(DEFAULT_GRID_CELLS) and sweep < DENSE_VERTEX_RATIO * scan:
+        return _vertex_centers_dense(b, mode)
+    require_budget(scan, DEFAULT_PAIR_BUDGET, "the same-row pair scan")
+    # the scan's membership set holds every point
+    require_budget(len(b), DEFAULT_ELEMENT_BUDGET, "a vertex-center scan")
+    return _vertex_centers_sparse(b, mode)
 
 
 def find_boundary_centers_2d(b: PointSet2D, r_max: int,
@@ -383,25 +375,24 @@ def find_boundary_centers_2d(b: PointSet2D, r_max: int,
     grid decide "row/column segment completely occupied" for every in-range
     center simultaneously.
     """
-    if mode not in ("enumerate", "count"):
-        raise ParameterError(f"mode must be 'enumerate' or 'count', got {mode!r}")
+    _check_mode(mode)
     if not isinstance(r_max, int) or r_max < 1:
         raise ParameterError(f"r_max must be an integer >= 1, got {r_max!r}")
     if not len(b):
         return 0 if mode == "count" else CenterRows([], [], [])
-    grid = OccupancyGrid.from_points(b)
-    w, h = grid.width, grid.height
+    x0, y0, w, h = _grid_box(b)
     r_eff = min(r_max, (w - 1) // 2, (h - 1) // 2)
     require_budget(w * h * max(r_eff, 0), DEFAULT_PAIR_BUDGET, "the per-radius boundary sweep")
+    grid = OccupancyGrid.from_points(b)
     count, found = 0, [np.zeros((0, 3), dtype=np.int64)]
     for r in range(1, r_eff + 1):
-        full = grid.boundary_full(np.arange(grid.x0 + r, grid.x0 + w - r)[:, None],
-                                  np.arange(grid.y0 + r, grid.y0 + h - r), r)
+        full = grid.boundary_full(np.arange(x0 + r, x0 + w - r)[:, None],
+                                  np.arange(y0 + r, y0 + h - r), r)
         if mode == "count":
             count += int(np.count_nonzero(full))
             continue
         u, v = np.nonzero(full)
-        found.append(np.column_stack((u + grid.x0 + r, v + grid.y0 + r, np.full(len(u), r))))
+        found.append(np.column_stack((u + x0 + r, v + y0 + r, np.full(len(u), r))))
     if mode == "count":
         return count
     return CenterRows._adopt(2 * np.concatenate(found))

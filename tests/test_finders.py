@@ -79,8 +79,10 @@ class TestCenters1D:
 
     def test_budget_override(self, monkeypatch):
         monkeypatch.setenv("SQUARELAB_BUDGET", "0.001")  # 5 elements
+        # spread wide, so the dense join cannot pay and the sparse kernel's
+        # guard is reached
         with pytest.raises(BudgetError, match="the pair arrays of the set"):
-            find_centers_1d(make_intset(range(20)))
+            find_centers_1d(make_intset(range(0, 20_000, 1_000)))
 
     def test_bad_mode(self):
         with pytest.raises(ParameterError):
@@ -292,6 +294,50 @@ class TestProductDispatch:
         assert calls == ["count"]
 
 
+def _spread_set(seed, size, span):
+    rng = np.random.default_rng(seed)
+    return make_intset(rng.choice(span, size=size, replace=False).tolist())
+
+
+class TestSquareProducts:
+    """A x A takes the 1D finder's path: the dense join when it pays, else the
+    sparse join of A with itself, never the raster sweep or the pair scan."""
+
+    @pytest.fixture
+    def no_corner_kernels(self, monkeypatch):
+        for name in ("_vertex_centers_dense", "_vertex_centers_sparse"):
+            monkeypatch.setattr(finders, name, lambda b, mode, name=name:
+                                pytest.fail(f"{name} ran on a square product"))
+
+    # the dense join pays on none of these; the corner kernels would refuse
+    # the last two, whose pair scans are 64,000,000 and 27,000,000 same-row pairs
+    @pytest.mark.parametrize("size, span", [(200, 909), (400, 2_000), (300, 10**6)])
+    def test_wide_square_products_equal_the_1d_finder(self, no_corner_kernels, size, span):
+        a = _spread_set(0, size, span)
+        b = PointSet2D.product(a, a)
+        assert find_vertex_centers_2d(b, "count") == find_centers_1d(a, "count")
+        assert find_vertex_centers_2d(b) == find_centers_1d(a)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_square_products_match_the_oracle(self, no_corner_kernels, seed):
+        # a dense box and a sparse spread: the dense and the sparse join
+        for a in (_spread_set(seed, 7, 11), _spread_set(seed, 7, 10**6)):
+            b = PointSet2D.product(a, a)
+            expected = oracle_vertex_centers_2d(b.points)
+            assert {(p.X, p.Y) for p in find_vertex_centers_2d(b)} == expected
+            assert find_vertex_centers_2d(b, "count") == len(expected)
+
+    def test_unequal_wide_products_keep_the_corner_kernels(self, monkeypatch):
+        # X != Y and the dense join cannot pay: the pair scan, as before
+        x, y = _spread_set(0, 6, 10**6), _spread_set(1, 7, 10**6)
+        b = PointSet2D.product(x, y)
+        calls = []
+        monkeypatch.setattr(finders, "_vertex_centers_sparse",
+                            lambda b, mode: calls.append(mode) or _vertex_centers_sparse(b, mode))
+        assert find_vertex_centers_2d(b, "count") == len(oracle_vertex_centers_2d(b.points))
+        assert calls == ["count"]
+
+
 class TestBudgets:
     def test_spread_1d_refuses_before_work(self):
         # 2,000 elements of [0, 10**5): about 5.5e7 same-radius midpoint
@@ -363,6 +409,43 @@ class TestBudgets:
         # 59,175 points: no point guard, a 244 x 244 grid and 20 sweeps of it
         b, _ = gen_boundary_example(3)
         assert find_boundary_centers_2d(b, 20, "count") == 969_226
+
+    def test_sparse_guards_only_price_the_sparse_kernel(self, monkeypatch):
+        # the scale leaves an element budget of 5 for the pair arrays, which
+        # the dense join that 0..19 takes never builds
+        monkeypatch.setenv("SQUARELAB_BUDGET", "0.001")
+        a = make_intset(range(20))
+        assert find_centers_1d(a, "count") == len(oracle_centers_1d(range(20)))
+        assert find_vertex_centers_2d(PointSet2D.product(a, a), "count") == \
+            find_centers_1d(a, "count")
+
+    def test_raster_sweep_marks_one_bool_raster(self):
+        # 700 x 700 cells at density 1/2: a bool raster, one center raster and
+        # the points' cell indices take ~4.2 MiB; an occupancy grid's two int32
+        # run tables would take 3.7 MiB more
+        rng = np.random.default_rng(0)
+        b = PointSet2D(np.argwhere(rng.random((700, 700)) < 0.5))
+        tracemalloc.start()
+        try:
+            count = _vertex_centers_dense(b, "count")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 895_753
+        assert peak < 5 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_boundary_sweep_is_priced_before_its_grid(self):
+        # 1000 x 1000 cells and 21 radii: over the pair budget, refused before
+        # the 1 MB of cells and 8 MB of run tables are allocated
+        b = PointSet2D([(0, 0), (999, 999)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="per-radius boundary sweep"):
+                find_boundary_centers_2d(b, 21, "count")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16, f"peak {peak / 2**20:.1f} MiB"
 
     def test_boundary_guards_refuse_before_work(self):
         start = time.perf_counter()
