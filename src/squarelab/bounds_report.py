@@ -184,26 +184,32 @@ def _lookup(s: IntSet1D) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
 
 
 def _verify_dk(k: int) -> list[BoundCheck]:
-    """Exhaustive witness replay over all of {0..k**4-1}**2, vectorized.
+    """Exhaustive witness replay over all of {0..k**4-1}**2, a block of
+    centers at a time.
 
-    Counts the k**8 centers against the pair budget first, then builds the
-    radius table r(x, y) a block of rows at a time and checks the four
-    shifted memberships through a boolean lookup of D_k.
+    Counts the k**8 centers against the pair budget first.  The witness
+    radius reads only x mod k**2 and y div k**2, so it is one r on each of
+    the k**4 blocks {x = a (mod k**2)} x {y div k**2 = b} of k**4 centers;
+    there x -+ r in D_k and y -+ r in D_k are independent, and the block's
+    good centers number Cx * Cy, each count a boolean lookup of D_k over
+    the block's k**2 values of x or of y.
     """
-    n = k**4
+    n, m = k**4, k**2
     require_budget(n * n, DEFAULT_PAIR_BUDGET, f"the witness replay at level {k}")
     dset = cons.gen_Dk(k)
     hit, o = _lookup(dset)
-    ys = np.arange(n, dtype=np.int64)
-    at = ys - o  # the lookup cell of each coordinate
+    digits = np.arange(m, dtype=np.int64)
+    blocks = np.arange(m * m, dtype=np.int64)
     misses = radius_misses = 0
-    rows = max(1, _CHUNK_CELLS // n)
-    for lo in range(0, n, rows):
-        xs, xat = ys[lo:lo + rows, None], at[lo:lo + rows, None]
-        r = cons.witness_radii(xs, ys, k)
-        good = hit(xat - r) & hit(xat + r) & hit(at - r) & hit(at + r)
-        misses += good.size - int(np.count_nonzero(good))
-        radius_misses += int(np.count_nonzero(r > n))
+    rows = max(1, _CHUNK_CELLS // m)
+    for lo in range(0, m * m, rows):
+        a, b = np.divmod(blocks[lo:lo + rows, None], m)
+        r = cons.witness_radii(a, b * m, k)
+        xat, yat = a + m * digits - o, b * m + digits - o  # the block's lookup cells
+        cx = np.count_nonzero(hit(xat - r) & hit(xat + r), axis=1)
+        cy = np.count_nonzero(hit(yat - r) & hit(yat + r), axis=1)
+        misses += cx.size * n - int(cx @ cy)
+        radius_misses += n * int(np.count_nonzero(r > n))
     sizes = {"k": k, "elems": len(dset), "centers": n * n}
     return [
         BoundCheck.compare(f"dk{k}_witness_misses", misses, 0, **sizes),

@@ -75,13 +75,11 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
 
 
 def _read_intset(path: str) -> IntSet1D:
-    with open(path, "rb") as f:
-        return parse_intset_text(f, source=path)
+    return parse_intset_text(Path(path), source=path)
 
 
 def _read_pointset(path: str) -> PointSet2D:
-    with open(path, "rb") as f:
-        return parse_pointset_text(f, source=path)
+    return parse_pointset_text(Path(path), source=path)
 
 
 # ---------------------------------------------------------------------------

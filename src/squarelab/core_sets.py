@@ -25,6 +25,7 @@ import io
 import math
 import os
 import re
+import stat
 import warnings
 from fractions import Fraction
 from functools import partial
@@ -375,13 +376,19 @@ def _grid_box(points: PointSet2D) -> tuple[int, int, int, int]:
     return xmin, ymin, width, height
 
 
+_RASTER_BLOCK = 2**16  # points marked per block: 1 MiB of cell indices
+
+
 def _raster(points: PointSet2D) -> tuple[int, int, np.ndarray]:
     """(x0, y0, cells): bool cells over the bounding box of a non-empty point
-    set, ``cells[i, j]`` for the lattice point ``(x0 + i, y0 + j)``."""
+    set, ``cells[i, j]`` for the lattice point ``(x0 + i, y0 + j)``, marked
+    a block of points at a time."""
     x0, y0, width, height = _grid_box(points)
     cells = np.zeros((width, height), dtype=bool)
     arr = points.as_array()
-    cells[arr[:, 0] - x0, arr[:, 1] - y0] = True
+    for lo in range(0, len(arr), _RASTER_BLOCK):
+        block = arr[lo:lo + _RASTER_BLOCK]
+        cells[block[:, 0] - x0, block[:, 1] - y0] = True
     return x0, y0, cells
 
 
@@ -450,6 +457,8 @@ _HEADER_LINE = re.compile(rb"#[^\r\n]*\n")
 # the bytes numpy's C parser reads exactly as int() reads them, token by token
 _PLAIN_BYTES = b"0123456789- \n"
 _CHECK_BLOCK = 2**20  # bytes read per check, so no check holds the file
+# suffixes numpy opens as compressed archives when it is given a path
+_COMPRESSED = (".bz2", ".gz", ".xz", ".lzma")
 
 
 def _decode_text(data: bytes, source: str) -> str:
@@ -474,7 +483,8 @@ def _seekable(data: str | bytes | BinaryIO) -> BinaryIO:
     return data if data.seekable() else io.BytesIO(data.read())
 
 
-def _int_columns(data: str | bytes | BinaryIO, k: int) -> np.ndarray | None:
+def _int_columns(data: str | bytes | BinaryIO, k: int,
+                 path: os.PathLike | None = None) -> np.ndarray | None:
     """The data lines of a set file, from where its stream stands, as an
     (n, k) int64 array read by numpy's C parser, or None when the file needs
     the line walk.
@@ -482,27 +492,36 @@ def _int_columns(data: str | bytes | BinaryIO, k: int) -> np.ndarray | None:
     Past the leading '#' lines, which must be UTF-8, the file must hold only
     digits, '-', spaces and LF, each token one that int() takes and that
     fits int64, k per line.  The header is read a line and the data a 1 MiB
-    block at a time; numpy then reads the data from the stream itself.
+    block at a time.  numpy then reads the data from the stream itself, or,
+    given the path of the regular file the stream reads from its start,
+    from that path past the header lines: numpy reads a path a chunk at a
+    time, any other file a line at a time.
     """
     stream = _seekable(data)
     start = stream.tell()
+    header = 0
     while _HEADER_LINE.fullmatch(line := stream.readline(_CHECK_BLOCK)):
         try:
             line.decode("utf-8")
         except UnicodeDecodeError:
             return None
         start += len(line)
+        header += 1
     stream.seek(start)
     if any(block.translate(None, _PLAIN_BYTES)
            for block in iter(partial(stream.read, _CHECK_BLOCK), b"")):
         return None
-    stream.seek(start)
+    if path is None:
+        stream.seek(start)
+        load = partial(np.loadtxt, stream)
+    else:
+        load = partial(np.loadtxt, path, skiprows=header, encoding="utf-8")
     try:
         with warnings.catch_warnings():
             # numpy < 2 reads a token past int64 as a float, with a
             # DeprecationWarning; an input with no data warns too
             warnings.simplefilter("error")
-            rows = np.loadtxt(stream, dtype=np.int64, comments=None, ndmin=2)
+            rows = load(dtype=np.int64, comments=None, ndmin=2)
     except (ValueError, OverflowError, Warning):
         return None
     return rows if rows.shape[1] == k else None
@@ -512,18 +531,27 @@ def _int_columns(data: str | bytes | BinaryIO, k: int) -> np.ndarray | None:
 _LINE_FORMS = {1: ("one integer", "an integer"), 2: ("'x y'", "an integer pair")}
 
 
-def _parse_set(data: str | bytes | BinaryIO, source: str, k: int, build):
+def _parse_set(data: str | bytes | BinaryIO | os.PathLike, source: str, k: int, build,
+               path: os.PathLike | None = None):
     """The set `build` makes of a file's data lines of k integers each.
 
-    numpy's parser reads the file when it reads it as int() would.  Bytes it
-    does not read are decoded (CRLF becomes LF, a byte that is not UTF-8 is
-    refused) and the text tried again.  Anything else ('+5', '1_000', tabs,
-    comments, values past int64, bad lines) takes the line walk, which names
-    the first bad line; the constructor names the first value past 2**62.
+    A path is opened; numpy is handed the path of a regular file, which it
+    reads in chunks, and reads anything else (a pipe, a terminal) from the
+    open file.  numpy's parser reads the file when it reads it as int()
+    would.  Bytes it does not read are decoded (CRLF becomes LF, a byte that
+    is not UTF-8 is refused) and the text tried again.  Anything else ('+5',
+    '1_000', tabs, comments, values past int64, bad lines) takes the line
+    walk, which names the first bad line; the constructor names the first
+    value past 2**62.
     """
+    if isinstance(data, os.PathLike):
+        with open(data, "rb") as f:
+            regular = (stat.S_ISREG(os.fstat(f.fileno()).st_mode)
+                       and os.path.splitext(data)[1] not in _COMPRESSED)
+            return _parse_set(f, source, k, build, data if regular else None)
     stream = _seekable(data)
     origin = stream.tell()
-    rows = _int_columns(stream, k)
+    rows = _int_columns(stream, k, path)
     if rows is None and not isinstance(data, str):
         stream.seek(origin)
         return _parse_set(_decode_text(stream.read(), source), source, k, build)
@@ -549,16 +577,18 @@ def _parse_set(data: str | bytes | BinaryIO, source: str, k: int, build):
         raise FormatError(str(exc), source=source) from None
 
 
-def parse_intset_text(text: str | bytes | BinaryIO, *, source: str = "<string>") -> IntSet1D:
-    """The set of a 1D set file's text, or of its bytes or open binary file
-    read as UTF-8 with universal newlines."""
+def parse_intset_text(text: str | bytes | BinaryIO | os.PathLike, *,
+                      source: str = "<string>") -> IntSet1D:
+    """The set of a 1D set file's text, or of its bytes, open binary file or
+    path read as UTF-8 with universal newlines."""
     return _parse_set(text, source, 1, lambda rows: IntSet1D._adopt(
         rows[:, 0] if isinstance(rows, np.ndarray) else [v for v, in rows]))
 
 
-def parse_pointset_text(text: str | bytes | BinaryIO, *, source: str = "<string>") -> PointSet2D:
-    """The set of a 2D set file's text, or of its bytes or open binary file
-    read as UTF-8 with universal newlines."""
+def parse_pointset_text(text: str | bytes | BinaryIO | os.PathLike, *,
+                        source: str = "<string>") -> PointSet2D:
+    """The set of a 2D set file's text, or of its bytes, open binary file or
+    path read as UTF-8 with universal newlines."""
     return _parse_set(text, source, 2, PointSet2D._adopt)
 
 

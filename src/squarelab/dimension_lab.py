@@ -46,7 +46,9 @@ def covering_count_1d(a: IntSet1D, length: int) -> int:
     element — which is optimal in one dimension: any cover must contain an
     interval reaching that element, and sliding it right to start there only
     ever covers more.  An interval of length L covers L+1 lattice points.
-    Each interval costs one binary search: O(count * log |A|) in all.
+    Each interval costs one binary search: O(count * log |A|) in all, each
+    through the array's own `searchsorted`, which skips the dispatch that
+    `np.searchsorted` adds to every jump.
     """
     if not isinstance(length, int) or length < 1:
         raise ParameterError(f"interval length must be an integer >= 1, got {length!r}")
@@ -55,11 +57,12 @@ def covering_count_1d(a: IntSet1D, length: int) -> int:
         warnings.warn("covering an empty set needs 0 intervals", RuntimeWarning,
                       stacklevel=2)
         return 0
+    find = arr.searchsorted
     count, i = 0, 0
     while i < arr.size:
         count += 1
         # no element exceeds COORD_LIMIT, so clamping keeps the search in int64
-        i = int(np.searchsorted(arr, min(int(arr[i]) + length, COORD_LIMIT), "right"))
+        i = int(find(min(int(arr[i]) + length, COORD_LIMIT), "right"))
     return count
 
 

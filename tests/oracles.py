@@ -214,6 +214,24 @@ def oracle_witness_r(x: int, y: int, k: int) -> int:
     return abs(r0) if r0 else 1
 
 
+def oracle_dk_replay(elems, k: int) -> tuple[int, int]:
+    """(misses, radii over k**4) of the D_k witness replay over `elems`, one
+    center of {0..k**4-1}**2 at a time: a miss has one of x-r, x+r, y-r, y+r
+    outside the set."""
+    member = set(elems)
+    n = k**4
+    misses = over = 0
+    for x in range(n):
+        for y in range(n):
+            r = oracle_witness_r(x, y, k)
+            if not (x - r in member and x + r in member
+                    and y - r in member and y + r in member):
+                misses += 1
+            if r > n:
+                over += 1
+    return misses, over
+
+
 def oracle_witness_r_AN(x: int, y: int, p: int) -> int:
     """The depth-p tower witness radius: mixed-radix digits (p!/k!)**4, one
     level radius per digit pair, summed back with the same multipliers."""

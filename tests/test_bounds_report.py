@@ -26,7 +26,7 @@ from squarelab import (
 )
 from squarelab import bounds_report
 
-from oracles import oracle_boundary_radius, oracle_witness_r
+from oracles import oracle_boundary_radius, oracle_dk_replay
 
 
 class TestBoundCheck:
@@ -108,16 +108,24 @@ class TestVerifyConstruction:
         assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_dk_replay_counts_misses_across_row_blocks(self, monkeypatch):
-        # a digit set with holes, replayed one row per block, must miss
-        # exactly the centers a scalar walk finds
+        # a digit set with holes, replayed a few center blocks at a time,
+        # must miss exactly the centers a scalar walk finds
         holed = make_intset(v for i, v in enumerate(gen_Dk(3)) if i % 5)
-        expected = sum(
-            1 for x in range(81) for y in range(81)
-            if not {x - (r := oracle_witness_r(x, y, 3)), x + r, y - r, y + r} <= set(holed))
         monkeypatch.setattr(bounds_report, "_CHUNK_CELLS", 50)
         monkeypatch.setattr(bounds_report.cons, "gen_Dk", lambda k: holed)
         misses = verify_construction("dk", k=3)[0]
-        assert misses.lhs == expected > 0
+        assert misses.lhs == oracle_dk_replay(holed, 3)[0] > 0
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_dk_block_counts_match_the_per_center_replay(self, k, monkeypatch):
+        # Cx * Cy per block against one center at a time, on D_k and on D_k
+        # without 1, a probe of the radius-1 center (0, 0) among others
+        dk = gen_Dk(k)
+        for dset in (dk, make_intset(set(dk) - {1})):
+            monkeypatch.setattr(bounds_report.cons, "gen_Dk", lambda k: dset)
+            misses, over_cap = verify_construction("dk", k=k)[:2]
+            assert (misses.lhs, over_cap.lhs) == oracle_dk_replay(dset, k)
+        assert misses.lhs > 0
 
     def test_dk_replay_counts_probes_past_the_range_as_misses(self, monkeypatch):
         # radii bent by 40 send probes past [-81, 162]: each is a miss, and

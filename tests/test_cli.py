@@ -217,8 +217,9 @@ class TestFind:
 
 
 class TestReadSetFiles:
-    """Set files read from the open file: numpy parses the data past the '#'
-    lines from the stream; anything else is decoded and walked line by line."""
+    """Set files read by path: numpy parses the data past the '#' lines from
+    the path of a regular file, or from the stream of one that cannot seek;
+    anything else is decoded and walked line by line."""
 
     @pytest.mark.parametrize("data", [
         b"# header\n# second header\n3\n-1\n2\n",
@@ -282,8 +283,8 @@ class TestReadSetFiles:
     def test_reading_a4_holds_about_its_array(self, tmp_path):
         # bytes, decoded text, its data slice and that slice's encoding took
         # ~4.2x the file's size, the file's bytes beside the parsed column
-        # 2.27x; parsed from the open file, the 7.0 MiB column and numpy's
-        # read buffers peaked at 7.9 MiB (1.27x the file)
+        # 2.27x; parsed by numpy from the open file or from its path, the
+        # 7.0 MiB column and numpy's read buffers peak at 7.9 MiB (1.27x the file)
         f = tmp_path / "a4.txt"
         assert run("gen", "an", "--p", "4", "--out", str(f)) == 0
         tracemalloc.start()

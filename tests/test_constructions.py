@@ -161,6 +161,15 @@ class TestWitness:
         assert table.tolist() == [[oracle_witness_r(x, y, k) for y in range(n)]
                                   for x in range(n)]
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_radius_reads_x_mod_k2_and_y_div_k2(self, k):
+        # the dk replay prices one radius per block {x = a (mod k**2)} x
+        # {y div k**2 = b}, so no other digit of x or y may move it
+        m = k * k
+        v = np.arange(k**4)
+        assert np.array_equal(witness_radii(v[:, None], v, k),
+                              witness_radii(v[:, None] % m, v // m * m, k))
+
     def test_radii_domain_checks(self):
         with pytest.raises(RangeError):
             witness_radii(np.array([0, 16]), np.array([0, 0]), 2)

@@ -1,3 +1,5 @@
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,6 +18,7 @@ from squarelab import (
     format_intset_text,
     format_pointset_text,
     gen_AN,
+    gen_boundary_example,
     make_intset,
     parse_intset_text,
     parse_pointset_text,
@@ -23,6 +26,7 @@ from squarelab import (
 from squarelab.core_sets import (
     COORD_LIMIT,
     _FORMAT_BLOCK,
+    _RASTER_BLOCK,
     _format_rows,
     _int_columns,
     budget_scale,
@@ -337,6 +341,20 @@ class TestOccupancyGrid:
             OccupancyGrid.from_points(PointSet2D([(0, 0), (10**6, 10**6)]))
         assert exc.value.estimate > exc.value.limit
 
+    def test_grid_build_holds_one_block_of_indices(self):
+        # two int64 index arrays of all 585,120 points took the build of the
+        # k = 4 boundary example's grid to 9.5 MiB beside its 4.5 MiB of run
+        # tables; a block of points at a time, it peaks within one block
+        b, _ = gen_boundary_example(4)
+        tracemalloc.start()
+        try:
+            grid = OccupancyGrid.from_points(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(run.nbytes for run in grid._runs)
+        assert peak <= held + 16 * _RASTER_BLOCK, f"peak {peak / 2**20:.2f} MiB"
+
 
 class TestBudgets:
     def test_env_scale(self, monkeypatch):
@@ -489,6 +507,62 @@ class TestTextFormats:
                 tracemalloc.stop()
         assert np.array_equal(out.as_array(), rows) and not out.as_array().flags.writeable
         assert peaks[1] < peaks[0] + rows.nbytes // 4, peaks
+
+    @pytest.mark.parametrize("parse, data", [
+        (parse_intset_text, b"# header\n# second header\n3\n-1\n2\n"),
+        (parse_intset_text, b"1\r\n2\r\n"),                 # CRLF
+        (parse_intset_text, b"# caf\xe9\n1\n"),              # a header that is not UTF-8
+        (parse_intset_text, b"# header\n1\ntwo\n3\n"),       # a malformed line
+        (parse_intset_text, b"# only a header\n"),
+        (parse_pointset_text, b"# points\n1 2\n-3 4\n1 2\n"),
+        (parse_pointset_text, b"1 2\r\n3 4\r\n"),
+        (parse_pointset_text, b"# h\xc3\n1 2\n"),
+        (parse_pointset_text, b"# header\n1 2\n3\n"),
+    ])
+    def test_every_input_form_reads_alike(self, tmp_path, parse, data):
+        # text, bytes, an open file, the path of a regular file and the path
+        # of a FIFO give one set, or one FormatError on one line
+        f = tmp_path / "set.txt"
+        f.write_bytes(data)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+
+        def read(form):
+            try:
+                return tuple(parse(form, source="set.txt"))
+            except FormatError as exc:
+                return str(exc), exc.lineno
+
+        with open(f, "rb") as opened:
+            got = [read(data), read(opened), read(f)]
+        writer.start()
+        got.append(read(fifo))
+        writer.join()
+        try:
+            got.append(read(data.decode("utf-8")))
+        except UnicodeDecodeError:
+            pass
+        assert all(g == got[0] for g in got), got
+
+    def test_regular_files_reach_numpy_by_path(self, tmp_path, monkeypatch):
+        # numpy reads a path a chunk at a time and any other file a line at
+        # a time; a plain file named like an archive stays on the stream,
+        # since numpy would open its path as one
+        seen = []
+        load = np.loadtxt
+
+        def spy(fname, *args, **kwargs):
+            seen.append((fname, kwargs.get("skiprows", 0)))
+            return load(fname, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        plain, archive = tmp_path / "a.txt", tmp_path / "a.gz"
+        for f in (plain, archive):
+            f.write_bytes(b"# header\n# second header\n1\n2\n")
+        assert parse_intset_text(plain).elems == parse_intset_text(archive).elems == (1, 2)
+        assert seen[0] == (plain, 2)
+        assert not isinstance(seen[1][0], os.PathLike) and seen[1][1] == 0
 
     @given(st.sets(st.integers(-10**9, 10**9), max_size=40))
     @settings(max_examples=50)
