@@ -3,7 +3,8 @@ square problems: sets rich in square vertices or square boundaries, the
 counting bounds they satisfy, and finite dimension diagnostics for the
 fractal limits they approximate."""
 
-import os
+import importlib as _importlib
+import os as _os
 
 # OpenBLAS starts its worker pool when numpy loads, and each idle worker
 # busy-waits for up to 2**28 cycles before it sleeps: ~50 ms of CPU per
@@ -12,7 +13,7 @@ import os
 # and keeps the pool for the one BLAS kernel, the strip products of
 # finders._join_dense.  It must be set before numpy is first imported; a
 # value already set wins, and numpy builds without OpenBLAS ignore it.
-os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+_os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 from .core_sets import (
     BudgetError,
@@ -31,45 +32,37 @@ from .core_sets import (
     parse_intset_text,
     parse_pointset_text,
 )
-from .constructions import (
-    CantorTruncation,
-    CountableBlock,
-    CountableTruncation,
-    default_a_sequence,
-    gen_AN,
-    gen_boundary_example,
-    gen_cantor_truncation,
-    gen_countable_truncation,
-    gen_Dk,
-    gen_vertex_example,
-    splice_En,
-    witness_radii,
-    witness_radii_AN,
-)
-from .finders import (
-    CenterRows,
-    CenterWitness,
-    find_boundary_centers_2d,
-    find_centers_1d,
-    find_vertex_centers_2d,
-)
-from .dimension_lab import (
-    RatioPoint,
-    SlopeStep,
-    covering_count_1d,
-    dyadic_box_count_2d,
-    exponent_finite_diff,
-    falconer_ratios,
-    snap_to_grid,
-)
-from .bounds_report import (
-    BoundCheck,
-    ExponentReport,
-    build_report,
-    check_main_lemma_1d,
-    check_main_lemma_2d,
-    family_scan,
-    verify_construction,
-)
+
+# name -> the module that defines it.  These modules load when one of their
+# names is first looked up (PEP 562), so `import squarelab` loads numpy and
+# core_sets only.
+_LAZY = {name: module for module, names in {
+    "constructions": (
+        "CantorTruncation", "CountableBlock", "CountableTruncation", "default_a_sequence",
+        "gen_AN", "gen_boundary_example", "gen_cantor_truncation",
+        "gen_countable_truncation", "gen_Dk", "gen_vertex_example", "splice_En",
+        "witness_radii", "witness_radii_AN"),
+    "finders": ("CenterRows", "CenterWitness", "find_boundary_centers_2d",
+                "find_centers_1d", "find_vertex_centers_2d"),
+    "dimension_lab": ("RatioPoint", "SlopeStep", "covering_count_1d", "dyadic_box_count_2d",
+                      "exponent_finite_diff", "falconer_ratios", "snap_to_grid"),
+    "bounds_report": ("BoundCheck", "ExponentReport", "build_report", "check_main_lemma_1d",
+                      "check_main_lemma_2d", "family_scan", "verify_construction"),
+}.items() for name in names}
+
+# core_sets' names, bound above, then the lazy ones
+__all__ = [n for n in globals() if not n.startswith("_") and n != "core_sets"] + [*_LAZY]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"

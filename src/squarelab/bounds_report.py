@@ -16,33 +16,35 @@ shape shared by the command-line tools.
 
 from __future__ import annotations
 
-import datetime as _dt
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import constructions as cons
+# Of this package only core_sets is imported here: each function imports the
+# other modules it calls, so a command loads only the modules its work reaches.
 from .core_sets import (
     DEFAULT_PAIR_BUDGET,
+    DEFAULT_SEED,
     IntSet1D,
     OccupancyGrid,
     ParameterError,
     PointSet2D,
+    _FAMILIES,
+    _VERIFY_PARAMS,
     require_budget,
 )
-from .dimension_lab import SlopeStep, covering_count_1d, exponent_finite_diff
-from .finders import find_centers_1d, find_vertex_centers_2d
+
+if TYPE_CHECKING:
+    from .dimension_lab import SlopeStep
 
 __all__ = [
     "DEFAULT_SEED", "BoundCheck", "ExponentReport",
     "check_main_lemma_2d", "check_main_lemma_1d",
     "family_scan", "verify_construction", "build_report",
 ]
-
-DEFAULT_SEED = 20260816
 
 
 @dataclass(frozen=True)
@@ -87,6 +89,7 @@ def check_main_lemma_2d(b: PointSet2D, *, s_count: int | None = None) -> BoundCh
     in B; pass s_count if it is already known to skip the finder run.
     """
     if s_count is None:
+        from .finders import find_vertex_centers_2d
         s_count = find_vertex_centers_2d(b, mode="count")
     return BoundCheck.compare("vertex_centers_cubed_vs_16_points_fourth",
                               s_count**3, 16 * len(b) ** 4,
@@ -96,6 +99,7 @@ def check_main_lemma_2d(b: PointSet2D, *, s_count: int | None = None) -> BoundCh
 def check_main_lemma_1d(a: IntSet1D, *, s_count: int | None = None) -> BoundCheck:
     """Exact form of the two-interval bound: |S|^3 <= 16 |A|^8."""
     if s_count is None:
+        from .finders import find_centers_1d
         s_count = find_centers_1d(a, mode="count")
     return BoundCheck.compare("common_radius_pairs_cubed_vs_16_elems_eighth",
                               s_count**3, 16 * len(a) ** 8,
@@ -104,9 +108,6 @@ def check_main_lemma_1d(a: IntSet1D, *, s_count: int | None = None) -> BoundChec
 
 # ---------------------------------------------------------------------------
 # Size-law scans
-
-_FAMILIES = ("dk_vertex", "dk_boundary", "dk_size", "an_cover")
-
 
 def _cover_length(p: int, j: int) -> int:
     """The cover length 200*(p!/j!)**4 of the depth-p set at scale j."""
@@ -127,6 +128,8 @@ def family_scan(family: str, k_range: Iterable[int]) -> ExponentReport:
     Sizes come from the exact closed forms / digit-set enumeration — nothing
     planar is materialized — so slopes are bit-reproducible for a given range.
     """
+    from . import constructions as cons
+    from .dimension_lab import covering_count_1d, exponent_finite_diff
     if family not in _FAMILIES:
         raise ParameterError(f"unknown family {family!r}; choose from {_FAMILIES}")
     ks = sorted(set(k_range))
@@ -187,15 +190,16 @@ def _verify_dk(k: int) -> list[BoundCheck]:
     """Exhaustive witness replay over all of {0..k**4-1}**2, a block of
     centers at a time.
 
-    Counts the k**8 centers against the pair budget first.  The witness
-    radius reads only x mod k**2 and y div k**2, so it is one r on each of
-    the k**4 blocks {x = a (mod k**2)} x {y div k**2 = b} of k**4 centers;
-    there x -+ r in D_k and y -+ r in D_k are independent, and the block's
-    good centers number Cx * Cy, each count a boolean lookup of D_k over
-    the block's k**2 values of x or of y.
+    The witness radius reads only x mod k**2 and y div k**2, so it is one r
+    on each of the k**4 blocks {x = a (mod k**2)} x {y div k**2 = b} of k**4
+    centers; there x -+ r in D_k and y -+ r in D_k are independent, and the
+    block's good centers number Cx * Cy, each count a boolean lookup of D_k
+    over the block's k**2 values of x or of y.  Its 4 * k**6 lookups are
+    priced against the pair budget first.
     """
+    from . import constructions as cons
     n, m = k**4, k**2
-    require_budget(n * n, DEFAULT_PAIR_BUDGET, f"the witness replay at level {k}")
+    require_budget(4 * m**3, DEFAULT_PAIR_BUDGET, f"the witness replay at level {k}")
     dset = cons.gen_Dk(k)
     hit, o = _lookup(dset)
     digits = np.arange(m, dtype=np.int64)
@@ -223,6 +227,8 @@ def _verify_dk(k: int) -> list[BoundCheck]:
 def _verify_an(p: int, seed: int | None, samples: int) -> list[BoundCheck]:
     if seed is not None and seed < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed}")
+    from . import constructions as cons
+    from .dimension_lab import covering_count_1d
     a = cons.gen_AN(p)
     elems = len(a)
     covers, cap = [], 1
@@ -264,6 +270,7 @@ def _verify_an(p: int, seed: int | None, samples: int) -> list[BoundCheck]:
 def _verify_boundary(k: int) -> list[BoundCheck]:
     """Vectorized witness replay for the strip example: every center of the
     open grid carries a full square boundary, sides landing on strip lines."""
+    from . import constructions as cons
     b, s = cons.gen_boundary_example(k)
     grid = OccupancyGrid.from_points(b)
     n = k**4
@@ -285,6 +292,7 @@ def _verify_boundary(k: int) -> list[BoundCheck]:
 
 
 def _verify_countable(alpha: int, big_k: int) -> list[BoundCheck]:
+    from . import constructions as cons
     trunc = cons.gen_countable_truncation(alpha, big_k)
     checks = []
     for block in trunc.blocks:
@@ -304,12 +312,12 @@ def _verify_countable(alpha: int, big_k: int) -> list[BoundCheck]:
     return checks
 
 
-# verify target -> (the parameters it needs, its replay of them); only `an` samples
+# verify target -> its replay of the parameters _VERIFY_PARAMS names; only `an` samples
 _VERIFY = {
-    "dk": (("k",), lambda kw: _verify_dk(kw["k"])),
-    "an": (("p",), lambda kw: _verify_an(kw["p"], kw["seed"], kw["samples"])),
-    "boundary": (("k",), lambda kw: _verify_boundary(kw["k"])),
-    "countable": (("alpha", "K"), lambda kw: _verify_countable(kw["alpha"], kw["K"])),
+    "dk": lambda kw: _verify_dk(kw["k"]),
+    "an": lambda kw: _verify_an(kw["p"], kw["seed"], kw["samples"]),
+    "boundary": lambda kw: _verify_boundary(kw["k"]),
+    "countable": lambda kw: _verify_countable(kw["alpha"], kw["K"]),
 }
 
 
@@ -329,7 +337,7 @@ def verify_construction(name: str, *, k: int | None = None, p: int | None = None
         *rest, last = _VERIFY
         raise ParameterError(f"unknown construction {name!r}; "
                              f"choose {', '.join(rest)}, or {last}")
-    needs, replay = _VERIFY[name]
+    needs, replay = _VERIFY_PARAMS[name], _VERIFY[name]
     given = {"k": k, "p": p, "alpha": alpha, "K": K, "seed": seed, "samples": samples}
     if any(given[param] is None for param in needs):
         raise ParameterError(f"verify {name} needs {' and '.join(needs)}")
@@ -340,13 +348,13 @@ def build_report(suite: str, checks: Sequence[BoundCheck],
                  reports: Sequence[ExponentReport] = (),
                  seed: int | None = None) -> dict:
     """The shared JSON report object for the command-line tools."""
+    from datetime import datetime, timezone
     slopes: list[dict] = []
     for rep in reports:
         slopes.extend(rep.as_dicts())
     return {
         "suite": suite,
-        "timestamp": _dt.datetime.now(_dt.timezone.utc)
-                        .strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "timestamp": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         "seed": seed,
         "checks": [c.as_dict() for c in checks],
         "slopes": slopes,

@@ -5,11 +5,15 @@ or --out files in the plain-text formats of :mod:`squarelab.core_sets`;
 diagnostics and the one-line JSON summaries of `find` go to stderr.  Exit
 status: 0 success, 1 a verification/bound check failed, 2 usage, parameter,
 format, or budget errors.
+
+At start-up only core_sets is imported: each handler imports the modules its
+command runs when it is called, so a process loads only what it uses.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import warnings
@@ -17,18 +21,8 @@ from functools import partial
 from pathlib import Path
 from typing import Iterable
 
-from . import constructions as cons
-from .bounds_report import (
-    DEFAULT_SEED,
-    _FAMILIES,
-    _VERIFY,
-    build_report,
-    check_main_lemma_1d,
-    check_main_lemma_2d,
-    family_scan,
-    verify_construction,
-)
 from .core_sets import (
+    DEFAULT_SEED,
     FormatError,
     IntSet1D,
     PointSet2D,
@@ -38,17 +32,13 @@ from .core_sets import (
     make_intset,
     parse_intset_text,
     parse_pointset_text,
+    _FAMILIES,
+    _VERIFY_PARAMS,
     _decode_text,
     _format_blocks,
 )
-from .dimension_lab import dyadic_box_count_2d, covering_count_1d, falconer_ratios
-from .finders import (
-    find_boundary_centers_2d,
-    find_centers_1d,
-    find_vertex_centers_2d,
-)
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "run"]
 
 
 def _say(msg: str) -> None:
@@ -85,17 +75,20 @@ def _read_pointset(path: str) -> PointSet2D:
 # ---------------------------------------------------------------------------
 # gen
 
-def _cmd_gen_set(gen, param: str, what: str, args: argparse.Namespace) -> int:
+def _cmd_gen_set(gen: str, param: str, what: str, args: argparse.Namespace) -> int:
+    """Write the set that the generator named `gen` builds from `param`."""
+    from . import constructions as cons
     value = getattr(args, param)
-    s = gen(value)
+    s = getattr(cons, gen)(value)
     _emit(_format_blocks(s.as_array()[:, None], f"{what} {value}, {len(s)} elements"),
           args.out)
     return 0
 
 
-def _cmd_gen_example(gen, noun: str, args: argparse.Namespace) -> int:
+def _cmd_gen_example(gen: str, noun: str, args: argparse.Namespace) -> int:
     """Write the point set B and the center grid S of a `noun` example."""
-    b, s = gen(args.k)
+    from . import constructions as cons
+    b, s = getattr(cons, gen)(args.k)
     _write(args.out_b, _format_blocks(b.as_array(), f"{noun} example points, level {args.k}"))
     _write(args.out_s, _format_blocks(s.as_array(), f"{noun} example centers, level {args.k}"))
     _say(f"wrote {args.out_b} ({len(b)} points) and {args.out_s} ({len(s)} centers)")
@@ -103,6 +96,7 @@ def _cmd_gen_example(gen, noun: str, args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_cantor(args: argparse.Namespace) -> int:
+    from . import constructions as cons
     trunc = cons.gen_cantor_truncation(args.s, args.p)
     side = args.which
     if trunc.mode == "exact":
@@ -121,6 +115,7 @@ def _cmd_gen_cantor(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_countable(args: argparse.Namespace) -> int:
+    from . import constructions as cons
     trunc = cons.gen_countable_truncation(args.alpha, args.K)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -142,6 +137,7 @@ def _cmd_gen_countable(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_splice(args: argparse.Namespace) -> int:
+    from . import constructions as cons
     try:
         raw = json.loads(_decode_text(Path(args.patterns).read_bytes(), args.patterns))
     except json.JSONDecodeError as exc:
@@ -189,18 +185,21 @@ def _find(args: argparse.Namespace, size: int, m: int | None, find, check=None) 
 
 
 def _cmd_find_centers1d(args: argparse.Namespace) -> int:
+    from . import bounds_report, finders
     a = _read_intset(getattr(args, "in"))
-    return _find(args, len(a), len(a) ** 2, partial(find_centers_1d, a),
-                 partial(check_main_lemma_1d, a))
+    return _find(args, len(a), len(a) ** 2, partial(finders.find_centers_1d, a),
+                 partial(bounds_report.check_main_lemma_1d, a))
 
 
 def _cmd_find_vertices(args: argparse.Namespace) -> int:
+    from . import bounds_report, finders
     b = _read_pointset(getattr(args, "in"))
-    return _find(args, len(b), len(b), partial(find_vertex_centers_2d, b),
-                 partial(check_main_lemma_2d, b))
+    return _find(args, len(b), len(b), partial(finders.find_vertex_centers_2d, b),
+                 partial(bounds_report.check_main_lemma_2d, b))
 
 
 def _cmd_find_boundaries(args: argparse.Namespace) -> int:
+    from .finders import find_boundary_centers_2d
     b = _read_pointset(getattr(args, "in"))
     # No per-run counting theorem pins boundary pairs; the summary stays vacuous.
     return _find(args, len(b), None, partial(find_boundary_centers_2d, b, args.rmax))
@@ -210,7 +209,8 @@ def _cmd_find_boundaries(args: argparse.Namespace) -> int:
 # verify / scan / measure
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    params = {name: getattr(args, name) for name in _VERIFY[args.target][0]}
+    from .bounds_report import build_report, verify_construction
+    params = {name: getattr(args, name) for name in _VERIFY_PARAMS[args.target]}
     seed = getattr(args, "seed", None)  # only `verify an` samples
     checks = verify_construction(args.target, seed=seed, **params)
     if seed is not None and checks[0].sizes["exhaustive"]:
@@ -224,6 +224,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    from .bounds_report import build_report, family_scan
     ks = list(range(args.kmin, args.kmax + 1))
     rep = family_scan(args.family, ks)
     if args.format == "csv":
@@ -241,12 +242,14 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_cover(args: argparse.Namespace) -> int:
+    from .dimension_lab import covering_count_1d
     a = _read_intset(getattr(args, "in"))
     _emit(f"{covering_count_1d(a, args.len)}\n", args.out)
     return 0
 
 
 def _cmd_boxcount(args: argparse.Namespace) -> int:
+    from .dimension_lab import dyadic_box_count_2d
     pts = _read_pointset(getattr(args, "in"))
     levels = args.m
     if len(levels) == 1:
@@ -259,6 +262,7 @@ def _cmd_boxcount(args: argparse.Namespace) -> int:
 
 
 def _cmd_ratios(args: argparse.Namespace) -> int:
+    from .dimension_lab import falconer_ratios
     rows = falconer_ratios(args.s, args.jmax, args.which, sequence=args.sequence)
     lines = ["j,ratio,target"]
     lines += [f"{r.j},{r.value:.9f},{r.target:.9f}" for r in rows]
@@ -294,24 +298,24 @@ def build_parser() -> argparse.ArgumentParser:
     g = gen.add_parser("dk", help="level-k digit set")
     g.add_argument("--k", type=int, required=True)
     add_out(g)
-    g.set_defaults(func=partial(_cmd_gen_set, cons.gen_Dk, "k", "digit set, level"))
+    g.set_defaults(func=partial(_cmd_gen_set, "gen_Dk", "k", "digit set, level"))
 
     g = gen.add_parser("an", help="depth-p interpolating set")
     g.add_argument("--p", type=int, required=True)
     add_out(g)
-    g.set_defaults(func=partial(_cmd_gen_set, cons.gen_AN, "p", "interpolating set, depth"))
+    g.set_defaults(func=partial(_cmd_gen_set, "gen_AN", "p", "interpolating set, depth"))
 
     g = gen.add_parser("vertex-example", help="square-vertex example (B, S)")
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--out-b", required=True, help="file for the point set B")
     g.add_argument("--out-s", required=True, help="file for the center grid S")
-    g.set_defaults(func=partial(_cmd_gen_example, cons.gen_vertex_example, "vertex"))
+    g.set_defaults(func=partial(_cmd_gen_example, "gen_vertex_example", "vertex"))
 
     g = gen.add_parser("boundary-example", help="square-boundary example (B, S)")
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--out-b", required=True)
     g.add_argument("--out-s", required=True)
-    g.set_defaults(func=partial(_cmd_gen_example, cons.gen_boundary_example, "boundary"))
+    g.set_defaults(func=partial(_cmd_gen_example, "gen_boundary_example", "boundary"))
 
     g = gen.add_parser("cantor", help="Cantor-type truncation (scaled integer sets)")
     g.add_argument("--s", required=True, help="dimension parameter, e.g. 2 or 8/5")
@@ -361,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="replay a construction's defining property"
                          ).add_subparsers(dest="target")
-    for target, (names, _) in _VERIFY.items():
+    for target, names in _VERIFY_PARAMS.items():
         v = ver.add_parser(target)
         for name in names:
             v.add_argument(f"--{name}", type=int, required=True)
@@ -419,5 +423,16 @@ def main(argv: list[str] | None = None) -> int:
             return 2
 
 
+def run() -> None:
+    """The process entry of `squarelab` and `python -m squarelab.cli`: main(),
+    then its exit status, with every object frozen so the interpreter skips a
+    last full collection (every file a command writes is closed by then)."""
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

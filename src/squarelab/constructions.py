@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
-from typing import Collection, Sequence
+from typing import TYPE_CHECKING, Collection, Sequence
 
 import numpy as np
 
@@ -42,6 +41,9 @@ from .core_sets import (
     require_budget,
     unique_ints,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "gen_Dk", "dk_size", "dk_size_cap", "witness_radii",
@@ -311,7 +313,7 @@ class CantorTruncation:
             raise ModeError("level multipliers are exact-mode only")
         m = 8 / self.s
         assert m.denominator == 1
-        return tuple(int(self.scale * Fraction(1, math.factorial(k - 1) ** int(m) * k**4))
+        return tuple(self.scale // (math.factorial(k - 1) ** int(m) * k**4)
                      for k in range(1, self.depth + 1))
 
 
@@ -330,10 +332,10 @@ def gen_cantor_truncation(s: object, p: int) -> CantorTruncation:
 
     if m8.denominator == 1:
         m = int(m8)
-        weights = {k: Fraction(1, math.factorial(k - 1) ** m * k**4)
-                   for k in range(1, p + 1)}
-        scale = math.lcm(*(w.denominator for w in weights.values()))
-        mults = {k: int(w * scale) for k, w in weights.items()}
+        # level k weighs 1/d_k, so the scale is the lcm of the d_k
+        dens = {k: math.factorial(k - 1) ** m * k**4 for k in range(1, p + 1)}
+        scale = math.lcm(*dens.values())
+        mults = {k: scale // d for k, d in dens.items()}
         # Level 1 is {0} on both sides; it only matters through the lcm above.
         a_levels = [(mults[k], gen_Dk(k)) for k in range(2, p + 1)]
         t_levels = [(mults[k], IntSet1D._adopt(np.arange(k**4))) for k in range(2, p + 1)]

@@ -27,11 +27,13 @@ import os
 import re
 import stat
 import warnings
-from fractions import Fraction
 from functools import partial
-from typing import BinaryIO, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Coordinates are capped well inside int64 so doubling, prefix sums, and numpy
 # fast paths can never overflow.  Anything bigger is a usage error at the scales
@@ -43,6 +45,12 @@ DEFAULT_FINDER_BUDGET = 5_000        # max |A| of the sparse join's pair arrays
 DEFAULT_ELEMENT_BUDGET = 2_000_000   # max elements/points a generator or the pair scan holds
 DEFAULT_GRID_CELLS = 4_500_000       # max occupancy-grid area (~2000 x 2000)
 DEFAULT_PAIR_BUDGET = 20_000_000     # max same-row pairs scanned by the vertex finder
+
+# The CLI parser's choices, here so that it loads no other module: each verify
+# target's parameters, the size-law families, and `verify an`'s sampling seed.
+_VERIFY_PARAMS = {"dk": ("k",), "an": ("p",), "boundary": ("k",), "countable": ("alpha", "K")}
+_FAMILIES = ("dk_vertex", "dk_boundary", "dk_size", "an_cover")
+DEFAULT_SEED = 20260816
 
 _BUDGET_ENV = "SQUARELAB_BUDGET"
 
@@ -123,6 +131,7 @@ def _check_coord(v: int) -> int:
 
 
 def _as_fraction(s: object) -> Fraction:
+    from fractions import Fraction  # loads decimal too: imported only where one is built
     if isinstance(s, Fraction):
         return s
     if isinstance(s, int):

@@ -25,9 +25,23 @@ def test_module_all_names_exist(name):
 
 
 def test_package_reexports_exist():
+    # core_sets' names are imported at start-up; the other modules' names
+    # resolve through the package's lazy table on first use
     tree = ast.parse(Path(squarelab.__file__).read_text())
     imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert [node.module for node in imports] == ["core_sets"]
     for node in imports:
         module = importlib.import_module(f"squarelab.{node.module}")
         for alias in node.names:
             assert getattr(squarelab, alias.name) is getattr(module, alias.name)
+            assert alias.name in squarelab.__all__
+    assert set(squarelab._LAZY.values()) == {"constructions", "finders", "dimension_lab",
+                                             "bounds_report"}
+    for name, owner in squarelab._LAZY.items():
+        module = importlib.import_module(f"squarelab.{owner}")
+        assert getattr(squarelab, name) is getattr(module, name)
+        assert name in dir(squarelab) and name in squarelab.__all__
+    assert len(squarelab.__all__) == len(set(squarelab.__all__))
+    assert [n for n in squarelab.__all__ if not hasattr(squarelab, n)] == []
+    with pytest.raises(AttributeError, match="has no attribute 'gen_Dk_typo'"):
+        squarelab.gen_Dk_typo

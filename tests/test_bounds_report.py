@@ -24,7 +24,7 @@ from squarelab import (
     make_intset,
     verify_construction,
 )
-from squarelab import bounds_report
+from squarelab import bounds_report, constructions
 
 from oracles import oracle_boundary_radius, oracle_dk_replay
 
@@ -112,7 +112,7 @@ class TestVerifyConstruction:
         # must miss exactly the centers a scalar walk finds
         holed = make_intset(v for i, v in enumerate(gen_Dk(3)) if i % 5)
         monkeypatch.setattr(bounds_report, "_CHUNK_CELLS", 50)
-        monkeypatch.setattr(bounds_report.cons, "gen_Dk", lambda k: holed)
+        monkeypatch.setattr(constructions, "gen_Dk", lambda k: holed)
         misses = verify_construction("dk", k=3)[0]
         assert misses.lhs == oracle_dk_replay(holed, 3)[0] > 0
 
@@ -122,7 +122,7 @@ class TestVerifyConstruction:
         # without 1, a probe of the radius-1 center (0, 0) among others
         dk = gen_Dk(k)
         for dset in (dk, make_intset(set(dk) - {1})):
-            monkeypatch.setattr(bounds_report.cons, "gen_Dk", lambda k: dset)
+            monkeypatch.setattr(constructions, "gen_Dk", lambda k: dset)
             misses, over_cap = verify_construction("dk", k=k)[:2]
             assert (misses.lhs, over_cap.lhs) == oracle_dk_replay(dset, k)
         assert misses.lhs > 0
@@ -131,13 +131,13 @@ class TestVerifyConstruction:
         # radii bent by 40 send probes past [-81, 162]: each is a miss, and
         # the replay counts exactly the centers a scalar walk finds
         d3 = set(gen_Dk(3))
-        true = bounds_report.cons.witness_radii
+        true = constructions.witness_radii
         def bent(x, y, k):
             return true(x, y, k) + 40
         expected = sum(
             1 for x in range(81) for y in range(81)
             if not {x - (r := int(bent(x, y, 3))), x + r, y - r, y + r} <= d3)
-        monkeypatch.setattr(bounds_report.cons, "witness_radii", bent)
+        monkeypatch.setattr(constructions, "witness_radii", bent)
         misses, over_cap = verify_construction("dk", k=3)[:2]
         assert misses.lhs == expected == 1791
         assert not over_cap.ok
@@ -146,13 +146,13 @@ class TestVerifyConstruction:
         # radii bent on every third column must miss exactly the centers a
         # scalar walk finds with one of its four probes outside A (53 of 256)
         a = set(gen_AN(2))
-        true = bounds_report.cons.witness_radii_AN
+        true = constructions.witness_radii_AN
         def bent(x, y, p):
             return true(x, y, p) + 11 * (y % 3 == 0)
         expected = sum(
             1 for x in range(16) for y in range(16)
             if not {x - (r := int(bent(x, y, 2))), x + r, y - r, y + r} <= a)
-        monkeypatch.setattr(bounds_report.cons, "witness_radii_AN", bent)
+        monkeypatch.setattr(constructions, "witness_radii_AN", bent)
         assert verify_construction("an", p=2)[0].lhs == expected > 0
 
     def test_an_exhaustive_and_sampled(self):
@@ -169,7 +169,7 @@ class TestVerifyConstruction:
         # the exhaustive p = 2 draws nothing, yet the seed is refused as well
         def no_work(p):
             raise AssertionError("gen_AN ran")
-        monkeypatch.setattr(bounds_report.cons, "gen_AN", no_work)
+        monkeypatch.setattr(constructions, "gen_AN", no_work)
         with pytest.raises(ParameterError, match="seed must be a non-negative integer, got -1"):
             verify_construction("an", p=p, seed=-1)
 
@@ -212,7 +212,7 @@ class TestVerifyConstruction:
     def test_countable_replay_counts_misses_across_center_blocks(self, monkeypatch):
         # strips with holes, replayed a few centers per block, must miss
         # exactly the centers a per-center boundary search misses
-        real = bounds_report.cons.gen_countable_truncation(1, 3)
+        real = constructions.gen_countable_truncation(1, 3)
         rng = np.random.default_rng(3)
         blocks = []
         for blk in real.blocks:
@@ -225,20 +225,33 @@ class TestVerifyConstruction:
             member, r_cap = set(blk.boundary_set), 3 * blk.n * blk.factor
             expected.append(sum(1 for x, y in blk.centers
                                 if oracle_boundary_radius(member, x, y, r_cap) is None))
-        monkeypatch.setattr(bounds_report.cons, "gen_countable_truncation",
+        monkeypatch.setattr(constructions, "gen_countable_truncation",
                             lambda alpha, K: trunc)
         monkeypatch.setattr(bounds_report, "_CHUNK_CELLS", 100)
         got = [c.lhs for c in verify_construction("countable", alpha=1, K=3)]
         assert got == expected and 0 < sum(expected) < sum(len(b.centers) for b in blocks)
 
     def test_dk_guard_counts_centers_before_work(self, monkeypatch):
-        with pytest.raises(BudgetError, match="witness replay at level 9"):
-            verify_construction("dk", k=9)
-        monkeypatch.setenv("SQUARELAB_BUDGET", "0.000005")  # 100 pairs
+        # the replay prices its 4 * k**6 lookups of D_k, not the k**8 centers:
+        # k = 13 (19,307,236) is the last level the default budget admits
+        assert all(c.ok for c in verify_construction("dk", k=9))
+        d4 = gen_Dk(4)
+
+        def no_work(k):
+            raise AssertionError("gen_Dk ran")
+        with monkeypatch.context() as m:
+            m.setattr(constructions, "gen_Dk", no_work)
+            with pytest.raises(BudgetError, match="witness replay at level 14") as exc:
+                verify_construction("dk", k=14)
+        assert exc.value.estimate == 4 * 14**6
+        monkeypatch.setenv("SQUARELAB_BUDGET", "0.000005")  # 100 lookups
         with pytest.raises(BudgetError, match="witness replay at level 4") as exc:
             verify_construction("dk", k=4)
-        assert (exc.value.estimate, exc.value.limit) == (4**8, 100)
-        monkeypatch.setenv("SQUARELAB_BUDGET", "0.0032768")  # 4**8 pairs
+        assert (exc.value.estimate, exc.value.limit) == (4 * 4**6, 100)
+        # at exactly 4 * 4**6 lookups the replay runs (D_4 is built first, as
+        # its own element guard at this scale would refuse it)
+        monkeypatch.setattr(constructions, "gen_Dk", lambda k: d4)
+        monkeypatch.setenv("SQUARELAB_BUDGET", "0.0008192")
         assert all(c.ok for c in verify_construction("dk", k=4))
 
     def test_unknown_name(self):

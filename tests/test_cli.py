@@ -347,12 +347,12 @@ class TestVerify:
         assert all(c["ok"] for c in rep["checks"])
 
     def test_dk_refuses_before_replaying(self, capsys):
-        # k = 16 would replay 4.3e9 centers; the estimate alone must decide
+        # k = 16 would make 4 * 16**6 lookups; the estimate alone must decide
         start = time.perf_counter()
         assert run("verify", "dk", "--k", "16") == 2
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
-        assert "refusing to materialize" in err and "4,294,967,296" in err
+        assert "refusing to materialize" in err and "67,108,864" in err
 
     def test_dk_with_a_bent_witness_fails_without_a_traceback(self, capsys, monkeypatch):
         # probes past the membership table are misses, not an IndexError
@@ -370,13 +370,12 @@ class TestVerify:
 
     def test_failing_check_exits_1(self, capsys, monkeypatch):
         # no real construction fails, so fail the plumbing deliberately
-        import squarelab.cli as cli_mod
-        from squarelab import BoundCheck
+        from squarelab import BoundCheck, bounds_report
 
         def fake_verify(name, **kw):
             return [BoundCheck.compare("forced", 2, 1)]
 
-        monkeypatch.setattr(cli_mod, "verify_construction", fake_verify)
+        monkeypatch.setattr(bounds_report, "verify_construction", fake_verify)
         assert run("verify", "dk", "--k", "2") == 1
         rep = json.loads(capsys.readouterr().out)
         assert rep["checks"][0]["ok"] is False

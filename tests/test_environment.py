@@ -1,7 +1,11 @@
-"""The process environment `import squarelab` sets up, checked in fresh
-interpreters: numpy is imported once per process, so an in-process test
-would only see the state the first import left behind."""
+"""The process environment `import squarelab` and the CLI's process entry
+set up, checked in fresh interpreters: numpy and each module are imported
+once per process, so an in-process test would only see the state the first
+import left behind."""
+import gc
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import squarelab
+from squarelab.cli import main
 
 SRC = str(Path(squarelab.__file__).resolve().parents[1])
 
@@ -32,13 +37,135 @@ print(seen[0], os.environ["OPENBLAS_THREAD_TIMEOUT"])
 """
 
 
-@pytest.mark.parametrize("preset, expected", [(None, "4"), ("12", "12")])
-def test_openblas_thread_timeout_is_set_before_numpy_loads(preset, expected):
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+# The same, through the process entry `python -m squarelab.cli` runs.
+ENTRY_CHILD = CHILD.replace("import squarelab\n", """import runpy
+sys.argv = ["squarelab", "gen", "dk", "--k", "2"]
+try:
+    runpy.run_module("squarelab.cli", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0
+""")
+
+
+def child_env() -> dict[str, str]:
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_THREAD_TIMEOUT", "SQUARELAB_BUDGET")}
     env["PYTHONPATH"] = SRC
+    return env
+
+
+def timeout_seen(child: str, preset: str | None) -> list[str]:
+    """OPENBLAS_THREAD_TIMEOUT when numpy was requested, and at the end."""
+    env = child_env()
     if preset is not None:
         env["OPENBLAS_THREAD_TIMEOUT"] = preset
-    out = subprocess.run([sys.executable, "-c", CHILD], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
                          text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == [expected, expected]
+    return out.stdout.split()[-2:]
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "4"), ("12", "12")])
+def test_openblas_thread_timeout_is_set_before_numpy_loads(preset, expected):
+    assert timeout_seen(CHILD, preset) == [expected, expected]
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "4"), ("12", "12")])
+def test_openblas_thread_timeout_is_set_before_numpy_loads_on_the_entry(preset, expected):
+    assert timeout_seen(ENTRY_CHILD, preset) == [expected, expected]
+
+
+# Runs `python -m squarelab.cli ARGV...` as runpy does, or calls the
+# "module:function" in SQUARELAB_TEST_SCRIPT as a console script does, after
+# the code in SQUARELAB_TEST_PATCH.  At exit it writes the modules the process
+# loaded, and whether its objects were frozen, as the last line of stderr.
+PROBE = """
+import atexit, gc, importlib, json, os, runpy, sys
+def probe():
+    loaded = sorted(m for m in sys.modules if m.startswith("squarelab") or m == "fractions")
+    print(json.dumps({"loaded": loaded, "frozen": gc.get_freeze_count() > 0}),
+          file=sys.stderr)
+atexit.register(probe)
+exec(os.environ.get("SQUARELAB_TEST_PATCH", ""))
+sys.argv = ["squarelab", *sys.argv[1:]]
+if os.environ.get("SQUARELAB_TEST_SCRIPT"):
+    module, func = os.environ["SQUARELAB_TEST_SCRIPT"].split(":")
+    sys.exit(getattr(importlib.import_module(module), func)())
+runpy.run_module("squarelab.cli", run_name="__main__")
+"""
+
+# the target of the `squarelab` console script, as pyproject.toml declares it
+SCRIPT = re.search(r'^squarelab = "(.+)"$',
+                   (Path(SRC).parent / "pyproject.toml").read_text(), re.M).group(1)
+
+
+def probe(*argv: str, cwd: Path | None = None, **env: str) -> tuple[int, dict]:
+    out = subprocess.run([sys.executable, "-c", PROBE, *argv], env=child_env() | env,
+                         cwd=cwd, capture_output=True, text=True, timeout=120)
+    return out.returncode, json.loads(out.stderr.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def set_files(tmp_path_factory) -> Path:
+    where = tmp_path_factory.mktemp("sets")
+    (where / "a.txt").write_text("0\n1\n2\n4\n")
+    (where / "b.txt").write_text("".join(f"{x} {y}\n" for x in range(3) for y in range(3)))
+    return where
+
+
+COMMANDS = {  # command: (modules it loads, modules it must not load)
+    ("gen", "dk", "--k", "3"): (
+        {"constructions"}, {"finders", "dimension_lab", "bounds_report", "fractions"}),
+    ("find", "centers1d", "--in", "a.txt"): (
+        {"finders", "bounds_report"}, {"constructions", "dimension_lab", "fractions"}),
+    ("find", "vertices", "--in", "b.txt", "--count"): (
+        {"finders", "bounds_report"}, {"constructions", "dimension_lab", "fractions"}),
+    ("find", "boundaries", "--in", "b.txt", "--rmax", "2"): (
+        {"finders"}, {"constructions", "dimension_lab", "bounds_report", "fractions"}),
+}
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_each_command_loads_only_the_modules_it_runs(argv, set_files):
+    code, seen = probe(*argv, cwd=set_files)
+    assert code == 0
+    loaded = {m.removeprefix("squarelab.") for m in seen["loaded"]}
+    needed, unused = COMMANDS[argv]
+    assert needed <= loaded and not unused & loaded, loaded
+
+
+def test_import_loads_numpy_and_core_sets_only():
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, squarelab; print('numpy' in sys.modules, "
+         "sorted(m for m in sys.modules if m.startswith('squarelab') or m == 'fractions'))"],
+        env=child_env(), capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "True ['squarelab', 'squarelab.core_sets']"
+
+
+FORCED_FAILURE = """
+from squarelab import bounds_report
+bounds_report.verify_construction = lambda name, **kw: [
+    bounds_report.BoundCheck.compare("forced", 2, 1)]
+"""
+
+
+@pytest.mark.parametrize("script", ["", SCRIPT], ids=["module", "script"])
+@pytest.mark.parametrize("argv, patch, expected", [
+    (("gen", "dk", "--k", "2"), "", 0),
+    (("verify", "dk", "--k", "2"), FORCED_FAILURE, 1),
+    (("gen", "dk", "--k", "60"), "", 2),      # a budget refusal
+    (("gen", "dk", "--kk", "2"), "", 2),      # a usage error, raised by argparse
+    ((), "", 2),                              # no command
+], ids=["ok", "check-failed", "refused", "usage", "no-command"])
+def test_process_entry_freezes_and_passes_the_exit_status(argv, patch, expected, script):
+    code, seen = probe(*argv, SQUARELAB_TEST_PATCH=patch, SQUARELAB_TEST_SCRIPT=script)
+    assert (code, seen["frozen"]) == (expected, True)
+
+
+def test_main_in_process_does_not_freeze(capsys):
+    before = gc.get_freeze_count()
+    assert main(["gen", "dk", "--k", "2"]) == 0
+    assert main(["gen", "dk", "--k", "60"]) == 2
+    assert gc.get_freeze_count() == before
+    assert capsys.readouterr().out.startswith("# digit set, level 2, 42 elements\n")
