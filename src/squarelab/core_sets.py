@@ -7,10 +7,12 @@ radii travel in *doubled* coordinates (2x, 2y, 2r) so half-integer centers stay
 exact.  Real-valued constructions are scaled into integers before they reach
 this layer.
 
-Every set is built by one rule: one coordinate check (:func:`_coord_array`),
-a sort and deduplication unless the input is canonical already, and a frozen
-array that is copied only when it shares memory with the caller's array, so
-a fresh array (a parser's, a generator's, a sort's) is kept as it is.
+Both set types and the finders' results share one core (:class:`_RowSet`)
+and so one rule: one coordinate check (:func:`_coord_array`), a sort and
+deduplication unless the input is canonical already, and a frozen array that
+is copied only when it shares memory with the caller's array, so a fresh
+array (a parser's, a generator's, a sort's) is kept as it is.  Membership is
+one binary search over the rows, a 1D set being the one-column case.
 
 The :class:`OccupancyGrid` holds the run lengths of a dense 0/1 raster along
 both axes, so "is the whole boundary of this square occupied" is four
@@ -186,14 +188,101 @@ def unique_ints(values: np.ndarray) -> np.ndarray:
     return out
 
 
-class IntSet1D:
+def _lex_unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of an (N, k) int64 array in lexicographic order, or
+    the distinct values of an (N,) one ascending.
+
+    Input that is already strictly increasing comes back as is.
+    """
+    if rows.ndim == 1:
+        return unique_ints(rows)
+    if len(rows) < 2:
+        return rows
+    later = np.zeros(len(rows) - 1, dtype=bool)
+    tied = np.ones(len(rows) - 1, dtype=bool)
+    for col in rows.T:
+        later |= tied & (col[1:] > col[:-1])
+        tied &= col[1:] == col[:-1]
+    if later.all():
+        return rows
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return rows[np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1)))]
+
+
+class _RowSet:
+    """Distinct rows in lexicographic order, held as one read-only int64
+    array: (N,) for a set of integers, the one-column case, else (N, k).
+
+    A subclass says how outside input is checked (:func:`_coord_array` at its
+    ``_width``, or not at all for the rows a finder makes) and how an item
+    reads as a row (:meth:`_row`).  Input is sorted and deduplicated only if
+    it is not in order yet, and copied only if it shares memory with the
+    caller's array.  Sets compare and hash by their rows, within one type.
+    """
+
+    __slots__ = ("_arr",)
+    _width: int | None = None
+
+    def __init__(self, rows: Iterable | np.ndarray):
+        self._arr = self._adopt(rows, rows)._arr
+
+    @classmethod
+    def _adopt(cls, rows: Iterable | np.ndarray, given: object = None):
+        """The set of `rows`, its array copied only if it shares `given`'s:
+        a fresh array (a parser's, a generator's, a finder's) is kept."""
+        if cls._width is not None:
+            rows = _coord_array(rows, cls._width)
+        out = cls.__new__(cls)
+        out._arr = _frozen(_lex_unique_rows(rows), given)
+        return out
+
+    def as_array(self) -> np.ndarray:
+        return self._arr
+
+    def __len__(self) -> int:
+        return len(self._arr)
+
+    @staticmethod
+    def _row(item: object) -> object:
+        """The tuple of integers that `item` is as a row."""
+        return item
+
+    def __contains__(self, item: object) -> bool:
+        """A binary search per column within the rows that match the earlier
+        columns; only a tuple of int64 values of the set's width can match."""
+        key = self._row(item)
+        rows = self._arr[:, None] if self._arr.ndim == 1 else self._arr
+        if (not isinstance(key, tuple) or len(key) != rows.shape[1]
+                or not all(isinstance(v, (int, np.integer)) and -2**63 <= v < 2**63
+                           for v in key)):
+            return False
+        lo, hi = 0, len(rows)
+        for col, v in zip(rows.T, map(int, key)):  # int: a uint64 would search as a float
+            part = col[lo:hi]
+            lo, hi = (lo + int(np.searchsorted(part, v, "left")),
+                      lo + int(np.searchsorted(part, v, "right")))
+            if lo == hi:
+                return False
+        return True
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is type(self):
+            return np.array_equal(self._arr, other._arr)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._arr.tobytes())
+
+
+class IntSet1D(_RowSet):
     """A finite set of integers: one read-only, strictly increasing int64 array.
 
     Construct through :func:`make_intset` (which sorts and deduplicates) or the
     strict constructor, which :meth:`from_sorted_array` calls under its own name.
     """
 
-    __slots__ = ("_arr",)
+    __slots__ = ()
+    _width = 1
 
     def __init__(self, elems: Iterable[int]):
         arr = _coord_array(elems, 1)
@@ -207,19 +296,13 @@ class IntSet1D:
         """The set of a strictly increasing integer array, checked as the constructor checks."""
         return cls(arr)
 
-    @classmethod
-    def _adopt(cls, values: Iterable[int], given: object = None) -> "IntSet1D":
-        """The set of the integers, its array copied only if it shares `given`'s."""
-        out = cls.__new__(cls)
-        out._arr = _frozen(unique_ints(_coord_array(values, 1)), given)
-        return out
+    @staticmethod
+    def _row(v: object) -> tuple:
+        return (v,)
 
     @property
     def elems(self) -> tuple[int, ...]:
         return tuple(self._arr.tolist())
-
-    def as_array(self) -> np.ndarray:
-        return self._arr
 
     def min(self) -> int:
         if not self._arr.size:
@@ -235,25 +318,8 @@ class IntSet1D:
         offset = _check_coord(offset)
         return IntSet1D([v + offset for v in self])
 
-    def __len__(self) -> int:
-        return self._arr.size
-
     def __iter__(self) -> Iterator[int]:
         return iter(self._arr.tolist())
-
-    def __contains__(self, v: object) -> bool:
-        if not isinstance(v, (int, np.integer)) or abs(int(v)) > COORD_LIMIT:
-            return False
-        i = int(np.searchsorted(self._arr, int(v)))
-        return i < self._arr.size and int(self._arr[i]) == v
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, IntSet1D):
-            return np.array_equal(self._arr, other._arr)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._arr.tobytes())
 
     def __repr__(self) -> str:
         if len(self) <= 8:
@@ -266,67 +332,22 @@ def make_intset(values: Iterable[int]) -> IntSet1D:
     return IntSet1D._adopt(values, values)
 
 
-def _lex_unique_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of an (N, k) int64 array in lexicographic order.
-
-    Input that is already strictly increasing comes back as is.
-    """
-    if len(rows) < 2:
-        return rows
-    later = np.zeros(len(rows) - 1, dtype=bool)
-    tied = np.ones(len(rows) - 1, dtype=bool)
-    for col in rows.T:
-        later |= tied & (col[1:] > col[:-1])
-        tied &= col[1:] == col[:-1]
-    if later.all():
-        return rows
-    rows = rows[np.lexsort(rows.T[::-1])]
-    return rows[np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1)))]
-
-
-def _lex_contains(rows: np.ndarray, key: object) -> bool:
-    """Whether the tuple of integers `key` is a row of the lexsorted `rows`."""
-    if (not isinstance(key, tuple) or len(key) != rows.shape[1]
-            or not all(isinstance(v, (int, np.integer)) and -2**63 <= v < 2**63
-                       for v in key)):
-        return False
-    lo, hi = 0, len(rows)
-    for col, v in zip(rows.T, key):
-        part = col[lo:hi]
-        lo, hi = (lo + int(np.searchsorted(part, v, "left")),
-                  lo + int(np.searchsorted(part, v, "right")))
-        if lo == hi:
-            return False
-    return True
-
-
-class PointSet2D:
+class PointSet2D(_RowSet):
     """A finite set of lattice points: one read-only (N, 2) int64 array of
     distinct (x, y) rows in lexicographic order.
 
     Duplicates in the input collapse silently; emptiness is legal.
     """
 
-    __slots__ = ("_arr",)
-
-    def __init__(self, points: Iterable[tuple[int, int]] | np.ndarray):
-        self._arr = _frozen(_lex_unique_rows(_coord_array(points, 2)), points)
-
-    @classmethod
-    def _adopt(cls, points: Iterable[tuple[int, int]] | np.ndarray) -> "PointSet2D":
-        """The set of points, freezing an array that nothing else holds
-        (a parser's or a generator's fresh rows) in place of copying it."""
-        out = cls.__new__(cls)
-        out._arr = _frozen(_lex_unique_rows(_coord_array(points, 2)))
-        return out
+    __slots__ = ()
+    _width = 2
+    # an entry of this class's own, so that bench/tracing.py can wrap it alone
+    __init__ = _RowSet.__init__
 
     @classmethod
     def product(cls, xs: IntSet1D, ys: IntSet1D) -> "PointSet2D":
         xa, ya = xs.as_array(), ys.as_array()
         return cls._adopt(np.column_stack((np.repeat(xa, len(ya)), np.tile(ya, len(xa)))))
-
-    def as_array(self) -> np.ndarray:
-        return self._arr
 
     @property
     def points(self) -> frozenset[tuple[int, int]]:
@@ -346,22 +367,8 @@ class PointSet2D:
     def transpose(self) -> "PointSet2D":
         return PointSet2D(self._arr[:, ::-1])
 
-    def __len__(self) -> int:
-        return len(self._arr)
-
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return zip(self._arr[:, 0].tolist(), self._arr[:, 1].tolist())
-
-    def __contains__(self, p: object) -> bool:
-        return _lex_contains(self._arr, p)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PointSet2D):
-            return np.array_equal(self._arr, other._arr)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._arr.tobytes())
 
     def __repr__(self) -> str:
         return f"PointSet2D(<{len(self)} points>)"

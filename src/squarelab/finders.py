@@ -41,11 +41,9 @@ from .core_sets import (
     effective_budget,
     require_budget,
     unique_ints,
-    _frozen,
     _grid_box,
-    _lex_contains,
-    _lex_unique_rows,
     _raster,
+    _RowSet,
 )
 
 __all__ = [
@@ -61,52 +59,29 @@ class CenterWitness(NamedTuple):
     radius: int  # doubled: the square has half-side radius/2
 
 
-class CenterRows:
+class CenterRows(_RowSet):
     """What a finder enumerates: one read-only int64 array of distinct rows in
     lexicographic order, (X, Y) per center or (X, Y, R) per boundary witness.
 
-    Built from its columns, or adopted whole by the finders that make the rows
-    themselves.  Iteration yields :class:`DoubledPoint` or
-    :class:`CenterWitness` values one at a time, in ascending order.
+    Built from one (N, k) int64 array of rows, which the finders hand over in
+    order.  Iteration yields :class:`DoubledPoint` or :class:`CenterWitness`
+    values one at a time, in ascending order.  Not hashable.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ()
+    __hash__ = None
 
-    def __init__(self, *columns):
-        self._rows = _frozen(_lex_unique_rows(
-            np.column_stack(columns).astype(np.int64, copy=False)))
-
-    @classmethod
-    def _adopt(cls, rows: np.ndarray) -> "CenterRows":
-        """The rows of a fresh (N, k) int64 array that nothing else holds,
-        frozen in place of copying them; sorted only if not in order yet."""
-        out = cls.__new__(cls)
-        out._rows = _frozen(_lex_unique_rows(rows))
-        return out
-
-    def as_array(self) -> np.ndarray:
-        return self._rows
-
-    def __len__(self) -> int:
-        return len(self._rows)
+    @staticmethod
+    def _row(item: object) -> object:
+        return (*item.center, item.radius) if isinstance(item, CenterWitness) else item
 
     def __iter__(self) -> Iterator[DoubledPoint] | Iterator[CenterWitness]:
-        cols = [col.tolist() for col in self._rows.T]
+        cols = [col.tolist() for col in self._arr.T]
         centers = map(DoubledPoint, cols[0], cols[1])
         return centers if len(cols) == 2 else map(CenterWitness, centers, cols[2])
 
-    def __contains__(self, item: object) -> bool:
-        if isinstance(item, CenterWitness):
-            item = (*item.center, item.radius)
-        return _lex_contains(self._rows, item)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, CenterRows):
-            return np.array_equal(self._rows, other._rows)
-        return NotImplemented
-
     def __repr__(self) -> str:
-        return f"CenterRows(<{len(self)} rows of {self._rows.shape[1]}>)"
+        return f"CenterRows(<{len(self)} rows of {self._arr.shape[1]}>)"
 
 
 # A finder takes its dense kernel when the dense cost estimate is below RATIO
@@ -152,7 +127,8 @@ def _radius_counts(a: np.ndarray) -> np.ndarray:
     return np.correlate(f, f, "full")[len(f) - 1:]
 
 
-# float32 cells of one strip of the dense join's product
+# cells of one strip of the dense join's float32 product, or of a raster or
+# key array read into rows
 _STRIP_CELLS = 2**18
 
 
@@ -201,8 +177,12 @@ def _join_dense(xs: np.ndarray, ys: np.ndarray, mode: str) -> CenterRows | int:
             else:
                 count += int(np.count_nonzero(strip @ my.T))
         del mx, my  # one parity's matrices alive at a time
-    if marks is None:
-        return count
+    return count if marks is None else _marked_rows(marks, 2 * int(xs[0]), 2 * int(ys[0]))
+
+
+def _marked_rows(marks: np.ndarray, x0: int, y0: int) -> CenterRows:
+    """The rows (x0 + i, y0 + j) of the marked cells ``marks[i, j]`` of a bool
+    raster, read a strip at a time into one array, in order as they come."""
     found = np.empty((int(np.count_nonzero(marks)), 2), dtype=np.int64)
     end, step = 0, max(1, _STRIP_CELLS // marks.shape[1])
     for i0 in range(0, len(marks), step):
@@ -210,7 +190,7 @@ def _join_dense(xs: np.ndarray, ys: np.ndarray, mode: str) -> CenterRows | int:
         start, end = end, end + len(flat)
         np.divmod(flat, marks.shape[1], out=(found[start:end, 0], found[start:end, 1]))
         found[start:end, 0] += i0
-    found += (2 * int(xs[0]), 2 * int(ys[0]))
+    found += (x0, y0)
     return CenterRows._adopt(found)
 
 
@@ -237,18 +217,28 @@ def _centers_1d_sparse(a: np.ndarray, mode: str) -> CenterRows | int:
     mid_starts, mid_sizes = _runs(mid)
     mids = mid[mid_starts]
     del mid
+    n = len(mids)
     rank = np.empty_like(by_mid)
-    rank[by_mid] = np.repeat(np.arange(len(mids)), mid_sizes)
+    rank[by_mid] = np.repeat(np.arange(n), mid_sizes)
     keys = [np.zeros(0, dtype=np.int64)]
     for size in unique_ints(sizes).tolist():
         group = rank[starts[sizes == size, None] + np.arange(size)]
         i, j = np.triu_indices(size, 1)
-        keys.append((group[:, i] * len(mids) + group[:, j]).ravel())
+        keys.append((group[:, i] * n + group[:, j]).ravel())
     pairs = unique_ints(np.concatenate(keys))
     if mode == "count":
-        return len(mids) + 2 * len(pairs)
-    lo, hi = mids[pairs // len(mids)], mids[pairs % len(mids)]
-    return CenterRows(np.concatenate((mids, lo, hi)), np.concatenate((mids, hi, lo)))
+        return n + 2 * len(pairs)
+    # The rows (X, X), (X, Y) and (Y, X) as rank keys i * n + j: distinct,
+    # so one sort in place orders them, and a divmod a strip at a time turns
+    # them into the rows of one array.
+    keys = np.concatenate((np.arange(0, n * n, n + 1), pairs, pairs % n * n + pairs // n))
+    del pairs
+    keys.sort()
+    rows = np.empty((len(keys), 2), dtype=np.int64)
+    for lo in range(0, len(keys), _STRIP_CELLS):
+        i, j = np.divmod(keys[lo:lo + _STRIP_CELLS], n)
+        rows[lo:lo + len(i), 0], rows[lo:lo + len(i), 1] = mids[i], mids[j]
+    return CenterRows._adopt(rows)
 
 
 def _join(xs: np.ndarray, ys: np.ndarray, mode: str) -> CenterRows | int | None:
@@ -257,7 +247,7 @@ def _join(xs: np.ndarray, ys: np.ndarray, mode: str) -> CenterRows | int | None:
     over r > 0 of c_X(r) * c_Y(r), read off occupancy vectors the grid budget
     allows), else for X = Y the sparse join behind its guards, else None."""
     if len(xs) < 2 or len(ys) < 2:
-        return 0 if mode == "count" else CenterRows([], [])
+        return 0 if mode == "count" else CenterRows._adopt(np.zeros((0, 2), dtype=np.int64))
     same = np.array_equal(xs, ys)
     spans = int(xs[-1] - xs[0]), int(ys[-1] - ys[0])
     dense = 2 * spans[0] * spans[1] * (min(spans) // 2 + 1)  # as in the dense join
@@ -306,8 +296,7 @@ def _vertex_centers_dense(b: PointSet2D, mode: str) -> CenterRows | int:
                                                 & cells[:w - s, s:] & cells[s:, s:])
     if mode == "count":
         return int(np.count_nonzero(marks))
-    u, v = np.nonzero(marks)
-    return CenterRows(u + 2 * x0, v + 2 * y0)
+    return _marked_rows(marks, 2 * x0, 2 * y0)
 
 
 def _vertex_centers_sparse(b: PointSet2D, mode: str) -> CenterRows | int:
@@ -324,8 +313,7 @@ def _vertex_centers_sparse(b: PointSet2D, mode: str) -> CenterRows | int:
     starts, sizes = _runs(by_row[:, 1])
     xs_all, ys_all = by_row[:, 0].tolist(), by_row[:, 1].tolist()
     ymax = b.bbox()[3]
-    cx: list[int] = []
-    cy: list[int] = []
+    found: list[tuple[int, int]] = []
     for start, size in zip(starts.tolist(), sizes.tolist()):
         y, xs = ys_all[start], xs_all[start:start + size]
         reach = ymax - y  # tallest square whose top row is still in the box
@@ -335,10 +323,9 @@ def _vertex_centers_sparse(b: PointSet2D, mode: str) -> CenterRows | int:
                 if w > reach:
                     break
                 if (a, y + w) in members and (c, y + w) in members:
-                    cx.append(a + c)
-                    cy.append(2 * y + w)
+                    found.append((a + c, 2 * y + w))
     # nested squares share a center, each found through its own bottom edge
-    rows = CenterRows(cx, cy)
+    rows = CenterRows._adopt(np.array(found, dtype=np.int64).reshape(-1, 2))
     return len(rows) if mode == "count" else rows
 
 
@@ -379,7 +366,7 @@ def find_boundary_centers_2d(b: PointSet2D, r_max: int,
     if not isinstance(r_max, int) or r_max < 1:
         raise ParameterError(f"r_max must be an integer >= 1, got {r_max!r}")
     if not len(b):
-        return 0 if mode == "count" else CenterRows([], [], [])
+        return 0 if mode == "count" else CenterRows._adopt(np.zeros((0, 3), dtype=np.int64))
     x0, y0, w, h = _grid_box(b)
     r_eff = min(r_max, (w - 1) // 2, (h - 1) // 2)
     require_budget(w * h * max(r_eff, 0), DEFAULT_PAIR_BUDGET, "the per-radius boundary sweep")

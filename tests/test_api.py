@@ -5,7 +5,7 @@ A name left in a module's ``__all__`` after the object is deleted makes
 the package's re-exports breaks ``import squarelab`` itself.
 """
 import ast
-import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -45,3 +45,18 @@ def test_package_reexports_exist():
     assert [n for n in squarelab.__all__ if not hasattr(squarelab, n)] == []
     with pytest.raises(AttributeError, match="has no attribute 'gen_Dk_typo'"):
         squarelab.gen_Dk_typo
+
+
+def test_traced_methods_are_their_own_classes_entries():
+    # bench/tracing.py wraps each of these through its class's own __dict__:
+    # one inherited from the shared row-set core would break the traced run
+    spec = importlib.util.spec_from_file_location(
+        "tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer, methods in tracing.METHODS.items():
+        module = importlib.import_module(f"squarelab.{layer}")
+        for cls_name, meth in methods:
+            assert meth in vars(getattr(module, cls_name)), (cls_name, meth)
+    assert isinstance(vars(squarelab.IntSet1D)["from_sorted_array"], classmethod)
+    assert isinstance(vars(squarelab.PointSet2D)["product"], classmethod)

@@ -23,6 +23,7 @@ from squarelab import (
     parse_intset_text,
     parse_pointset_text,
 )
+from squarelab.finders import CenterRows, CenterWitness, DoubledPoint
 from squarelab.core_sets import (
     COORD_LIMIT,
     _FORMAT_BLOCK,
@@ -302,6 +303,72 @@ class TestPointSet2D:
         assert PointSet2D.product(xs, ys).points == {(x, y) for x in xs for y in ys}
 
 
+# unsorted, with a duplicate; the first column alone is a set of four integers
+ROWS = np.array([(4, 0), (-3, 2), (2**62, -2**62), (0, 5), (-3, 2)], dtype=np.int64)
+# (build from (N, 2) rows, a row as the type's item)
+ROW_SETS = {
+    IntSet1D: (lambda rows: make_intset(rows[:, 0]), lambda row: row[0]),
+    PointSet2D: (PointSet2D, tuple),
+    CenterRows: (CenterRows, tuple),
+}
+
+
+class TestRowSets:
+    """The invariants of the one frozen-rows core that the three types share."""
+
+    @pytest.mark.parametrize("kind", ROW_SETS)
+    def test_rows_are_frozen_ordered_and_distinct(self, kind):
+        build, item = ROW_SETS[kind]
+        s = build(ROWS)
+        arr = s.as_array()
+        assert type(s) is kind and arr.dtype == np.int64 and not arr.flags.writeable
+        distinct = sorted({item(row) for row in ROWS.tolist()})
+        assert [item(row) for row in arr.reshape(len(arr), -1).tolist()] == distinct
+        assert len(s) == len(distinct) == 4
+        # sorted input is kept, as a copy: the caller's array stays its own
+        src = np.array(sorted(set(map(tuple, ROWS.tolist()))), dtype=np.int64)
+        assert build(src) == s
+        assert src.flags.writeable and not np.may_share_memory(build(src).as_array(), src)
+
+    @pytest.mark.parametrize("kind", ROW_SETS)
+    def test_equality_and_hash(self, kind):
+        build, _ = ROW_SETS[kind]
+        s, same, other = build(ROWS), build(ROWS[::-1]), build(ROWS[1:3])
+        assert s == same and s != other and not s != same
+        if kind is CenterRows:
+            with pytest.raises(TypeError):
+                hash(s)
+        else:
+            assert hash(s) == hash(same)
+
+    def test_equality_stays_within_one_type(self):
+        # the same int64 bytes, and for the 2D types the same array
+        one, two = np.array([1, 2]), np.array([[1, 2]])
+        assert make_intset(one) != PointSet2D(two) and PointSet2D(two) != make_intset(one)
+        assert hash(make_intset(one)) == hash(PointSet2D(two))
+        assert PointSet2D(two) != CenterRows(two) and CenterRows(two) != PointSet2D(two)
+
+    @pytest.mark.parametrize("kind", ROW_SETS)
+    def test_membership(self, kind):
+        build, item = ROW_SETS[kind]
+        s, empty = build(ROWS), build(ROWS[:0])
+        for row in ROWS.tolist():
+            assert item(row) in s and item(row) not in empty
+        # the second row's key with its first value replaced; a uint64 near
+        # 2**62 would match 2**62 if the search compared it as a float
+        for bad in (2.5, "4", None, 2**62 - 1, 2**62 + 1, 2**63, 2**64, -2**63 - 1,
+                    np.uint64(2**62 - 1)):
+            assert item([bad, -2**62]) not in s
+        for key in ((4,), (4, 0, 0), [4, 0]):  # wrong width, or not a tuple
+            assert key not in s
+
+    def test_a_witness_is_a_member_of_its_rows(self):
+        rows = CenterRows(np.array([[2, 4, 6], [0, 0, 2]]))
+        assert CenterWitness(DoubledPoint(2, 4), 6) in rows and (0, 0, 2) in rows
+        assert CenterWitness(DoubledPoint(2, 4), 2) not in rows
+        assert DoubledPoint(2, 4) not in rows
+
+
 class TestOccupancyGrid:
     def _grid_and_points(self, seed, w=9, h=7, density=0.5):
         rng = np.random.default_rng(seed)
@@ -473,14 +540,22 @@ class TestTextFormats:
         assert text.count("\n") == len(s) == 916_716
         assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
-    def test_parse_intset_keeps_the_parsed_column(self):
-        # the set takes numpy's fresh column as it is: parsing A_4's text
+    def test_parse_intset_keeps_the_parsed_column(self, tmp_path):
+        # the set takes numpy's fresh column as it is: parsing A_4's file
         # peaks within 10% of numpy's parse alone, where sorting, masking
-        # and copying the column again took it to 1.45x
+        # and copying the column again took it to 1.45x.  The file goes by
+        # path, which numpy reads a chunk at a time; a stream it reads (and
+        # tracemalloc traces) a line at a time
         s = gen_AN(4)
-        text = format_intset_text(s)
+        path = tmp_path / "a4.txt"
+        path.write_text(format_intset_text(s))
+
+        def numpy_alone():
+            with open(path, "rb") as f:
+                return _int_columns(f, 1, path)
+
         peaks = []
-        for parse in (lambda: _int_columns(text, 1), lambda: parse_intset_text(text)):
+        for parse in (numpy_alone, lambda: parse_intset_text(path)):
             tracemalloc.start()
             try:
                 out = parse()

@@ -434,6 +434,41 @@ class TestBudgets:
         assert count == 895_753
         assert peak < 5 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
+    def test_raster_sweep_enumerates_into_one_rows_array(self, monkeypatch):
+        # 895,753 centers (13.7 MiB of rows) read from the marks raster a strip
+        # at a time into one array: np.nonzero, two offset copies and a
+        # column_stack took the peak to 3.5x the rows
+        rng = np.random.default_rng(0)
+        b = PointSet2D(np.argwhere(rng.random((700, 700)) < 0.5))
+        swept, sweep = [], finders._vertex_centers_dense
+        monkeypatch.setattr(finders, "_vertex_centers_dense",
+                            lambda *args: swept.append(True) or sweep(*args))
+        tracemalloc.start()
+        try:
+            rows = find_vertex_centers_2d(b).as_array()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert swept and len(rows) == 895_753
+        assert peak <= 2 * rows.nbytes, f"peak {peak / rows.nbytes:.2f}x the rows"
+
+    def test_sparse_join_enumerates_into_one_rows_array(self, monkeypatch):
+        # 2,956,022 centers (45.1 MiB of rows) as rank keys sorted in place
+        # and split into one array: three concatenated center columns, their
+        # column_stack and its lexsort took the peak to 5.8x the rows
+        a = make_intset(np.random.default_rng(400).choice(2000, 400, replace=False))
+        joined, join = [], finders._centers_1d_sparse
+        monkeypatch.setattr(finders, "_centers_1d_sparse",
+                            lambda *args: joined.append(True) or join(*args))
+        tracemalloc.start()
+        try:
+            rows = find_centers_1d(a).as_array()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert joined and len(rows) == 2_956_022
+        assert peak <= 2.5 * rows.nbytes, f"peak {peak / rows.nbytes:.2f}x the rows"
+
     def test_boundary_sweep_is_priced_before_its_grid(self):
         # 1000 x 1000 cells and 21 radii: over the pair budget, refused before
         # the 1 MB of cells and 8 MB of run tables are allocated
@@ -507,4 +542,5 @@ class TestCenterRows:
         assert find_centers_1d(make_intset([3])).as_array().shape == (0, 2)
         assert find_vertex_centers_2d(PointSet2D([])).as_array().shape == (0, 2)
         assert find_boundary_centers_2d(PointSet2D([(0, 0)]), 3).as_array().shape == (0, 3)
-        assert CenterRows([], []) == find_vertex_centers_2d(PointSet2D([(0, 0)]))
+        assert CenterRows(np.zeros((0, 2), dtype=np.int64)) == \
+            find_vertex_centers_2d(PointSet2D([(0, 0)]))
