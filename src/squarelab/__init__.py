@@ -11,32 +11,25 @@ import os as _os
 # process that makes no BLAS call at all, and every CLI run is a fresh
 # process.  A timeout of 4 (2**4 cycles) puts idle workers to sleep at once
 # and keeps the pool for the one BLAS kernel, the strip products of
-# finders._join_dense.  It must be set before numpy is first imported; a
-# value already set wins, and numpy builds without OpenBLAS ignore it.
+# finders._join_dense.  It must be set before numpy is first imported, so
+# before any squarelab module loads; a value already set wins, and numpy
+# builds without OpenBLAS ignore it.
 _os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
-from .core_sets import (
-    BudgetError,
-    DoubledPoint,
-    FormatError,
-    IntSet1D,
-    ModeError,
-    OccupancyGrid,
-    ParameterError,
-    PointSet2D,
-    RangeError,
-    SquareLabError,
-    format_intset_text,
-    format_pointset_text,
-    make_intset,
-    parse_intset_text,
-    parse_pointset_text,
-)
+# The CLI parser's choices, here so that parsing loads no numpy: each verify
+# target's parameters, the size-law families, and `verify an`'s sampling seed.
+_VERIFY_PARAMS = {"dk": ("k",), "an": ("p",), "boundary": ("k",), "countable": ("alpha", "K")}
+_FAMILIES = ("dk_vertex", "dk_boundary", "dk_size", "an_cover")
+DEFAULT_SEED = 20260816
 
-# name -> the module that defines it.  These modules load when one of their
-# names is first looked up (PEP 562), so `import squarelab` loads numpy and
-# core_sets only.
+# name -> the module that defines it.  Each module loads when one of its
+# names is first looked up (PEP 562), so `import squarelab` loads no numpy
+# and no submodule.
 _LAZY = {name: module for module, names in {
+    "core_sets": (
+        "BudgetError", "DoubledPoint", "FormatError", "IntSet1D", "ModeError", "OccupancyGrid",
+        "ParameterError", "PointSet2D", "RangeError", "SquareLabError", "format_intset_text",
+        "format_pointset_text", "make_intset", "parse_intset_text", "parse_pointset_text"),
     "constructions": (
         "CantorTruncation", "CountableBlock", "CountableTruncation", "default_a_sequence",
         "gen_AN", "gen_boundary_example", "gen_cantor_truncation",
@@ -50,8 +43,7 @@ _LAZY = {name: module for module, names in {
                       "check_main_lemma_2d", "family_scan", "verify_construction"),
 }.items() for name in names}
 
-# core_sets' names, bound above, then the lazy ones
-__all__ = [n for n in globals() if not n.startswith("_") and n != "core_sets"] + [*_LAZY]
+__all__ = [*_LAZY]
 
 
 def __getattr__(name: str):

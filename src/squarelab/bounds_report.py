@@ -23,17 +23,16 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-# Of this package only core_sets is imported here: each function imports the
+# Of this package's modules only core_sets is imported here (the tables the
+# CLI parser shares come from the package itself): each function imports the
 # other modules it calls, so a command loads only the modules its work reaches.
+from . import DEFAULT_SEED, _FAMILIES, _VERIFY_PARAMS
 from .core_sets import (
     DEFAULT_PAIR_BUDGET,
-    DEFAULT_SEED,
     IntSet1D,
     OccupancyGrid,
     ParameterError,
     PointSet2D,
-    _FAMILIES,
-    _VERIFY_PARAMS,
     require_budget,
 )
 

@@ -6,8 +6,10 @@ diagnostics and the one-line JSON summaries of `find` go to stderr.  Exit
 status: 0 success, 1 a verification/bound check failed, 2 usage, parameter,
 format, or budget errors.
 
-At start-up only core_sets is imported: each handler imports the modules its
-command runs when it is called, so a process loads only what it uses.
+Parsing the command line loads no numpy and no other squarelab module: each
+handler imports the modules its command runs when it is called, core_sets
+among them, so `--help`, a usage error and each command load only what they
+use.
 """
 
 from __future__ import annotations
@@ -19,24 +21,12 @@ import sys
 import warnings
 from functools import partial
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .core_sets import (
-    DEFAULT_SEED,
-    FormatError,
-    IntSet1D,
-    PointSet2D,
-    SquareLabError,
-    format_intset_text,
-    format_pointset_text,
-    make_intset,
-    parse_intset_text,
-    parse_pointset_text,
-    _FAMILIES,
-    _VERIFY_PARAMS,
-    _decode_text,
-    _format_blocks,
-)
+from . import DEFAULT_SEED, _FAMILIES, _VERIFY_PARAMS
+
+if TYPE_CHECKING:
+    from .core_sets import IntSet1D, PointSet2D
 
 __all__ = ["main", "build_parser", "run"]
 
@@ -65,10 +55,12 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
 
 
 def _read_intset(path: str) -> IntSet1D:
+    from .core_sets import parse_intset_text
     return parse_intset_text(Path(path), source=path)
 
 
 def _read_pointset(path: str) -> PointSet2D:
+    from .core_sets import parse_pointset_text
     return parse_pointset_text(Path(path), source=path)
 
 
@@ -78,6 +70,7 @@ def _read_pointset(path: str) -> PointSet2D:
 def _cmd_gen_set(gen: str, param: str, what: str, args: argparse.Namespace) -> int:
     """Write the set that the generator named `gen` builds from `param`."""
     from . import constructions as cons
+    from .core_sets import _format_blocks
     value = getattr(args, param)
     s = getattr(cons, gen)(value)
     _emit(_format_blocks(s.as_array()[:, None], f"{what} {value}, {len(s)} elements"),
@@ -88,6 +81,7 @@ def _cmd_gen_set(gen: str, param: str, what: str, args: argparse.Namespace) -> i
 def _cmd_gen_example(gen: str, noun: str, args: argparse.Namespace) -> int:
     """Write the point set B and the center grid S of a `noun` example."""
     from . import constructions as cons
+    from .core_sets import _format_blocks
     b, s = getattr(cons, gen)(args.k)
     _write(args.out_b, _format_blocks(b.as_array(), f"{noun} example points, level {args.k}"))
     _write(args.out_s, _format_blocks(s.as_array(), f"{noun} example centers, level {args.k}"))
@@ -97,6 +91,7 @@ def _cmd_gen_example(gen: str, noun: str, args: argparse.Namespace) -> int:
 
 def _cmd_gen_cantor(args: argparse.Namespace) -> int:
     from . import constructions as cons
+    from .core_sets import _format_blocks
     trunc = cons.gen_cantor_truncation(args.s, args.p)
     side = args.which
     if trunc.mode == "exact":
@@ -116,6 +111,7 @@ def _cmd_gen_cantor(args: argparse.Namespace) -> int:
 
 def _cmd_gen_countable(args: argparse.Namespace) -> int:
     from . import constructions as cons
+    from .core_sets import _format_blocks
     trunc = cons.gen_countable_truncation(args.alpha, args.K)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -138,6 +134,8 @@ def _cmd_gen_countable(args: argparse.Namespace) -> int:
 
 def _cmd_gen_splice(args: argparse.Namespace) -> int:
     from . import constructions as cons
+    from .core_sets import (FormatError, PointSet2D, _decode_text, format_intset_text,
+                            format_pointset_text, make_intset)
     try:
         raw = json.loads(_decode_text(Path(args.patterns).read_bytes(), args.patterns))
     except json.JSONDecodeError as exc:
@@ -167,6 +165,7 @@ def _find(args: argparse.Namespace, size: int, m: int | None, find, check=None) 
     """Call the finder once: print the count (mode='count') or the rows of
     the centers in ascending order, then the JSON summary of the bound
     |S|**3 <= 16 * m**4 that `check(s_count=...)` decides exactly."""
+    from .core_sets import _format_blocks
     if args.count:
         count = find(mode="count")
         _emit(f"{count}\n", args.out)
@@ -199,7 +198,8 @@ def _cmd_find_vertices(args: argparse.Namespace) -> int:
 
 
 def _cmd_find_boundaries(args: argparse.Namespace) -> int:
-    from .finders import find_boundary_centers_2d
+    from .finders import _check_r_max, find_boundary_centers_2d
+    _check_r_max(args.rmax)  # before the input, which can run to millions of lines
     b = _read_pointset(getattr(args, "in"))
     # No per-run counting theorem pins boundary pairs; the summary stays vacuous.
     return _find(args, len(b), None, partial(find_boundary_centers_2d, b, args.rmax))
@@ -414,6 +414,7 @@ def main(argv: list[str] | None = None) -> int:
     if func is None:
         parser.print_help(sys.stderr)
         return 2
+    from .core_sets import SquareLabError
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:

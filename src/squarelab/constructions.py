@@ -38,6 +38,7 @@ from .core_sets import (
     PointSet2D,
     RangeError,
     _as_fraction,
+    _int_param,
     require_budget,
     unique_ints,
 )
@@ -67,10 +68,8 @@ def dk_size_cap(k: int) -> int:
 
 
 def _check_level(k: int) -> int:
-    """Validate a digit-set level; returns k**4."""
-    if not isinstance(k, int) or k < 2:
-        raise ParameterError(f"digit-set level must be an integer >= 2, got {k!r}")
-    return k**4
+    """Validate a digit-set level; returns it as an int."""
+    return _int_param(k, "digit-set level must be an integer >= 2", lo=2)
 
 
 def _dk_occupancy(k: int) -> np.ndarray:
@@ -80,7 +79,8 @@ def _dk_occupancy(k: int) -> np.ndarray:
     of the two lower remaining digits shifted by every value of the third,
     so no more than one plane of sums is held at a time.
     """
-    n = _check_level(k)
+    k = _check_level(k)
+    n = k**4
     require_budget(dk_size_cap(k), DEFAULT_ELEMENT_BUDGET, f"digit set at level {k}")
     dig = np.arange(-k + 1, 2 * k - 1, dtype=np.int64)
     occupied = np.zeros(3 * n + 1, dtype=bool)
@@ -117,7 +117,8 @@ def witness_radii(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     membership conditions only see {x-r, x+r} and {y-r, y+r} as pairs.  When
     r0 = 0 (all four contributing digits zero) r = 1 works directly.
     """
-    n = _check_level(k)
+    k = _check_level(k)
+    n = k**4
     x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
     for v in (x, y):
         if v.size and (v.min() < 0 or v.max() >= n):
@@ -246,8 +247,7 @@ def gen_AN(p: int) -> IntSet1D:
     elements, while p = 5 would exceed 5e8 — so 5 and 6 are refused under the
     default element budget (raise SQUARELAB_BUDGET to insist).
     """
-    if not isinstance(p, int) or not 2 <= p <= 6:
-        raise ParameterError(f"depth must be an integer in 2..6, got {p!r}")
+    p = _int_param(p, "depth must be an integer in 2..6", 2, 6)
     levels = [(mult, gen_Dk(k)) for k, mult in _an_scales(p).items()]
     return _sumset_levels(levels, f"depth-{p} interpolating set")
 
@@ -274,8 +274,7 @@ def witness_radii_AN(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
 
 def interpolation_level(n: int) -> int:
     """Smallest p with (p!)**4 >= n, the depth used for a count-n request."""
-    if not isinstance(n, int) or n < 2:
-        raise ParameterError(f"count must be an integer >= 2, got {n!r}")
+    n = _int_param(n, "count must be an integer >= 2", lo=2)
     p = 2
     while an_modulus(p) < n:
         p += 1
@@ -326,8 +325,7 @@ def gen_cantor_truncation(s: object, p: int) -> CantorTruncation:
     s = _as_fraction(s)
     if not 0 < s <= 2:
         raise ParameterError(f"dimension parameter must lie in (0, 2], got {s}")
-    if not isinstance(p, int) or not 1 <= p <= 8:
-        raise ParameterError(f"depth must be an integer in 1..8, got {p!r}")
+    p = _int_param(p, "depth must be an integer in 1..8", 1, 8)
     m8 = 8 / s
 
     if m8.denominator == 1:
@@ -409,10 +407,8 @@ def gen_countable_truncation(alpha: int, K: int) -> CountableTruncation:
     The interval factors of the strips materialize as full integer segments in
     the global frame.
     """
-    if not isinstance(alpha, int) or alpha < 1:
-        raise ParameterError(f"alpha must be an integer >= 1, got {alpha!r}")
-    if not isinstance(K, int) or not 1 <= K <= 12:
-        raise ParameterError(f"block count must be an integer in 1..12, got {K!r}")
+    alpha = _int_param(alpha, "alpha must be an integer >= 1", lo=1)
+    K = _int_param(K, "block count must be an integer in 1..12", 1, 12)
     scale = 2 ** ((1 + alpha) * K)
 
     level_sets: list[tuple[int, int, int, IntSet1D]] = []
@@ -452,8 +448,7 @@ def default_a_sequence(n: int) -> tuple[int, ...]:
     Only the first couple of levels fit under the 40-bit index guard; deeper
     splices want a custom (slower-growing) sequence.
     """
-    if not isinstance(n, int) or not 0 <= n <= 5:
-        raise ParameterError(f"level count must be an integer in 0..5, got {n!r}")
+    n = _int_param(n, "level count must be an integer in 0..5", 0, 5)
     return (0,) + tuple(2 ** (2**j) - 1 for j in range(1, n + 1))
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 import os
 import re
 import stat
@@ -47,12 +48,6 @@ DEFAULT_FINDER_BUDGET = 5_000        # max |A| of the sparse join's pair arrays
 DEFAULT_ELEMENT_BUDGET = 2_000_000   # max elements/points a generator or the pair scan holds
 DEFAULT_GRID_CELLS = 4_500_000       # max occupancy-grid area (~2000 x 2000)
 DEFAULT_PAIR_BUDGET = 20_000_000     # max same-row pairs scanned by the vertex finder
-
-# The CLI parser's choices, here so that it loads no other module: each verify
-# target's parameters, the size-law families, and `verify an`'s sampling seed.
-_VERIFY_PARAMS = {"dk": ("k",), "an": ("p",), "boundary": ("k",), "countable": ("alpha", "K")}
-_FAMILIES = ("dk_vertex", "dk_boundary", "dk_size", "an_cover")
-DEFAULT_SEED = 20260816
 
 _BUDGET_ENV = "SQUARELAB_BUDGET"
 
@@ -130,6 +125,19 @@ def _check_coord(v: int) -> int:
     if abs(v) > COORD_LIMIT:
         raise RangeError(f"coordinate {v} exceeds the supported magnitude 2**62")
     return v
+
+
+def _int_param(v: object, what: str, lo: int | None = None, hi: int | None = None,
+               error: type[SquareLabError] = ParameterError) -> int:
+    """`v` as an int when it is an integer (a numpy integer too, never a bool)
+    in lo..hi; otherwise `error` says `what`, and what `v` was."""
+    try:
+        n = None if isinstance(v, bool) else operator.index(v)
+    except TypeError:
+        n = None
+    if n is None or (lo is not None and n < lo) or (hi is not None and n > hi):
+        raise error(f"{what}, got {v!r}")
+    return n
 
 
 def _as_fraction(s: object) -> Fraction:

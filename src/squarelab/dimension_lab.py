@@ -28,6 +28,7 @@ from .core_sets import (
     PointSet2D,
     RangeError,
     _as_fraction,
+    _int_param,
 )
 
 __all__ = [
@@ -50,8 +51,7 @@ def covering_count_1d(a: IntSet1D, length: int) -> int:
     through the array's own `searchsorted`, which skips the dispatch that
     `np.searchsorted` adds to every jump.
     """
-    if not isinstance(length, int) or length < 1:
-        raise ParameterError(f"interval length must be an integer >= 1, got {length!r}")
+    length = _int_param(length, "interval length must be an integer >= 1", lo=1)
     arr = a.as_array()
     if not arr.size:
         warnings.warn("covering an empty set needs 0 intervals", RuntimeWarning,
@@ -69,9 +69,8 @@ def covering_count_1d(a: IntSet1D, length: int) -> int:
 def dyadic_box_count_2d(points: PointSet2D | Iterable[tuple[int, int]],
                         m: int) -> int:
     """Number of level-m dyadic cells (side 2**-m, half-open) meeting P."""
-    if not isinstance(m, int) or abs(m) > _LEVEL_CAP:
-        raise RangeError(f"dyadic level must be an integer with |m| <= {_LEVEL_CAP}, "
-                         f"got {m!r}")
+    m = _int_param(m, f"dyadic level must be an integer with |m| <= {_LEVEL_CAP}",
+                   -_LEVEL_CAP, _LEVEL_CAP, RangeError)
     if not isinstance(points, PointSet2D):
         points = PointSet2D(points)
     if m > 0:
@@ -89,8 +88,7 @@ def snap_to_grid(points: PointSet2D, m: int) -> PointSet2D:
     center of its own unit cell.  Levels m >= 1 would need quarter-integers
     and are refused.
     """
-    if not isinstance(m, int):
-        raise ParameterError(f"dyadic level must be an integer, got {m!r}")
+    m = _int_param(m, "dyadic level must be an integer")
     if m > 0:
         raise ParameterError("cells finer than the unit lattice (m >= 1) have "
                              "no doubled-integer centers")
@@ -137,8 +135,7 @@ def falconer_ratios(s: object, j_max: int, which: str,
         raise ParameterError(f"which must be 'upper' or 'lower', got {which!r}")
     if sequence not in ("t", "a"):
         raise ParameterError(f"sequence must be 't' or 'a', got {sequence!r}")
-    if not isinstance(j_max, int) or not 2 <= j_max <= 10_000:
-        raise ParameterError(f"j_max must be an integer in 2..10000, got {j_max!r}")
+    j_max = _int_param(j_max, "j_max must be an integer in 2..10000", 2, 10_000)
     s_frac = _as_fraction(s)
     if not 0 < s_frac <= 2:
         raise ParameterError(f"dimension parameter must lie in (0, 2], got {s_frac}")

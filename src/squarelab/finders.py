@@ -42,6 +42,7 @@ from .core_sets import (
     require_budget,
     unique_ints,
     _grid_box,
+    _int_param,
     _raster,
     _RowSet,
 )
@@ -97,6 +98,10 @@ DENSE_VERTEX_RATIO = 30
 def _check_mode(mode: str) -> None:
     if mode not in ("enumerate", "count"):
         raise ParameterError(f"mode must be 'enumerate' or 'count', got {mode!r}")
+
+
+def _check_r_max(r_max: int) -> int:
+    return _int_param(r_max, "r_max must be an integer >= 1", lo=1)
 
 
 def _runs(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -363,8 +368,7 @@ def find_boundary_centers_2d(b: PointSet2D, r_max: int,
     center simultaneously.
     """
     _check_mode(mode)
-    if not isinstance(r_max, int) or r_max < 1:
-        raise ParameterError(f"r_max must be an integer >= 1, got {r_max!r}")
+    r_max = _check_r_max(r_max)
     if not len(b):
         return 0 if mode == "count" else CenterRows._adopt(np.zeros((0, 3), dtype=np.int64))
     x0, y0, w, h = _grid_box(b)

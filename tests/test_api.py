@@ -25,18 +25,12 @@ def test_module_all_names_exist(name):
 
 
 def test_package_reexports_exist():
-    # core_sets' names are imported at start-up; the other modules' names
-    # resolve through the package's lazy table on first use
+    # no name is imported at start-up: every module's names resolve through
+    # the package's lazy table on first use
     tree = ast.parse(Path(squarelab.__file__).read_text())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert [node.module for node in imports] == ["core_sets"]
-    for node in imports:
-        module = importlib.import_module(f"squarelab.{node.module}")
-        for alias in node.names:
-            assert getattr(squarelab, alias.name) is getattr(module, alias.name)
-            assert alias.name in squarelab.__all__
-    assert set(squarelab._LAZY.values()) == {"constructions", "finders", "dimension_lab",
-                                             "bounds_report"}
+    assert [node for node in tree.body if isinstance(node, ast.ImportFrom)] == []
+    assert set(squarelab._LAZY.values()) == {"core_sets", "constructions", "finders",
+                                             "dimension_lab", "bounds_report"}
     for name, owner in squarelab._LAZY.items():
         module = importlib.import_module(f"squarelab.{owner}")
         assert getattr(squarelab, name) is getattr(module, name)

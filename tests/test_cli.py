@@ -189,6 +189,12 @@ class TestFind:
                 parse_pointset_text(f.read_text()), 2)))
         assert json.loads(err)["bound_ok"] is True
 
+    def test_boundaries_check_rmax_before_reading_the_input(self, tmp_path, capsys):
+        f = tmp_path / "bad.txt"
+        f.write_text("1 2\ntwo\n")
+        assert run("find", "boundaries", "--in", str(f), "--rmax", "0") == 2
+        assert capsys.readouterr() == ("", "error: r_max must be an integer >= 1, got 0\n")
+
     def test_summary_file(self, tmp_path):
         f = tmp_path / "d2.txt"
         s = tmp_path / "sum.json"

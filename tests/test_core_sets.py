@@ -1,6 +1,7 @@
 import os
 import threading
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from squarelab import (
     parse_intset_text,
     parse_pointset_text,
 )
+from squarelab import constructions as cons, dimension_lab, finders
 from squarelab.finders import CenterRows, CenterWitness, DoubledPoint
 from squarelab.core_sets import (
     COORD_LIMIT,
@@ -443,6 +445,41 @@ class TestBudgets:
         assert exc.value.limit == 100
         assert "one over" in str(exc.value)
 
+
+
+# Each integer parameter, as a call of one argument, with a value it accepts
+# and the error it raises: an int or numpy integer passes, a bool or a float
+# is refused with the message an out-of-range int gets.
+_D2 = make_intset([0, 1, 3, 4])
+_B = PointSet2D([(x, y) for x in range(3) for y in range(3)])
+INT_PARAMS = {
+    "gen_Dk": (cons.gen_Dk, 2, ParameterError),
+    "gen_AN": (cons.gen_AN, 2, ParameterError),
+    "interpolation_level": (cons.interpolation_level, 2, ParameterError),
+    "gen_cantor_truncation": (partial(cons.gen_cantor_truncation, 2), 1, ParameterError),
+    "gen_countable_truncation alpha": (partial(cons.gen_countable_truncation, K=1), 1,
+                                       ParameterError),
+    "gen_countable_truncation K": (partial(cons.gen_countable_truncation, 1), 1,
+                                   ParameterError),
+    "default_a_sequence": (cons.default_a_sequence, 2, ParameterError),
+    "covering_count_1d": (partial(dimension_lab.covering_count_1d, _D2), 1, ParameterError),
+    "dyadic_box_count_2d": (partial(dimension_lab.dyadic_box_count_2d, _B), 1, RangeError),
+    "snap_to_grid": (partial(dimension_lab.snap_to_grid, _B), -1, ParameterError),
+    "falconer_ratios": (partial(dimension_lab.falconer_ratios, 2, which="upper"), 2,
+                        ParameterError),
+    "find_boundary_centers_2d": (partial(finders.find_boundary_centers_2d, _B), 1,
+                                 ParameterError),
+}
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0], ids=repr)
+@pytest.mark.parametrize("name", INT_PARAMS)
+def test_integer_parameters_take_numpy_integers_and_refuse_bools(name, bad):
+    call, good, error = INT_PARAMS[name]
+    assert call(np.int64(good)) == call(good)
+    with pytest.raises(error) as exc:
+        call(bad)
+    assert str(exc.value).endswith(f", got {bad!r}")
 
 class TestTextFormats:
     def test_intset_roundtrip(self):

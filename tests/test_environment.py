@@ -18,7 +18,8 @@ from squarelab.cli import main
 SRC = str(Path(squarelab.__file__).resolve().parents[1])
 
 # Records OPENBLAS_THREAD_TIMEOUT at the moment numpy is first requested,
-# then imports squarelab and prints that value and the final one.
+# then imports squarelab, loads numpy through the package's lazy names, and
+# prints that value and the final one.
 CHILD = """
 import os, sys
 assert "numpy" not in sys.modules
@@ -32,6 +33,7 @@ class Hook:
 
 sys.meta_path.insert(0, Hook())
 import squarelab
+from squarelab import IntSet1D
 assert "numpy" in sys.modules
 print(seen[0], os.environ["OPENBLAS_THREAD_TIMEOUT"])
 """
@@ -78,13 +80,14 @@ def test_openblas_thread_timeout_is_set_before_numpy_loads_on_the_entry(preset, 
 # Runs `python -m squarelab.cli ARGV...` as runpy does, or calls the
 # "module:function" in SQUARELAB_TEST_SCRIPT as a console script does, after
 # the code in SQUARELAB_TEST_PATCH.  At exit it writes the modules the process
-# loaded, and whether its objects were frozen, as the last line of stderr.
+# loaded, whether numpy was among them, and whether its objects were frozen,
+# as the last line of stderr.
 PROBE = """
 import atexit, gc, importlib, json, os, runpy, sys
 def probe():
     loaded = sorted(m for m in sys.modules if m.startswith("squarelab") or m == "fractions")
-    print(json.dumps({"loaded": loaded, "frozen": gc.get_freeze_count() > 0}),
-          file=sys.stderr)
+    print(json.dumps({"loaded": loaded, "numpy": "numpy" in sys.modules,
+                      "frozen": gc.get_freeze_count() > 0}), file=sys.stderr)
 atexit.register(probe)
 exec(os.environ.get("SQUARELAB_TEST_PATCH", ""))
 sys.argv = ["squarelab", *sys.argv[1:]]
@@ -134,13 +137,34 @@ def test_each_command_loads_only_the_modules_it_runs(argv, set_files):
     assert needed <= loaded and not unused & loaded, loaded
 
 
-def test_import_loads_numpy_and_core_sets_only():
+FRONT_END = {  # argv: exit status; argparse answers each before a handler runs
+    ("--help",): 0,
+    ("gen", "--help"): 0,
+    ("find", "vertices", "--help"): 0,
+    ("verify", "an", "--help"): 0,
+    ("scan", "--help"): 0,
+    ("gen", "dk", "--kk", "2"): 2,   # a usage error
+    (): 2,                           # no command
+}
+
+
+@pytest.mark.parametrize("script", ["", SCRIPT], ids=["module", "script"])
+@pytest.mark.parametrize("argv", FRONT_END, ids=lambda argv: " ".join(argv) or "no-command")
+def test_the_front_end_loads_no_numpy(argv, script):
+    code, seen = probe(*argv, SQUARELAB_TEST_SCRIPT=script)
+    assert code == FRONT_END[argv]
+    assert not seen["numpy"]
+    # `python -m` runs the cli module as __main__, not as squarelab.cli
+    assert seen["loaded"] == (["squarelab", "squarelab.cli"] if script else ["squarelab"])
+
+
+def test_import_loads_no_numpy_and_no_submodule():
     out = subprocess.run(
         [sys.executable, "-c", "import sys, squarelab; print('numpy' in sys.modules, "
          "sorted(m for m in sys.modules if m.startswith('squarelab') or m == 'fractions'))"],
         env=child_env(), capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "True ['squarelab', 'squarelab.core_sets']"
+    assert out.stdout.strip() == "False ['squarelab']"
 
 
 FORCED_FAILURE = """
