@@ -150,11 +150,8 @@ def _cmd_gen_splice(args: argparse.Namespace) -> int:
                           "--d 2), or an object with one under 'patterns'",
                           source=args.patterns)
     cells = cons.splice_En(patterns, args.a, d=args.d)
-    if args.d == 1:
-        text = format_intset_text(make_intset(cells))
-    else:
-        text = format_pointset_text(PointSet2D(cells))
-    _emit(text, args.out)
+    _emit(format_intset_text(make_intset(cells)) if args.d == 1
+          else format_pointset_text(PointSet2D(cells)), args.out)
     return 0
 
 
@@ -242,16 +239,17 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_cover(args: argparse.Namespace) -> int:
-    from .dimension_lab import covering_count_1d
+    from .dimension_lab import _check_length, covering_count_1d
+    _check_length(args.len)  # before the input, as `find boundaries` checks --rmax
     a = _read_intset(getattr(args, "in"))
     _emit(f"{covering_count_1d(a, args.len)}\n", args.out)
     return 0
 
 
 def _cmd_boxcount(args: argparse.Namespace) -> int:
-    from .dimension_lab import dyadic_box_count_2d
+    from .dimension_lab import _check_level, dyadic_box_count_2d
+    levels = [_check_level(m) for m in args.m]  # every level before the input
     pts = _read_pointset(getattr(args, "in"))
-    levels = args.m
     if len(levels) == 1:
         _emit(f"{dyadic_box_count_2d(pts, levels[0])}\n", args.out)
     else:

@@ -463,10 +463,9 @@ def splice_En(patterns: Sequence[Collection], a: Sequence[int], d: int = 1) -> f
     through exactly: splicing the per-axis pairing of two d = 1 pattern
     sequences yields the product of their splices.
     """
-    if d not in (1, 2):
-        raise ParameterError(f"dimension must be 1 or 2, got {d!r}")
+    d = _int_param(d, "dimension must be 1 or 2", 1, 2)
     n = len(patterns)
-    a = tuple(int(v) for v in a)
+    a = tuple(_int_param(v, "depth checkpoints must be integers") for v in a)
     if len(a) < n + 1:
         raise ParameterError(f"need {n + 1} depth checkpoints, got {len(a)}")
     a = a[:n + 1]
@@ -475,9 +474,7 @@ def splice_En(patterns: Sequence[Collection], a: Sequence[int], d: int = 1) -> f
     if a[-1] > 40:
         raise RangeError(f"total depth {a[-1]} exceeds the 40-bit index guard")
 
-    size = 1
-    for level in patterns:
-        size *= len(level)
+    size = math.prod(len(level) for level in patterns)
     require_budget(size, DEFAULT_ELEMENT_BUDGET, "spliced cell set")
 
     def cell_axes(cell, width: int, j: int) -> tuple[int, ...]:
@@ -496,6 +493,4 @@ def splice_En(patterns: Sequence[Collection], a: Sequence[int], d: int = 1) -> f
         checked = [cell_axes(cell, width, j) for cell in level]
         current = {tuple((prev << t) | ax for prev, ax in zip(acc, axes))
                    for acc in current for axes in checked}
-    if d == 1:
-        return frozenset(v[0] for v in current)
-    return frozenset(current)
+    return frozenset(v[0] for v in current) if d == 1 else frozenset(current)

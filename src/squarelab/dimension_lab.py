@@ -40,6 +40,15 @@ __all__ = [
 _LEVEL_CAP = 40
 
 
+def _check_length(length: int) -> int:
+    return _int_param(length, "interval length must be an integer >= 1", lo=1)
+
+
+def _check_level(m: int) -> int:
+    return _int_param(m, f"dyadic level must be an integer with |m| <= {_LEVEL_CAP}",
+                      -_LEVEL_CAP, _LEVEL_CAP, RangeError)
+
+
 def covering_count_1d(a: IntSet1D, length: int) -> int:
     """Minimal number of closed length-`length` intervals covering A.
 
@@ -51,7 +60,7 @@ def covering_count_1d(a: IntSet1D, length: int) -> int:
     through the array's own `searchsorted`, which skips the dispatch that
     `np.searchsorted` adds to every jump.
     """
-    length = _int_param(length, "interval length must be an integer >= 1", lo=1)
+    length = _check_length(length)
     arr = a.as_array()
     if not arr.size:
         warnings.warn("covering an empty set needs 0 intervals", RuntimeWarning,
@@ -69,8 +78,7 @@ def covering_count_1d(a: IntSet1D, length: int) -> int:
 def dyadic_box_count_2d(points: PointSet2D | Iterable[tuple[int, int]],
                         m: int) -> int:
     """Number of level-m dyadic cells (side 2**-m, half-open) meeting P."""
-    m = _int_param(m, f"dyadic level must be an integer with |m| <= {_LEVEL_CAP}",
-                   -_LEVEL_CAP, _LEVEL_CAP, RangeError)
+    m = _check_level(m)
     if not isinstance(points, PointSet2D):
         points = PointSet2D(points)
     if m > 0:

@@ -17,8 +17,9 @@ function owns that join: a dense kernel of float32 midpoint-by-radius matrix
 products over 0/1 occupancy vectors, one strip of rows at a time, and for
 X = Y a sort-and-group of all pairs by radius.  Only sets that are not
 products reach the per-width raster sweep or the same-row pair scan, and
-boundaries take per-radius raster sweeps.  Each pick is made from cost
-estimates, and each guard refuses in front of the kernel it prices.
+boundaries are swept once per radius; enumeration marks one (x, y, r)
+raster.  Each pick is made from cost estimates, and each guard refuses in
+front of the kernel it prices.
 """
 
 from __future__ import annotations
@@ -182,20 +183,22 @@ def _join_dense(xs: np.ndarray, ys: np.ndarray, mode: str) -> CenterRows | int:
             else:
                 count += int(np.count_nonzero(strip @ my.T))
         del mx, my  # one parity's matrices alive at a time
-    return count if marks is None else _marked_rows(marks, 2 * int(xs[0]), 2 * int(ys[0]))
+    return count if marks is None else _marked_rows(marks, (2 * int(xs[0]), 2 * int(ys[0])))
 
 
-def _marked_rows(marks: np.ndarray, x0: int, y0: int) -> CenterRows:
-    """The rows (x0 + i, y0 + j) of the marked cells ``marks[i, j]`` of a bool
-    raster, read a strip at a time into one array, in order as they come."""
-    found = np.empty((int(np.count_nonzero(marks)), 2), dtype=np.int64)
-    end, step = 0, max(1, _STRIP_CELLS // marks.shape[1])
+def _marked_rows(marks: np.ndarray, origin: tuple[int, ...], scale: int = 1) -> CenterRows:
+    """The rows origin + scale * (i, j, ...) of the marked cells ``marks[i, j, ...]``
+    of a bool raster, read a strip at a time into one array, in order as they come."""
+    found = np.empty((int(np.count_nonzero(marks)), marks.ndim), dtype=np.int64)
+    end, step = 0, max(1, _STRIP_CELLS // max(1, marks[:1].size))
     for i0 in range(0, len(marks), step):
         flat = np.flatnonzero(marks[i0:i0 + step])
         start, end = end, end + len(flat)
-        np.divmod(flat, marks.shape[1], out=(found[start:end, 0], found[start:end, 1]))
-        found[start:end, 0] += i0
-    found += (x0, y0)
+        for axis in range(marks.ndim - 1, 0, -1):
+            np.divmod(flat, marks.shape[axis], out=(flat, found[start:end, axis]))
+        np.add(flat, i0, out=found[start:end, 0])
+    found *= scale
+    found += origin
     return CenterRows._adopt(found)
 
 
@@ -299,9 +302,8 @@ def _vertex_centers_dense(b: PointSet2D, mode: str) -> CenterRows | int:
     for s in range(1, min(w, h)):
         marks[s:2 * w - s:2, s:2 * h - s:2] |= (cells[:w - s, :h - s] & cells[s:, :h - s]
                                                 & cells[:w - s, s:] & cells[s:, s:])
-    if mode == "count":
-        return int(np.count_nonzero(marks))
-    return _marked_rows(marks, 2 * x0, 2 * y0)
+    return (int(np.count_nonzero(marks)) if mode == "count"
+            else _marked_rows(marks, (2 * x0, 2 * y0)))
 
 
 def _vertex_centers_sparse(b: PointSet2D, mode: str) -> CenterRows | int:
@@ -365,7 +367,7 @@ def find_boundary_centers_2d(b: PointSet2D, r_max: int,
 
     One vectorized pass per radius: four run-length lookups in the occupancy
     grid decide "row/column segment completely occupied" for every in-range
-    center simultaneously.
+    center at once, marked in one (x, y, r) raster read out in order.
     """
     _check_mode(mode)
     r_max = _check_r_max(r_max)
@@ -373,18 +375,15 @@ def find_boundary_centers_2d(b: PointSet2D, r_max: int,
         return 0 if mode == "count" else CenterRows._adopt(np.zeros((0, 3), dtype=np.int64))
     x0, y0, w, h = _grid_box(b)
     r_eff = min(r_max, (w - 1) // 2, (h - 1) // 2)
-    require_budget(w * h * max(r_eff, 0), DEFAULT_PAIR_BUDGET, "the per-radius boundary sweep")
+    require_budget(w * h * r_eff, DEFAULT_PAIR_BUDGET, "the per-radius boundary sweep")
     grid = OccupancyGrid.from_points(b)
-    count, found = 0, [np.zeros((0, 3), dtype=np.int64)]
+    marks = None if mode == "count" else np.zeros((w, h, r_eff), dtype=bool)
+    count = 0
     for r in range(1, r_eff + 1):
         full = grid.boundary_full(np.arange(x0 + r, x0 + w - r)[:, None],
                                   np.arange(y0 + r, y0 + h - r), r)
-        if mode == "count":
+        if marks is None:
             count += int(np.count_nonzero(full))
-            continue
-        u, v = np.nonzero(full)
-        found.append(np.column_stack((u + x0 + r, v + y0 + r, np.full(len(u), r))))
-    if mode == "count":
-        return count
-    return CenterRows._adopt(2 * np.concatenate(found))
-
+        else:
+            marks[r:w - r, r:h - r, r - 1] = full
+    return count if marks is None else _marked_rows(marks, (2 * x0, 2 * y0, 2), 2)

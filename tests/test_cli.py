@@ -436,6 +436,21 @@ class TestScanAndTables:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines == ["scale,count", "0,4", "-1,2", "-2,1"]
 
+    @pytest.mark.parametrize("argv, message", [
+        (("cover", "--in", "/nonexistent/a.txt", "--len", "0"),
+         "interval length must be an integer >= 1, got 0"),
+        (("cover", "--in", "bad.txt", "--len", "0"),
+         "interval length must be an integer >= 1, got 0"),
+        (("boxcount", "--in", "/nonexistent/p.txt", "--m=-1,99"),
+         "dyadic level must be an integer with |m| <= 40, got 99"),
+    ], ids=["cover-missing-input", "cover-malformed-input", "boxcount-missing-input"])
+    def test_parameters_are_checked_before_reading_the_input(self, tmp_path, monkeypatch,
+                                                            capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.txt").write_text("1\ntwo\n")
+        assert run(*argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_ratios_table(self, capsys):
         assert run("ratios", "--s", "2", "--jmax", "4", "--which", "upper") == 0
         lines = capsys.readouterr().out.strip().splitlines()

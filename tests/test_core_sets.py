@@ -469,6 +469,9 @@ INT_PARAMS = {
                         ParameterError),
     "find_boundary_centers_2d": (partial(finders.find_boundary_centers_2d, _B), 1,
                                  ParameterError),
+    "splice_En checkpoint": (lambda v: cons.splice_En([[0, 1], [1, 2]], [0, v, 3]), 1,
+                             ParameterError),
+    "splice_En d": (partial(cons.splice_En, [[0, 1], [1, 2]], [0, 1, 3]), 1, ParameterError),
 }
 
 

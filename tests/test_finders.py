@@ -191,6 +191,17 @@ def _join_1d(a, mode):
 STRIPS = st.one_of(st.just(1), st.integers(2, 64), st.just(2**18))
 
 
+@st.composite
+def boxes_with_holes(draw):
+    """The cells of a w x h box (1 <= w, h <= 10) at an offset, less a few
+    holes: dense enough that full square boundaries of several radii occur."""
+    w, h = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    x0, y0 = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+    holes = draw(st.sets(st.tuples(st.integers(0, w - 1), st.integers(0, h - 1)),
+                         max_size=w * h // 4))
+    return [(x0 + x, y0 + y) for x in range(w) for y in range(h) if (x, y) not in holes]
+
+
 class TestBackendsAgree:
     """Dense and sparse kernels against each other and the naive oracles."""
 
@@ -233,6 +244,23 @@ class TestBackendsAgree:
         for kernel in (_vertex_centers_dense, _vertex_centers_sparse):
             assert {(p.X, p.Y) for p in kernel(b, "enumerate")} == expected
             assert kernel(b, "count") == len(expected)
+
+    @given(boxes_with_holes(), st.integers(1, 8), STRIPS)
+    # r_eff = 0: a grid 1 or 2 cells wide marks a raster of shape (w, h, 0)
+    @example([(x, y) for x in range(2) for y in range(9)], 3, 1)
+    @example([(0, y) for y in range(5)], 1, 2**18)
+    # r_max past the grid, which allows radii up to 3
+    @example([(x, y) for x in range(7) for y in range(12)], 8, 5)
+    @settings(max_examples=80, deadline=None)
+    def test_boundary_centers(self, pts, r_max, strip):
+        b = PointSet2D(pts)
+        expected = oracle_boundary_pairs(pts, r_max)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(finders, "_STRIP_CELLS", strip)
+            found = find_boundary_centers_2d(b, r_max)
+        assert {(*w.center, w.radius) for w in found} == expected
+        assert list(found) == sorted(found)
+        assert find_boundary_centers_2d(b, r_max, "count") == len(expected)
 
     def test_paper_examples(self):
         d3 = gen_Dk(3).as_array()
@@ -451,6 +479,21 @@ class TestBudgets:
             tracemalloc.stop()
         assert swept and len(rows) == 895_753
         assert peak <= 2 * rows.nbytes, f"peak {peak / rows.nbytes:.2f}x the rows"
+
+    def test_boundary_sweep_enumerates_into_one_rows_array(self):
+        # 969,226 pairs (22.2 MiB of rows) marked in one 244 x 244 x 20 bool
+        # raster and read from it a strip at a time into one array: per-radius
+        # row lists, their concatenation, its doubled copy and a lexsort took
+        # the peak to 4.5x the rows
+        b, _ = gen_boundary_example(3)
+        tracemalloc.start()
+        try:
+            rows = find_boundary_centers_2d(b, 20).as_array()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 969_226
+        assert peak <= 1.5 * rows.nbytes, f"peak {peak / rows.nbytes:.2f}x the rows"
 
     def test_sparse_join_enumerates_into_one_rows_array(self, monkeypatch):
         # 2,956,022 centers (45.1 MiB of rows) as rank keys sorted in place
