@@ -22,6 +22,13 @@ _VERIFY_PARAMS = {"dk": ("k",), "an": ("p",), "boundary": ("k",), "countable": (
 _FAMILIES = ("dk_vertex", "dk_boundary", "dk_size", "an_cover")
 DEFAULT_SEED = 20260816
 
+
+def _main_lemma(centers: int, m: int) -> tuple[int, int]:
+    """The exact integer sides of |S|**3 <= 16 * m**4: m = |B| for the square
+    vertices in B, |A|**2 for the common-radius centers of A."""
+    return centers**3, 16 * m**4
+
+
 # name -> the module that defines it.  Each module loads when one of its
 # names is first looked up (PEP 562), so `import squarelab` loads no numpy
 # and no submodule.

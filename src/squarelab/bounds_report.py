@@ -26,9 +26,8 @@ import numpy as np
 # Of this package's modules only core_sets is imported here (the tables the
 # CLI parser shares come from the package itself): each function imports the
 # other modules it calls, so a command loads only the modules its work reaches.
-from . import DEFAULT_SEED, _FAMILIES, _VERIFY_PARAMS
+from . import DEFAULT_SEED, _FAMILIES, _VERIFY_PARAMS, _main_lemma
 from .core_sets import (
-    DEFAULT_PAIR_BUDGET,
     IntSet1D,
     OccupancyGrid,
     ParameterError,
@@ -91,7 +90,7 @@ def check_main_lemma_2d(b: PointSet2D, *, s_count: int | None = None) -> BoundCh
         from .finders import find_vertex_centers_2d
         s_count = find_vertex_centers_2d(b, mode="count")
     return BoundCheck.compare("vertex_centers_cubed_vs_16_points_fourth",
-                              s_count**3, 16 * len(b) ** 4,
+                              *_main_lemma(s_count, len(b)),
                               points=len(b), centers=s_count)
 
 
@@ -101,7 +100,7 @@ def check_main_lemma_1d(a: IntSet1D, *, s_count: int | None = None) -> BoundChec
         from .finders import find_centers_1d
         s_count = find_centers_1d(a, mode="count")
     return BoundCheck.compare("common_radius_pairs_cubed_vs_16_elems_eighth",
-                              s_count**3, 16 * len(a) ** 8,
+                              *_main_lemma(s_count, len(a) ** 2),
                               elems=len(a), centers=s_count)
 
 
@@ -193,12 +192,13 @@ def _verify_dk(k: int) -> list[BoundCheck]:
     on each of the k**4 blocks {x = a (mod k**2)} x {y div k**2 = b} of k**4
     centers; there x -+ r in D_k and y -+ r in D_k are independent, and the
     block's good centers number Cx * Cy, each count a boolean lookup of D_k
-    over the block's k**2 values of x or of y.  Its 4 * k**6 lookups are
-    priced against the pair budget first.
+    over the block's k**2 values of x or of y.  Its 4 * k**6 lookups and the
+    bytes of its table and of one block of centers are priced first.
     """
     from . import constructions as cons
     n, m = k**4, k**2
-    require_budget(4 * m**3, DEFAULT_PAIR_BUDGET, f"the witness replay at level {k}")
+    require_budget(f"the witness replay at level {k}", work=4 * m**3,
+                   nbytes=3 * n + 8 * m * m + 48 * _CHUNK_CELLS)
     dset = cons.gen_Dk(k)
     hit, o = _lookup(dset)
     digits = np.arange(m, dtype=np.int64)

@@ -15,15 +15,16 @@ use.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
+import os
 import sys
 import warnings
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from . import DEFAULT_SEED, _FAMILIES, _VERIFY_PARAMS
+from . import DEFAULT_SEED, _FAMILIES, _VERIFY_PARAMS, _main_lemma
 
 if TYPE_CHECKING:
     from .core_sets import IntSet1D, PointSet2D
@@ -91,7 +92,7 @@ def _cmd_gen_example(gen: str, noun: str, args: argparse.Namespace) -> int:
 
 def _cmd_gen_cantor(args: argparse.Namespace) -> int:
     from . import constructions as cons
-    from .core_sets import _format_blocks
+    from .core_sets import _FORMAT_BLOCK, _format_blocks
     trunc = cons.gen_cantor_truncation(args.s, args.p)
     side = args.which
     if trunc.mode == "exact":
@@ -101,10 +102,10 @@ def _cmd_gen_cantor(args: argparse.Namespace) -> int:
                              f"depth {trunc.depth}, scale {trunc.scale}"), args.out)
     else:
         vals = trunc.a_floats if side == "a" else trunc.t_floats
-        lines = [f"# cantor truncation {side}-side, s={trunc.s}, depth {trunc.depth}, "
-                 f"float mode, abs error <= {trunc.error_bound:.3e}"]
-        lines += [repr(v) for v in vals]
-        _emit("\n".join(lines) + "\n", args.out)
+        header = (f"# cantor truncation {side}-side, s={trunc.s}, depth {trunc.depth}, "
+                  f"float mode, abs error <= {trunc.error_bound:.3e}\n")
+        _emit(chain([header], ("".join(map("{!r}\n".format, vals[i:i + _FORMAT_BLOCK]))
+                               for i in range(0, len(vals), _FORMAT_BLOCK))), args.out)
         _say("float mode: output is a report, not a round-trippable integer set")
     return 0
 
@@ -158,10 +159,10 @@ def _cmd_gen_splice(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # find
 
-def _find(args: argparse.Namespace, size: int, m: int | None, find, check=None) -> int:
+def _find(args: argparse.Namespace, size: int, m: int | None, find) -> int:
     """Call the finder once: print the count (mode='count') or the rows of
     the centers in ascending order, then the JSON summary of the bound
-    |S|**3 <= 16 * m**4 that `check(s_count=...)` decides exactly."""
+    |S|**3 <= 16 * m**4, decided exactly (none when m is None)."""
     from .core_sets import _format_blocks
     if args.count:
         count = find(mode="count")
@@ -170,7 +171,8 @@ def _find(args: argparse.Namespace, size: int, m: int | None, find, check=None) 
         found = find(mode="enumerate")
         count = len(found)
         _emit(_format_blocks(found.as_array()), args.out)
-    bound_ok = check is None or check(s_count=count).ok
+    lhs, rhs = (0, 0) if m is None else _main_lemma(count, m)
+    bound_ok = lhs <= rhs
     line = json.dumps({"input_size": size, "centers": count,
                        "bound": None if m is None else float(2 * m) ** (4 / 3),
                        "bound_ok": bound_ok})
@@ -181,17 +183,15 @@ def _find(args: argparse.Namespace, size: int, m: int | None, find, check=None) 
 
 
 def _cmd_find_centers1d(args: argparse.Namespace) -> int:
-    from . import bounds_report, finders
+    from .finders import find_centers_1d
     a = _read_intset(getattr(args, "in"))
-    return _find(args, len(a), len(a) ** 2, partial(finders.find_centers_1d, a),
-                 partial(bounds_report.check_main_lemma_1d, a))
+    return _find(args, len(a), len(a) ** 2, partial(find_centers_1d, a))
 
 
 def _cmd_find_vertices(args: argparse.Namespace) -> int:
-    from . import bounds_report, finders
+    from .finders import find_vertex_centers_2d
     b = _read_pointset(getattr(args, "in"))
-    return _find(args, len(b), len(b), partial(finders.find_vertex_centers_2d, b),
-                 partial(bounds_report.check_main_lemma_2d, b))
+    return _find(args, len(b), len(b), partial(find_vertex_centers_2d, b))
 
 
 def _cmd_find_boundaries(args: argparse.Namespace) -> int:
@@ -424,13 +424,17 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     """The process entry of `squarelab` and `python -m squarelab.cli`: main(),
-    then its exit status, with every object frozen so the interpreter skips a
-    last full collection (every file a command writes is closed by then)."""
+    then os._exit with its status once stdout and stderr are flushed, skipping
+    the interpreter's teardown (every file a command writes is closed by then)."""
+    code = main()
     try:
-        code = main()
-    finally:
-        gc.freeze()
-    sys.exit(code)
+        sys.stdout.flush()
+    except OSError as exc:  # the reader left before the last block: as main reports it
+        if code == 0:
+            _say(f"error: {exc}")
+            code = 2
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

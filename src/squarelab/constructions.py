@@ -31,7 +31,6 @@ import numpy as np
 
 from .core_sets import (
     COORD_LIMIT,
-    DEFAULT_ELEMENT_BUDGET,
     IntSet1D,
     ModeError,
     ParameterError,
@@ -77,11 +76,14 @@ def _dk_occupancy(k: int) -> np.ndarray:
 
     Marked as four unions (one per vanishing digit), each a (3k-2)**2 plane
     of the two lower remaining digits shifted by every value of the third,
-    so no more than one plane of sums is held at a time.
+    so no more than one plane of sums is held at a time.  Priced with the
+    int64 values that :func:`gen_Dk` reads off it, at most dk_size_cap(k).
     """
     k = _check_level(k)
     n = k**4
-    require_budget(dk_size_cap(k), DEFAULT_ELEMENT_BUDGET, f"digit set at level {k}")
+    side = 3 * k - 2
+    require_budget(f"digit set at level {k}", work=4 * side**3,
+                   nbytes=3 * n + 1 + 32 * side**2 + 8 * dk_size_cap(k))
     dig = np.arange(-k + 1, 2 * k - 1, dtype=np.int64)
     occupied = np.zeros(3 * n + 1, dtype=bool)
     for lo, mid, hi in ((k, k**2, k**3), (1, k**2, k**3), (1, k, k**3), (1, k, k**2)):
@@ -144,7 +146,9 @@ def gen_vertex_example(k: int) -> tuple[PointSet2D, PointSet2D]:
     while B stays a product set.
     """
     b_size, s_size = vertex_example_sizes(k)
-    require_budget(b_size + s_size, DEFAULT_ELEMENT_BUDGET, f"vertex example at level {k}")
+    # each product: repeated and tiled columns, their (N, 2) stack, its order check
+    require_budget(f"vertex example at level {k}", work=b_size + s_size,
+                   nbytes=36 * (b_size + s_size))
     dset = gen_Dk(k)
     grid = IntSet1D._adopt(np.arange(1, k**4))
     return PointSet2D.product(dset, dset), PointSet2D.product(grid, grid)
@@ -171,10 +175,13 @@ def gen_boundary_example(k: int) -> tuple[PointSet2D, PointSet2D]:
     horizontal sides on lines of I x D_k, and the sides stay inside the box.
     """
     b_size, s_size = boundary_example_sizes(k)
-    require_budget(b_size + s_size, DEFAULT_ELEMENT_BUDGET, f"boundary example at level {k}")
+    # the raster over the box; B's and S's index columns, (N, 2) stack and order check
+    require_budget(f"boundary example at level {k}", work=b_size + s_size,
+                   nbytes=(3 * k**4 + 1) ** 2 + 36 * (b_size + s_size))
     on_strip = _dk_occupancy(k)  # over the side [-k**4, 2k**4]
-    xs, ys = np.nonzero(on_strip[:, None] | on_strip[None, :])  # in (x, y) order
-    b = PointSet2D._adopt(np.column_stack((xs - k**4, ys - k**4)))
+    rows = np.column_stack(np.nonzero(on_strip[:, None] | on_strip[None, :]))  # (x, y) order
+    rows -= k**4
+    b = PointSet2D._adopt(rows)
     assert len(b) == b_size
     grid = IntSet1D._adopt(np.arange(1, k**4))
     return b, PointSet2D.product(grid, grid)
@@ -190,24 +197,25 @@ _SORT_BLOCK = 2**20   # sums sorted and deduplicated per block
 def _sumset_levels(levels: Sequence[tuple[int, IntSet1D]], what: str) -> IntSet1D:
     """Exact sumset sum_k mult_k * S_k over the given (multiplier, set) levels.
 
-    Estimates min(prod |S_k|, span + 1) first and refuses over-budget requests
-    before allocating anything.  Each level adds mult * S to the running sum
-    B, marked on a bool vector over the new span when span + 1 <= |B| * |S|,
-    else sorted and deduplicated.  Sums are formed in blocks of 2**18 (2 MiB)
-    to mark or 2**20 (8 MiB) to sort, one row of S if S is longer; the
-    vector, or the deduplicated blocks of a sorted level (fewer than
-    span + 1 entries), stay within the element budget.
+    Each level adds mult * S to the running sum B, marked on a bool vector
+    over the new span when span + 1 <= |B| * |S|, else sorted and
+    deduplicated.  Sums are formed in blocks of 2**18 (2 MiB) to mark or
+    2**20 (8 MiB) to sort, one row of S if S is longer.  No running sum has
+    more than m = min(prod |S_k|, span + 1) values, which prices the sums
+    formed and the bytes held (the vector or a sorted level's deduplicated
+    blocks, their concatenation and its sort; a block) before any is made.
     """
-    prod = 1
-    span = 0
-    peak = 0
+    reach = 1  # the most values a running sum can have
+    span = peak = work = 0
     for mult, s in levels:
-        prod = min(prod * len(s), 2**63)  # clamp: only compared against budgets
+        work += reach * len(s)
         span += mult * (s.max() - s.min())
+        reach = min(reach * len(s), span + 1)
         peak += mult * max(abs(s.min()), abs(s.max()))
     if peak > COORD_LIMIT:
         raise RangeError(f"{what}: values would exceed the supported magnitude 2**62")
-    require_budget(min(prod, span + 1), DEFAULT_ELEMENT_BUDGET, what)
+    block = min(work, max([_SORT_BLOCK, *(len(s) for _, s in levels)]))  # sums formed at once
+    require_budget(what, work=work, nbytes=33 * reach + 25 * block)
 
     acc = np.zeros(1, dtype=np.int64)
     for mult, s in levels:
@@ -245,7 +253,7 @@ def gen_AN(p: int) -> IntSet1D:
 
     Element counts grow fast: p = 2, 3, 4 give 42, 3,627 and 916,716
     elements, while p = 5 would exceed 5e8 — so 5 and 6 are refused under the
-    default element budget (raise SQUARELAB_BUDGET to insist).
+    default limits (raise SQUARELAB_BUDGET to insist).
     """
     p = _int_param(p, "depth must be an integer in 2..6", 2, 6)
     levels = [(mult, gen_Dk(k)) for k, mult in _an_scales(p).items()]
@@ -344,13 +352,11 @@ def gen_cantor_truncation(s: object, p: int) -> CantorTruncation:
 
     # Float mode: weights are irrational; materialize double-precision sums.
     exp = float(8 / s)
-    prod_a = prod_t = 1
-    for k in range(2, p + 1):
-        prod_a *= dk_size(k)
-        prod_t *= k**4
-    require_budget(prod_a + prod_t, DEFAULT_ELEMENT_BUDGET, f"depth-{p} float Cantor truncation")
-    a_vals = np.zeros(1)
-    t_vals = np.zeros(1)
+    levels = range(2, p + 1)
+    sizes = math.prod(dk_size(k) for k in levels) + math.prod(k**4 for k in levels)
+    # float64 sums, their sorted copies and the tuples of Python floats
+    require_budget(f"depth-{p} float Cantor truncation", nbytes=72 * sizes, work=sizes)
+    a_vals = t_vals = np.zeros(1)
     weight_reach = 0.0
     for k in range(2, p + 1):
         w = math.exp(-exp * math.lgamma(k)) / k**4
@@ -413,14 +419,17 @@ def gen_countable_truncation(alpha: int, K: int) -> CountableTruncation:
 
     level_sets: list[tuple[int, int, int, IntSet1D]] = []
     depth_set = cache(gen_AN)  # blocks of one depth share its set
-    estimate = 0
+    points = centers = 0
     for k in range(1, K + 1):
         n = 2 ** (alpha * k)
         factor = 2 ** ((1 + alpha) * (K - k))
         a = depth_set(interpolation_level(n))
-        estimate += 2 * len(a) * (7 * n * factor + 1) + n * n
+        points += 2 * len(a) * (7 * n * factor + 1)
+        centers += n * n
         level_sets.append((k, n, factor, a))
-    require_budget(estimate, DEFAULT_ELEMENT_BUDGET, f"countable truncation with {K} blocks")
+    # a block's strips stacked, concatenated and sorted (52 bytes a point), then kept (16)
+    require_budget(f"countable truncation with {K} blocks", work=points + centers,
+                   nbytes=68 * points + 36 * centers)
 
     blocks = []
     for k, n, factor, a in level_sets:
@@ -475,15 +484,17 @@ def splice_En(patterns: Sequence[Collection], a: Sequence[int], d: int = 1) -> f
         raise RangeError(f"total depth {a[-1]} exceeds the 40-bit index guard")
 
     size = math.prod(len(level) for level in patterns)
-    require_budget(size, DEFAULT_ELEMENT_BUDGET, "spliced cell set")
+    # a set of tuples of Python ints, then a frozenset: 256 bytes a cell (measured)
+    require_budget("spliced cell set", nbytes=256 * size, work=size)
 
     def cell_axes(cell, width: int, j: int) -> tuple[int, ...]:
         axes = (cell,) if d == 1 else tuple(cell)
         if len(axes) != d:
             raise ParameterError(f"level {j}: cell {cell!r} is not {d}-dimensional")
-        for v in axes:
-            if not isinstance(v, (int, np.integer)) or not 0 <= v < width:
-                raise RangeError(f"level {j}: cell index {cell!r} outside [0, {width})")
+        axes = tuple(_int_param(v, f"level {j}: cell index {cell!r} must be an integer")
+                     for v in axes)
+        if not all(0 <= v < width for v in axes):
+            raise RangeError(f"level {j}: cell index {cell!r} outside [0, {width})")
         return axes
 
     current: set[tuple[int, ...]] = {(0,) * d}

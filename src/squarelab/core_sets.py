@@ -43,11 +43,11 @@ if TYPE_CHECKING:
 # this library targets.
 COORD_LIMIT = 2**62
 
-# Default guards, each scaled by the SQUARELAB_BUDGET environment factor.
-DEFAULT_FINDER_BUDGET = 5_000        # max |A| of the sparse join's pair arrays
-DEFAULT_ELEMENT_BUDGET = 2_000_000   # max elements/points a generator or the pair scan holds
-DEFAULT_GRID_CELLS = 4_500_000       # max occupancy-grid area (~2000 x 2000)
-DEFAULT_PAIR_BUDGET = 20_000_000     # max same-row pairs scanned by the vertex finder
+# The two limits every guard checks, each scaled by SQUARELAB_BUDGET: the peak
+# bytes a kernel holds, output included, and its work in elementary steps (a
+# swept pair, a boundary-sweep cell, a value formed or looked up).
+DEFAULT_BYTE_LIMIT = 2**29
+DEFAULT_WORK_LIMIT = 20_000_000
 
 _BUDGET_ENV = "SQUARELAB_BUDGET"
 
@@ -69,17 +69,15 @@ class ModeError(SquareLabError, ValueError):
 
 
 class BudgetError(SquareLabError):
-    """A size guard refused to materialize something.
+    """A guard refused to run a kernel.  Carries the estimate, the limit it
+    tripped and their unit, bytes or work, as its message states them."""
 
-    Carries the estimated cost and the limit it tripped, so callers (and error
-    messages) can say precisely how far over budget the request was.
-    """
-
-    def __init__(self, message: str, *, estimate: int, limit: int):
-        super().__init__(f"{message} (estimated {estimate:,}, budget {limit:,}; "
+    def __init__(self, message: str, *, estimate: int, limit: int, unit: str):
+        super().__init__(f"{message} (estimated {estimate:,} {unit}, budget {limit:,}; "
                          f"raise via {_BUDGET_ENV})")
         self.estimate = estimate
         self.limit = limit
+        self.unit = unit
 
 
 class FormatError(SquareLabError, ValueError):
@@ -111,11 +109,15 @@ def effective_budget(default: int) -> int:
     return int(default * budget_scale())
 
 
-def require_budget(estimate: int, default: int, what: str) -> None:
-    """Raise BudgetError if `estimate` exceeds the effective guard."""
-    limit = effective_budget(default)
-    if estimate > limit:
-        raise BudgetError(f"refusing to materialize {what}", estimate=estimate, limit=limit)
+def require_budget(what: str, *, nbytes: int = 0, work: int = 0) -> None:
+    """Raise BudgetError unless the kernel that makes `what` fits both limits:
+    its peak `nbytes` and its `work`, each priced before it allocates."""
+    for estimate, default, unit in ((nbytes, DEFAULT_BYTE_LIMIT, "bytes"),
+                                    (work, DEFAULT_WORK_LIMIT, "work")):
+        limit = effective_budget(default)
+        if estimate > limit:
+            raise BudgetError(f"refusing to materialize {what}", estimate=estimate,
+                              limit=limit, unit=unit)
 
 
 def _check_coord(v: int) -> int:
@@ -390,23 +392,23 @@ class DoubledPoint(NamedTuple):
 
 
 def _grid_box(points: PointSet2D) -> tuple[int, int, int, int]:
-    """(x0, y0, width, height) of a point set's grid, refused before it is built."""
+    """(x0, y0, width, height) of a non-empty point set's bounding box."""
     bbox = points.bbox()
     if bbox is None:
         raise ParameterError("cannot build a grid from an empty point set")
     xmin, ymin, xmax, ymax = bbox
-    width, height = xmax - xmin + 1, ymax - ymin + 1
-    require_budget(width * height, DEFAULT_GRID_CELLS, f"a {width} x {height} occupancy grid")
-    return xmin, ymin, width, height
+    return xmin, ymin, xmax - xmin + 1, ymax - ymin + 1
 
 
 _RASTER_BLOCK = 2**16  # points marked per block: 1 MiB of cell indices
+_RASTER_BYTES = 16 * _RASTER_BLOCK
+_GRID_CELL_BYTES = 9  # a bool cell, one int32 run table and the next one's build
 
 
 def _raster(points: PointSet2D) -> tuple[int, int, np.ndarray]:
     """(x0, y0, cells): bool cells over the bounding box of a non-empty point
     set, ``cells[i, j]`` for the lattice point ``(x0 + i, y0 + j)``, marked
-    a block of points at a time."""
+    a block of points at a time; the caller has priced them."""
     x0, y0, width, height = _grid_box(points)
     cells = np.zeros((width, height), dtype=bool)
     arr = points.as_array()
@@ -435,7 +437,8 @@ class OccupancyGrid:
         self.x0, self.y0 = x0, y0
         self.width, self.height = cells.shape
         # The run ending at index i of an axis is i minus the last empty index
-        # at or before i (-1 if none); int32 holds any run the cell budget allows.
+        # at or before i (-1 if none); int32 holds it on any side under 2**31
+        # cells, which the byte limit prices at 18 GiB of grid or more.
         self._runs = []
         for axis, idx in enumerate((np.arange(self.width, dtype=np.int32)[:, None],
                                     np.arange(self.height, dtype=np.int32))):
@@ -445,7 +448,10 @@ class OccupancyGrid:
 
     @classmethod
     def from_points(cls, points: PointSet2D) -> "OccupancyGrid":
-        """The grid over the bounding box of a non-empty point set."""
+        """The grid over the bounding box of a non-empty point set, priced first."""
+        _, _, width, height = _grid_box(points)
+        require_budget(f"a {width} x {height} occupancy grid",
+                       nbytes=_GRID_CELL_BYTES * width * height + _RASTER_BYTES)
         return cls(*_raster(points))
 
     def boundary_full(self, sx, sy, r) -> np.ndarray:

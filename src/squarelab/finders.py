@@ -30,10 +30,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core_sets import (
-    DEFAULT_ELEMENT_BUDGET,
-    DEFAULT_FINDER_BUDGET,
-    DEFAULT_GRID_CELLS,
-    DEFAULT_PAIR_BUDGET,
+    DEFAULT_BYTE_LIMIT,
+    DEFAULT_WORK_LIMIT,
     DoubledPoint,
     IntSet1D,
     OccupancyGrid,
@@ -42,6 +40,8 @@ from .core_sets import (
     effective_budget,
     require_budget,
     unique_ints,
+    _GRID_CELL_BYTES,
+    _RASTER_BYTES,
     _grid_box,
     _int_param,
     _raster,
@@ -95,6 +95,13 @@ class CenterRows(_RowSet):
 DENSE_1D_RATIO = 1_000
 DENSE_VERTEX_RATIO = 30
 
+# Multiply-adds of the dense join's float32 products per unit of work.  On the
+# same box they run at 23-34 G a CPU second (D_5..D_7) and the sparse join at
+# 7.6 M pairs (5,000 random values of [0, 10**12)): 3,000-4,500 multiply-adds
+# to a pair.  1,250 leaves room for slower BLAS builds; under it D_6 needs a
+# budget scale of 1.16 and D_8 one of 36.9.
+_DENSE_MADDS_PER_WORK = 1_250
+
 
 def _check_mode(mode: str) -> None:
     if mode not in ("enumerate", "count"):
@@ -125,17 +132,20 @@ def _pairs_1d(a: np.ndarray, op) -> np.ndarray:
     return out
 
 
-def _radius_counts(a: np.ndarray) -> np.ndarray:
-    """c[d] = the number of pairs of A at distance d, for d = 0 .. max A - min A,
-    by one exact integer autocorrelation of the occupancy vector."""
-    f = np.zeros(int(a[-1] - a[0]) + 1, dtype=np.int64)
+def _radius_counts(a: np.ndarray, lags: int) -> np.ndarray:
+    """c[d] = the number of pairs of A at distance d, for d = 0 .. lags, by one
+    exact integer correlation of the occupancy vector with its first lags + 1
+    shifts: (lags + 1) * (max A - min A + 1) multiply-adds."""
+    n = int(a[-1] - a[0]) + 1
+    f = np.zeros(n + lags, dtype=np.int64)
     f[a - a[0]] = 1
-    return np.correlate(f, f, "full")[len(f) - 1:]
+    return np.correlate(f, f[:n], "valid")
 
 
 # cells of one strip of the dense join's float32 product, or of a raster or
 # key array read into rows
 _STRIP_CELLS = 2**18
+_READOUT_BYTES = 16 * _STRIP_CELLS  # a read-out's strip of cell indices, beside its rows
 
 
 def _radius_matrix(a: np.ndarray, parity: int, cols: int) -> np.ndarray:
@@ -182,7 +192,7 @@ def _join_dense(xs: np.ndarray, ys: np.ndarray, mode: str) -> CenterRows | int:
                           - int(np.count_nonzero(block[:, :step])))
             else:
                 count += int(np.count_nonzero(strip @ my.T))
-        del mx, my  # one parity's matrices alive at a time
+        del mx, my, strip  # one parity's matrices alive at a time: no view left
     return count if marks is None else _marked_rows(marks, (2 * int(xs[0]), 2 * int(ys[0])))
 
 
@@ -202,35 +212,52 @@ def _marked_rows(marks: np.ndarray, origin: tuple[int, ...], scale: int = 1) -> 
     return CenterRows._adopt(found)
 
 
-def _centers_1d_sparse(a: np.ndarray, mode: str) -> CenterRows | int:
+def _centers_1d_sparse(a: np.ndarray, mode: str, sweep: int = 0) -> CenterRows | int:
     """Sort the pairs by radius and join the midpoints of each radius.
 
     Every midpoint X is the center (X, X); midpoints X < Y sharing a radius
     give (X, Y) and (Y, X).  Radii with equally many pairs are joined at once.
+    Priced from the sweep its caller knows or bounds before anything is made,
+    then from the sizes of its radius groups once the radii are sorted.
     """
-    # Arrays of all pairs dominate the memory held: reorder them one at a
-    # time and drop each as soon as it is used up.
-    mid, rad = _pairs_1d(a, np.add), _pairs_1d(a, np.subtract)
+    all_pairs = len(a) * (len(a) - 1) // 2
+    sweep = max(sweep, all_pairs)
+
+    def price(work: int, grouped: int, joins: int) -> None:
+        # int64 arrays of all, grouped and joined pairs; enumerating, midpoints, row keys, rows
+        require_budget("the common-radius pair sweep", work=work, nbytes=(
+            24 * all_pairs + 32 * grouped + 48 * joins
+            + (12 * all_pairs + 8 * joins + 2 * _READOUT_BYTES if mode == "enumerate" else 0)))
+
+    price(sweep, min(all_pairs, sweep - all_pairs), (sweep - all_pairs) // 2)
+    rad = _pairs_1d(a, np.subtract)
     order = np.argsort(rad, kind="stable")
-    mid = mid[order]
-    rad = rad[order]
+    rad.sort()
+    # the runs of two or more equal radii, as [start, end] in radius order
+    tied = np.zeros(len(rad) + 1, dtype=bool)
+    np.equal(rad[1:], rad[:-1], out=tied[1:-1])
+    edges = np.flatnonzero(tied[1:] != tied[:-1])
+    del rad, tied
+    starts, sizes = edges[0::2], edges[1::2] - edges[0::2] + 1
+    grouped, joins = int(sizes.sum()), int(np.dot(sizes, sizes - 1)) // 2
+    price(all_pairs + 2 * joins, grouped, joins)
+    # the midpoints of each group's pairs, in radius order and ascending
+    first = np.cumsum(sizes) - sizes
+    mid = _pairs_1d(a, np.add)
+    near = mid[order[np.repeat(starts - first, sizes) + np.arange(grouped)]]
     del order
-    starts, sizes = _runs(rad)
-    del rad
-    starts, sizes = starts[sizes > 1], sizes[sizes > 1]
-    # Rank the midpoints among the distinct ones by a sort: searchsorted on
-    # needles in radius order is ~10x slower once they outgrow the cache.
-    by_mid = np.argsort(mid)
-    mid = mid[by_mid]
-    mid_starts, mid_sizes = _runs(mid)
-    mids = mid[mid_starts]
+    mid.sort()
+    mids = mid[np.concatenate(([True], mid[1:] != mid[:-1]))]
     del mid
     n = len(mids)
-    rank = np.empty_like(by_mid)
-    rank[by_mid] = np.repeat(np.arange(n), mid_sizes)
+    # their ranks among the distinct midpoints, searched for in sorted order (~10x faster)
+    by_mid = np.argsort(near)
+    rank = np.empty_like(near)
+    rank[by_mid] = np.searchsorted(mids, near[by_mid])
+    del near, by_mid
     keys = [np.zeros(0, dtype=np.int64)]
     for size in unique_ints(sizes).tolist():
-        group = rank[starts[sizes == size, None] + np.arange(size)]
+        group = rank[first[sizes == size, None] + np.arange(size)]
         i, j = np.triu_indices(size, 1)
         keys.append((group[:, i] * n + group[:, j]).ravel())
     pairs = unique_ints(np.concatenate(keys))
@@ -251,36 +278,42 @@ def _centers_1d_sparse(a: np.ndarray, mode: str) -> CenterRows | int:
 
 def _join(xs: np.ndarray, ys: np.ndarray, mode: str) -> CenterRows | int | None:
     """Doubled centers of the squares with vertices in X x Y (sorted X, Y): the
-    dense join if it costs under DENSE_1D_RATIO times the sparse sweep (the sum
-    over r > 0 of c_X(r) * c_Y(r), read off occupancy vectors the grid budget
-    allows), else for X = Y the sparse join behind its guards, else None."""
+    dense join if its bytes fit and it costs under DENSE_1D_RATIO times the
+    sparse sweep (the sum over r > 0 of c_X(r) * c_Y(r)), else for X = Y the
+    sparse join, else None.  The sweep is bounded from |X|, |Y| and the spans
+    first, and read off occupancy vectors only if the bounds leave the pick
+    open and the correlation fits the work limit; the kernel picked is
+    priced before it runs."""
     if len(xs) < 2 or len(ys) < 2:
         return 0 if mode == "count" else CenterRows._adopt(np.zeros((0, 2), dtype=np.int64))
     same = np.array_equal(xs, ys)
     spans = int(xs[-1] - xs[0]), int(ys[-1] - ys[0])
-    dense = 2 * spans[0] * spans[1] * (min(spans) // 2 + 1)  # as in the dense join
+    cols = min(spans) // 2 + 1  # as in the dense join
+    dense = 2 * spans[0] * spans[1] * cols
+    # one parity's float32 rows x radii matrices (one if X = Y), two product strips;
+    # enumerating, a (2 span)**2 marks raster and up to 16 + 3 bytes a mark read out
+    rx, ry = spans[0] + 1, spans[1] + 1
+    dense_bytes = 4 * cols * (rx if same else rx + ry) + 8 * max(_STRIP_CELLS, ry) + (
+        80 * rx * ry + _READOUT_BYTES if mode == "enumerate" else 0)
     pairs = len(xs) * (len(xs) - 1) // 2
     most = pairs * (len(ys) - 1)  # no radius has more than |Y| - 1 pairs in Y
-    sweep = None
-    if (max(spans) ** 2 <= effective_budget(DEFAULT_GRID_CELLS)
-            and dense < DENSE_1D_RATIO * most):
-        common = min(spans) + 1  # the radii both sets can have, and 0
-        cx = _radius_counts(xs)[1:common]
-        sweep = int(np.dot(cx, cx if same else _radius_counts(ys)[1:common]))
+    # pairs over at most min(pairs, span) radii: Cauchy-Schwarz bounds the sweep
+    sweep = least = -(-pairs * pairs // min(pairs, spans[0])) if same else 0
+    # the correlations that read c(r) off the occupancy vectors, for the radii both can have
+    lags = min(spans)
+    counting = (lags + 1) * (rx if same else rx + ry)
+    if dense_bytes <= effective_budget(DEFAULT_BYTE_LIMIT) and dense < DENSE_1D_RATIO * most:
+        # the bounds leave the pick open and the counts cost at most the work limit
+        if dense >= DENSE_1D_RATIO * least and counting <= effective_budget(DEFAULT_WORK_LIMIT):
+            cx = _radius_counts(xs, lags)[1:]
+            sweep = int(np.dot(cx, cx if same else _radius_counts(ys, lags)[1:]))
         if dense < DENSE_1D_RATIO * sweep:
+            # a count of X = Y multiplies only the strips on and right of the diagonal
+            halves = 2 if same and mode == "count" else 1
+            require_budget("the dense common-radius join", nbytes=dense_bytes,
+                           work=dense // (_DENSE_MADDS_PER_WORK * halves))
             return _join_dense(xs, ys, mode)
-    if not same:
-        return None
-    require_budget(len(xs), DEFAULT_FINDER_BUDGET, "the pair arrays of the set")
-    # The pair count is a lower bound of the sweep.
-    require_budget(pairs, DEFAULT_PAIR_BUDGET, "the common-radius pair sweep")
-    if sweep is None:  # the radii of all pairs, sorted into runs
-        rad = _pairs_1d(xs, np.subtract)
-        rad.sort()
-        sweep = int(np.sum(_runs(rad)[1] ** 2))
-        del rad
-    require_budget(sweep, DEFAULT_PAIR_BUDGET, "the common-radius pair sweep")
-    return _centers_1d_sparse(xs, mode)
+    return _centers_1d_sparse(xs, mode, sweep) if same else None
 
 
 def find_centers_1d(a: IntSet1D, mode: str = "enumerate") -> CenterRows | int:
@@ -336,6 +369,11 @@ def _vertex_centers_sparse(b: PointSet2D, mode: str) -> CenterRows | int:
     return len(rows) if mode == "count" else rows
 
 
+# bytes the same-row pair scan holds per point (measured): its membership set
+# of (x, y) tuples, the coordinate lists it walks and its sorted rows
+_SCAN_POINT_BYTES = 352
+
+
 def find_vertex_centers_2d(b: PointSet2D, mode: str = "enumerate") -> CenterRows | int:
     """Centers of axis-parallel squares with all four vertices in B."""
     _check_mode(mode)
@@ -353,11 +391,15 @@ def find_vertex_centers_2d(b: PointSet2D, mode: str = "enumerate") -> CenterRows
     # sweep = sum of (w - s) * (h - s) over the widths s = 1..m
     sweep = m * w * h - (w + h) * m * (m + 1) // 2 + m * (m + 1) * (2 * m + 1) // 6
     scan = int(np.dot(row_sizes, row_sizes))
-    if w * h <= effective_budget(DEFAULT_GRID_CELLS) and sweep < DENSE_VERTEX_RATIO * scan:
+    # the cells, a (2w - 1) x (2h - 1) marks raster and two temporaries; an
+    # enumeration reads out up to 16 + 3 bytes a mark, as the dense join does
+    raster = 7 * w * h + _RASTER_BYTES + (76 * w * h + _READOUT_BYTES
+                                          if mode == "enumerate" else 0)
+    if raster <= effective_budget(DEFAULT_BYTE_LIMIT) and sweep < DENSE_VERTEX_RATIO * scan:
+        require_budget(f"the per-width raster sweep of a {w} x {h} grid", nbytes=raster,
+                       work=sweep // DENSE_VERTEX_RATIO)
         return _vertex_centers_dense(b, mode)
-    require_budget(scan, DEFAULT_PAIR_BUDGET, "the same-row pair scan")
-    # the scan's membership set holds every point
-    require_budget(len(b), DEFAULT_ELEMENT_BUDGET, "a vertex-center scan")
+    require_budget("the same-row pair scan", nbytes=_SCAN_POINT_BYTES * len(b), work=scan)
     return _vertex_centers_sparse(b, mode)
 
 
@@ -375,7 +417,12 @@ def find_boundary_centers_2d(b: PointSet2D, r_max: int,
         return 0 if mode == "count" else CenterRows._adopt(np.zeros((0, 3), dtype=np.int64))
     x0, y0, w, h = _grid_box(b)
     r_eff = min(r_max, (w - 1) // 2, (h - 1) // 2)
-    require_budget(w * h * r_eff, DEFAULT_PAIR_BUDGET, "the per-radius boundary sweep")
+    # the grid, per radius a bool, an int32 lookup and a comparison a center;
+    # an enumeration marks a w x h x r raster and reads out 24 + 3 bytes a mark
+    swept = w * h * r_eff
+    require_budget(f"the per-radius boundary sweep of a {w} x {h} occupancy grid", work=swept,
+                   nbytes=(_GRID_CELL_BYTES + 6) * w * h + _RASTER_BYTES
+                   + (28 * swept + _READOUT_BYTES if mode == "enumerate" else 0))
     grid = OccupancyGrid.from_points(b)
     marks = None if mode == "count" else np.zeros((w, h, r_eff), dtype=bool)
     count = 0

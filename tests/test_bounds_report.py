@@ -235,7 +235,6 @@ class TestVerifyConstruction:
         # the replay prices its 4 * k**6 lookups of D_k, not the k**8 centers:
         # k = 13 (19,307,236) is the last level the default budget admits
         assert all(c.ok for c in verify_construction("dk", k=9))
-        d4 = gen_Dk(4)
 
         def no_work(k):
             raise AssertionError("gen_Dk ran")
@@ -243,16 +242,16 @@ class TestVerifyConstruction:
             m.setattr(constructions, "gen_Dk", no_work)
             with pytest.raises(BudgetError, match="witness replay at level 14") as exc:
                 verify_construction("dk", k=14)
-        assert exc.value.estimate == 4 * 14**6
-        monkeypatch.setenv("SQUARELAB_BUDGET", "0.000005")  # 100 lookups
-        with pytest.raises(BudgetError, match="witness replay at level 4") as exc:
-            verify_construction("dk", k=4)
-        assert (exc.value.estimate, exc.value.limit) == (4 * 4**6, 100)
-        # at exactly 4 * 4**6 lookups the replay runs (D_4 is built first, as
-        # its own element guard at this scale would refuse it)
-        monkeypatch.setattr(constructions, "gen_Dk", lambda k: d4)
-        monkeypatch.setenv("SQUARELAB_BUDGET", "0.0008192")
-        assert all(c.ok for c in verify_construction("dk", k=4))
+        assert (exc.value.estimate, exc.value.unit) == (4 * 14**6, "work")
+        # at this scale the replay's ~0.8 MB fit the byte limit, and its
+        # 4 * 5**6 lookups are over the work limit of 40,000
+        monkeypatch.setenv("SQUARELAB_BUDGET", "0.002")
+        with pytest.raises(BudgetError, match="witness replay at level 5") as exc:
+            verify_construction("dk", k=5)
+        assert (exc.value.estimate, exc.value.limit, exc.value.unit) == (4 * 5**6, 40_000, "work")
+        # at exactly 4 * 5**6 lookups the replay runs
+        monkeypatch.setenv("SQUARELAB_BUDGET", "0.003125")
+        assert all(c.ok for c in verify_construction("dk", k=5))
 
     def test_unknown_name(self):
         with pytest.raises(ParameterError, match="unknown construction 'pentagon'; "

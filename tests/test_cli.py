@@ -470,13 +470,15 @@ class TestScanAndTables:
         assert "budget" in err.lower()
 
     def test_budget_scale_is_the_one_knob(self, tmp_path, capsys, monkeypatch):
-        # D_28 is estimated at 2,165,455 elements against a limit of 2,000,000
+        # D_28 marks 4 * 82**3 = 2,205,472 digit sums: over the work limit
+        # scaled by 0.1, within the one scaled by 0.12
         out = tmp_path / "d28.txt"
+        monkeypatch.setenv("SQUARELAB_BUDGET", "0.1")
         assert run("gen", "dk", "--k", "28", "--out", str(out)) == 2
         err = capsys.readouterr().err
-        assert "estimated 2,165,455, budget 2,000,000; raise via SQUARELAB_BUDGET)" in err
+        assert "estimated 2,205,472 work, budget 2,000,000; raise via SQUARELAB_BUDGET)" in err
         assert "budget=" not in err and not out.exists()
-        monkeypatch.setenv("SQUARELAB_BUDGET", "1.1")
+        monkeypatch.setenv("SQUARELAB_BUDGET", "0.12")
         assert run("gen", "dk", "--k", "28", "--out", str(out)) == 0
         assert out.exists()
 

@@ -90,7 +90,7 @@ class TestDigitSets:
             gen_Dk(bad)
 
     def test_budget_guard(self, monkeypatch):
-        monkeypatch.setenv("SQUARELAB_BUDGET", "0.00005")  # 100 elements
+        monkeypatch.setenv("SQUARELAB_BUDGET", "0.00005")  # 26,843 bytes and 1,000 work
         with pytest.raises(BudgetError):
             gen_Dk(50)
 
@@ -102,9 +102,9 @@ class TestDigitSets:
 
     @pytest.mark.parametrize("count", [dk_size, gen_Dk])
     def test_guard_refuses_before_allocating(self, count, monkeypatch):
-        # D_60's occupancy vector would be 38.9 MB; the guard prices the
-        # (3k-2)**4 - (3k-3)**4 digit tuples first
-        monkeypatch.setenv("SQUARELAB_BUDGET", "0.00005")  # 100 elements
+        # D_60's occupancy vector would be 38.9 MB; the guard prices it, the
+        # 4 * (3k-2)**3 digit sums marked on it and the values read off it first
+        monkeypatch.setenv("SQUARELAB_BUDGET", "0.00005")  # 26,843 bytes and 1,000 work
         tracemalloc.start()
         try:
             with pytest.raises(BudgetError, match="digit set at level 60"):
@@ -217,10 +217,13 @@ class TestExamples:
             assert boundary_example_sizes(k)[0] == 2 * nd * width - nd * nd
 
     def test_budget_refusals(self):
-        with pytest.raises(BudgetError):
-            gen_vertex_example(6)
-        with pytest.raises(BudgetError):
-            gen_boundary_example(5)
+        # 27,216,089 + 5,762,400 rows: over the work limit and the byte limit
+        with pytest.raises(BudgetError, match="vertex example at level 7"):
+            gen_vertex_example(7)
+        # 14,406,912 + 1,677,025 rows at 36 bytes each and a 3889**2 raster
+        with pytest.raises(BudgetError, match="boundary example at level 6") as exc:
+            gen_boundary_example(6)
+        assert exc.value.unit == "bytes"
 
 
 class TestAdditiveTowers:
@@ -343,7 +346,7 @@ class TestSumsetLevels:
         assert (marked.called, sorted_.called) == (marks, sorts)
 
     @pytest.mark.parametrize("levels, error", [
-        ([(1, range(2000)), (10**6, range(2000))], BudgetError),  # 4e6 sums over 2e9
+        ([(1, range(5000)), (10**6, range(5000))], BudgetError),  # 2.5e7 sums over 5e9
         ([(1, range(3000)), (2**51, range(3000))], RangeError),  # 9e6 sums past 2**62
     ])
     def test_guard_refuses_before_allocating(self, levels, error):
@@ -489,15 +492,16 @@ class TestCountableTruncation:
             gen_countable_truncation(1, 13)
 
     def test_budget_guard(self, monkeypatch):
-        monkeypatch.setenv("SQUARELAB_BUDGET", "0.0005")  # 1,000 elements
+        monkeypatch.setenv("SQUARELAB_BUDGET", "0.0005")  # 268,435 bytes and 10,000 work
         with pytest.raises(BudgetError):
             gen_countable_truncation(1, 3)
 
-    @pytest.mark.parametrize("K, depths", [(5, [2, 3]), (12, [2, 3, 4])])
-    def test_each_depth_is_built_once(self, K, depths, monkeypatch):
+    @pytest.mark.parametrize("K, scale, depths", [(5, "0.05", [2, 3]),
+                                                  (12, "0.5", [2, 3, 4])])
+    def test_each_depth_is_built_once(self, K, scale, depths, monkeypatch):
         # blocks 1-4 interpolate at depth 2, 5-10 at depth 3 and 11-12 at
         # depth 4; every block of a depth shares its one set
-        monkeypatch.setenv("SQUARELAB_BUDGET", "0.5")  # A_4 fits, the blocks do not
+        monkeypatch.setenv("SQUARELAB_BUDGET", scale)  # the sets fit, the blocks do not
         with mock.patch.object(constructions, "gen_AN",
                                wraps=constructions.gen_AN) as built:
             with pytest.raises(BudgetError, match=f"countable truncation with {K} blocks"):
@@ -543,6 +547,13 @@ class TestSplicing:
             splice_En([{4}], (0, 2))  # 4 >= 2**2
         with pytest.raises(RangeError):
             splice_En([{-1}], (0, 2))
+
+    def test_bool_cells_are_refused(self):
+        # a bool is no cell index: True once spliced as 1, giving {3} and {(1, 0)}
+        with pytest.raises(ParameterError, match="cell index True must be an integer"):
+            splice_En([[True], [1]], [0, 1, 2])
+        with pytest.raises(ParameterError, match=r"cell index \(True, 0\) must be an integer"):
+            splice_En([[(True, 0)]], [0, 1], d=2)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)

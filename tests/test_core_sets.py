@@ -28,6 +28,8 @@ from squarelab import constructions as cons, dimension_lab, finders
 from squarelab.finders import CenterRows, CenterWitness, DoubledPoint
 from squarelab.core_sets import (
     COORD_LIMIT,
+    DEFAULT_BYTE_LIMIT,
+    DEFAULT_WORK_LIMIT,
     _FORMAT_BLOCK,
     _RASTER_BLOCK,
     _format_rows,
@@ -438,12 +440,16 @@ class TestBudgets:
                 budget_scale()
 
     def test_require_budget_boundary(self):
-        require_budget(100, 100, "exact fit")  # passes at equality
-        with pytest.raises(BudgetError) as exc:
-            require_budget(101, 100, "one over")
-        assert exc.value.estimate == 101
-        assert exc.value.limit == 100
-        assert "one over" in str(exc.value)
+        # each limit passes at equality and refuses one past it, in its unit
+        require_budget("exact fit", nbytes=DEFAULT_BYTE_LIMIT, work=DEFAULT_WORK_LIMIT)
+        for key, unit, limit in (("nbytes", "bytes", DEFAULT_BYTE_LIMIT),
+                                 ("work", "work", DEFAULT_WORK_LIMIT)):
+            with pytest.raises(BudgetError) as exc:
+                require_budget("one over", **{key: limit + 1})
+            assert (exc.value.estimate, exc.value.limit, exc.value.unit) == (limit + 1, limit, unit)
+            assert str(exc.value) == (f"refusing to materialize one over (estimated "
+                                      f"{limit + 1:,} {unit}, budget {limit:,}; "
+                                      f"raise via SQUARELAB_BUDGET)")
 
 
 

@@ -78,11 +78,12 @@ class TestCenters1D:
         assert set(two) == {DoubledPoint(2, 2)}
 
     def test_budget_override(self, monkeypatch):
-        monkeypatch.setenv("SQUARELAB_BUDGET", "0.001")  # 5 elements
+        monkeypatch.setenv("SQUARELAB_BUDGET", "0.001")  # 536,870 bytes
         # spread wide, so the dense join cannot pay and the sparse kernel's
-        # guard is reached
-        with pytest.raises(BudgetError, match="the pair arrays of the set"):
-            find_centers_1d(make_intset(range(0, 20_000, 1_000)))
+        # guard is reached: its 44,850 pairs' arrays do not fit
+        with pytest.raises(BudgetError, match="common-radius pair sweep") as exc:
+            find_centers_1d(make_intset(range(0, 300_000, 1_000)))
+        assert exc.value.unit == "bytes"
 
     def test_bad_mode(self):
         with pytest.raises(ParameterError):
@@ -368,8 +369,9 @@ class TestSquareProducts:
 
 class TestBudgets:
     def test_spread_1d_refuses_before_work(self):
-        # 2,000 elements of [0, 10**5): about 5.5e7 same-radius midpoint
-        # pairs, over the pair budget; the estimate alone must decide
+        # 2,000 elements of [0, 10**5): 1,999,000 pairs over at most 10**5
+        # radii sweep at least 4e7 pairs, over both limits; the bound alone
+        # must decide
         rng = np.random.default_rng(0)
         a = make_intset(rng.choice(10**5, size=2_000, replace=False).tolist())
         start = time.perf_counter()
@@ -401,32 +403,45 @@ class TestBudgets:
         a = make_intset(rng.choice(20_001, size=300, replace=False).tolist())
         expected = _centers_1d_sparse(a.as_array(), "count")
         monkeypatch.setattr(finders, "_radius_counts",
-                            lambda arr: pytest.fail("occupancy counts of a sparse set"))
+                            lambda arr, lags: pytest.fail("occupancy counts of a sparse set"))
         assert find_centers_1d(a, "count") == expected
 
+    @pytest.mark.parametrize("width", [10**5, 10**6, 10**7])
+    def test_wide_by_narrow_product_counts_only_the_shared_radii(self, width):
+        # 300 values over [0, width) by 0..19: the radii both axes can have are
+        # 1..19, so reading c(r) costs 20 multiply-adds an occupancy cell of X,
+        # not (width + 1)**2; the product goes to the pair scan
+        xs = np.random.default_rng(2).choice(width, size=300, replace=False)
+        b = PointSet2D.product(make_intset(xs.tolist()), make_intset(range(20)))
+        expected = _vertex_centers_sparse(b, "count")
+        start = time.perf_counter()
+        assert find_vertex_centers_2d(b, "count") == expected
+        assert time.perf_counter() - start < 1.0
+
     def test_dense_1d_runs_past_the_pair_budget(self):
-        # D_4 has 104,464,421 same-radius midpoint pairs, five times the pair
-        # budget, but fits the dense kernel's cell budget
+        # D_4's sparse sweep has 104,464,421 pairs, five times the work limit;
+        # its dense join fits both limits
         assert find_centers_1d(gen_Dk(4), "count") == 1_109_548
 
     def test_vertex_example_k3_under_the_default_budget(self):
-        # 50,625 points on a 244 x 244 grid: the dense kernel, no point guard
+        # 50,625 points on a 244 x 244 grid: a product, counted by the dense join
         b, _ = gen_vertex_example(3)
         assert find_vertex_centers_2d(b, "count") == 105_542
 
     def test_spread_vertices_over_the_point_guard_refuse_before_the_scan(self, monkeypatch):
-        # one point per row and a box far over the grid-cell budget: the pair
-        # scan's estimate passes, its membership set of 5,001 points does not
-        # (the scale leaves an element budget of 5,000 and 50,000 pairs)
+        # one point per row and a box far over the byte limit: the pair scan's
+        # 5,001 pairs pass, its membership set of 5,001 points does not (the
+        # scale leaves 1,342,177 bytes, 352 a point, and 50,000 pairs)
         monkeypatch.setenv("SQUARELAB_BUDGET", "0.0025")
         b = PointSet2D([(1000 * i, i) for i in range(5_001)])
         start = time.perf_counter()
-        with pytest.raises(BudgetError, match="vertex-center scan"):
+        with pytest.raises(BudgetError, match="same-row pair scan") as exc:
             find_vertex_centers_2d(b, "count")
+        assert exc.value.unit == "bytes"
         assert time.perf_counter() - start < 1.0
 
     def test_spread_vertices_take_the_pair_scan(self, monkeypatch):
-        # a bounding box far over the grid-cell budget: no grid is built
+        # a bounding box far over the byte limit: no grid is built
         b = PointSet2D([(0, 0), (10**7, 0), (0, 10**7), (10**7, 10**7), (5, 9)])
         assert set(find_vertex_centers_2d(b)) == {DoubledPoint(10**7, 10**7)}
         monkeypatch.setenv("SQUARELAB_BUDGET", "1e-7")  # 2 pairs
@@ -434,18 +449,19 @@ class TestBudgets:
             find_vertex_centers_2d(b)
 
     def test_boundary_example_k3_under_the_default_budget(self):
-        # 59,175 points: no point guard, a 244 x 244 grid and 20 sweeps of it
+        # 59,175 points: a 244 x 244 grid and 20 sweeps of it
         b, _ = gen_boundary_example(3)
         assert find_boundary_centers_2d(b, 20, "count") == 969_226
 
     def test_sparse_guards_only_price_the_sparse_kernel(self, monkeypatch):
-        # the scale leaves an element budget of 5 for the pair arrays, which
-        # the dense join that 0..19 takes never builds
-        monkeypatch.setenv("SQUARELAB_BUDGET", "0.001")
-        a = make_intset(range(20))
-        assert find_centers_1d(a, "count") == len(oracle_centers_1d(range(20)))
-        assert find_vertex_centers_2d(PointSet2D.product(a, a), "count") == \
-            find_centers_1d(a, "count")
+        # the scale leaves a work limit of 1,000,000: D_3's sparse sweep is
+        # over it, the dense join that D_3 takes is not
+        monkeypatch.setenv("SQUARELAB_BUDGET", "0.05")
+        d = gen_Dk(3)
+        assert find_centers_1d(d, "count") == 105_542
+        assert find_vertex_centers_2d(PointSet2D.product(d, d), "count") == 105_542
+        with pytest.raises(BudgetError, match="common-radius pair sweep"):
+            _centers_1d_sparse(d.as_array(), "count")
 
     def test_raster_sweep_marks_one_bool_raster(self):
         # 700 x 700 cells at density 1/2: a bool raster, one center raster and
@@ -513,7 +529,7 @@ class TestBudgets:
         assert peak <= 2.5 * rows.nbytes, f"peak {peak / rows.nbytes:.2f}x the rows"
 
     def test_boundary_sweep_is_priced_before_its_grid(self):
-        # 1000 x 1000 cells and 21 radii: over the pair budget, refused before
+        # 1000 x 1000 cells and 21 radii: over the work limit, refused before
         # the 1 MB of cells and 8 MB of run tables are allocated
         b = PointSet2D([(0, 0), (999, 999)])
         tracemalloc.start()
@@ -529,7 +545,7 @@ class TestBudgets:
         start = time.perf_counter()
         with pytest.raises(BudgetError, match="3001 x 3001 occupancy grid"):
             find_boundary_centers_2d(PointSet2D([(0, 0), (3_000, 3_000)]), 5)
-        # 1000 x 1000 cells swept once per radius: 20 radii fill the pair budget
+        # 1000 x 1000 cells swept once per radius: 20 radii fill the work limit
         with pytest.raises(BudgetError, match="per-radius boundary sweep"):
             find_boundary_centers_2d(PointSet2D([(0, 0), (999, 999)]), 21, "count")
         assert time.perf_counter() - start < 1.0
