@@ -292,6 +292,8 @@ def _verify_boundary(k: int) -> list[BoundCheck]:
 
 def _verify_countable(alpha: int, big_k: int) -> list[BoundCheck]:
     from . import constructions as cons
+    for _, _, width, height in cons._countable_boxes(alpha, big_k):
+        OccupancyGrid.price(width, height)  # every block's grid before any block is built
     trunc = cons.gen_countable_truncation(alpha, big_k)
     checks = []
     for block in trunc.blocks:

@@ -248,6 +248,9 @@ def _an_scales(p: int) -> dict[int, int]:
     return {k: (pf // math.factorial(k)) ** 4 for k in range(2, p + 1)}
 
 
+_AN_DEPTH = "depth must be an integer in 2..6"
+
+
 def gen_AN(p: int) -> IntSet1D:
     """The depth-p set A = sum over k<=p of (p!/k!)**4 * D_k.
 
@@ -255,7 +258,7 @@ def gen_AN(p: int) -> IntSet1D:
     elements, while p = 5 would exceed 5e8 — so 5 and 6 are refused under the
     default limits (raise SQUARELAB_BUDGET to insist).
     """
-    p = _int_param(p, "depth must be an integer in 2..6", 2, 6)
+    p = _int_param(p, _AN_DEPTH, 2, 6)
     levels = [(mult, gen_Dk(k)) for k, mult in _an_scales(p).items()]
     return _sumset_levels(levels, f"depth-{p} interpolating set")
 
@@ -402,6 +405,33 @@ class CountableTruncation:
     blocks: tuple[CountableBlock, ...]
 
 
+def _countable_levels(alpha: int, K: int) -> tuple[int, int, list[tuple[int, ...]]]:
+    """alpha and K checked, and (k, n, factor, x offset, depth of A) of each
+    of the first K blocks, its depth checked."""
+    alpha = _int_param(alpha, "alpha must be an integer >= 1", lo=1)
+    K = _int_param(K, "block count must be an integer in 1..12", 1, 12)
+    levels = []
+    for k in range(1, K + 1):
+        n = 2 ** (alpha * k)
+        p = _int_param(interpolation_level(n), _AN_DEPTH, 2, 6)
+        levels.append((k, n, 2 ** ((1 + alpha) * (K - k)), 2 ** ((1 + alpha) * K - k), p))
+    return alpha, K, levels
+
+
+def _countable_boxes(alpha: int, K: int) -> list[tuple[int, int, int, int]]:
+    """(x0, y0, width, height) of each block's strip set, as
+    :func:`gen_countable_truncation` builds it, from n, the factor and A's
+    span alone: no block and no A is made.  The segments span [-3n, 4n]
+    units, and A's lines the sum over its levels of (p!/j!)**4 times D_j's
+    span, w * [-1, 2] with w = (j - 1)(j + j**2 + j**3)."""
+    boxes = []
+    for _, n, factor, off_x, p in _countable_levels(alpha, K)[2]:
+        w = sum(mult * (j - 1) * (j + j**2 + j**3) for j, mult in _an_scales(p).items())
+        lo, hi = factor * min(-3 * n, -w), factor * max(4 * n, 2 * w)
+        boxes.append((off_x + lo, lo, hi - lo + 1, hi - lo + 1))
+    return boxes
+
+
 def gen_countable_truncation(alpha: int, K: int) -> CountableTruncation:
     """First K blocks of the countable square-boundary configuration.
 
@@ -413,31 +443,21 @@ def gen_countable_truncation(alpha: int, K: int) -> CountableTruncation:
     The interval factors of the strips materialize as full integer segments in
     the global frame.
     """
-    alpha = _int_param(alpha, "alpha must be an integer >= 1", lo=1)
-    K = _int_param(K, "block count must be an integer in 1..12", 1, 12)
-    scale = 2 ** ((1 + alpha) * K)
-
-    level_sets: list[tuple[int, int, int, IntSet1D]] = []
+    alpha, K, levels = _countable_levels(alpha, K)
     depth_set = cache(gen_AN)  # blocks of one depth share its set
-    points = centers = 0
-    for k in range(1, K + 1):
-        n = 2 ** (alpha * k)
-        factor = 2 ** ((1 + alpha) * (K - k))
-        a = depth_set(interpolation_level(n))
-        points += 2 * len(a) * (7 * n * factor + 1)
-        centers += n * n
-        level_sets.append((k, n, factor, a))
+    points = sum(2 * len(depth_set(p)) * (7 * n * factor + 1)
+                 for _, n, factor, _, p in levels)
+    centers = sum(n * n for _, n, _, _, _ in levels)
     # a block's strips stacked, concatenated and sorted (52 bytes a point), then kept (16)
     require_budget(f"countable truncation with {K} blocks", work=points + centers,
                    nbytes=68 * points + 36 * centers)
 
     blocks = []
-    for k, n, factor, a in level_sets:
-        # gen_AN refuses depths past 6, so n <= (6!)**4 < 2**38 and every
+    for k, n, factor, off_x, p in levels:
+        # the depth is at most 6, so n <= (6!)**4 < 2**38 and every
         # coordinate below stays far inside int64
-        off_x = 2 ** ((1 + alpha) * K - k)
         seg = np.arange(-3 * n * factor, 4 * n * factor + 1)
-        lines = factor * a.as_array()
+        lines = factor * depth_set(p).as_array()
         pts = np.concatenate((
             np.column_stack((np.repeat(off_x + lines, len(seg)), np.tile(seg, len(lines)))),
             np.column_stack((np.tile(off_x + seg, len(lines)), np.repeat(lines, len(seg))))))
@@ -445,7 +465,8 @@ def gen_countable_truncation(alpha: int, K: int) -> CountableTruncation:
         centers = PointSet2D.product(IntSet1D._adopt(off_x + steps), IntSet1D._adopt(steps))
         blocks.append(CountableBlock(k=k, n=n, factor=factor, offset=(off_x, 0),
                                      centers=centers, boundary_set=PointSet2D._adopt(pts)))
-    return CountableTruncation(alpha=alpha, K=K, scale=scale, blocks=tuple(blocks))
+    return CountableTruncation(alpha=alpha, K=K, scale=2 ** ((1 + alpha) * K),
+                               blocks=tuple(blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -143,19 +143,26 @@ def _int_param(v: object, what: str, lo: int | None = None, hi: int | None = Non
 
 
 def _as_fraction(s: object) -> Fraction:
+    """`s` as an exact fraction: a Fraction, its text, or an integer taken as
+    :func:`_int_param` takes one (a numpy integer too, never a bool)."""
     from fractions import Fraction  # loads decimal too: imported only where one is built
     if isinstance(s, Fraction):
         return s
-    if isinstance(s, int):
-        return Fraction(s)
     if isinstance(s, str):
         try:
             return Fraction(s)
         except (ValueError, ZeroDivisionError):
             raise ParameterError(f"cannot parse {s!r} as an exact fraction") from None
-    if isinstance(s, tuple) and len(s) == 2:
-        return Fraction(s[0], s[1])
-    raise ParameterError(f"expected a fraction, got {type(s).__name__}")
+    return Fraction(_int_param(s, "expected an integer, a Fraction or its text"))
+
+
+def _check_pair(row: object, i: int) -> tuple[int, int]:
+    """Row `i` of a point input as an (x, y) pair of checked coordinates."""
+    try:
+        x, y = row
+    except (TypeError, ValueError):
+        raise ParameterError(f"row {i} is not an (x, y) pair: {row!r}") from None
+    return _check_coord(x), _check_coord(y)
 
 
 def _coord_array(values: Iterable, width: int) -> np.ndarray:
@@ -172,8 +179,8 @@ def _coord_array(values: Iterable, width: int) -> np.ndarray:
             or arr.dtype.kind not in "iu"
             or arr.size and (arr.max() > COORD_LIMIT or arr.min() < -COORD_LIMIT)):
         # only the scalar check names the first culprit
-        rows = zip(values) if width == 1 else values
-        checked = [tuple(map(_check_coord, row)) for row in rows]
+        checked = ([_check_coord(v) for v in values] if width == 1
+                   else [_check_pair(row, i) for i, row in enumerate(values)])
         return np.array(checked, dtype=np.int64).reshape(len(checked), *shape[1:])
     return arr.astype(np.int64, copy=False)
 
@@ -446,12 +453,16 @@ class OccupancyGrid:
             np.maximum.accumulate(run, axis=axis, out=run)
             self._runs.append(np.subtract(idx, run, out=run))
 
+    @staticmethod
+    def price(width: int, height: int) -> None:
+        """Refuse a width x height grid whose bytes do not fit the byte limit."""
+        require_budget(f"a {width} x {height} occupancy grid",
+                       nbytes=_GRID_CELL_BYTES * width * height + _RASTER_BYTES)
+
     @classmethod
     def from_points(cls, points: PointSet2D) -> "OccupancyGrid":
         """The grid over the bounding box of a non-empty point set, priced first."""
-        _, _, width, height = _grid_box(points)
-        require_budget(f"a {width} x {height} occupancy grid",
-                       nbytes=_GRID_CELL_BYTES * width * height + _RASTER_BYTES)
+        cls.price(*_grid_box(points)[2:])
         return cls(*_raster(points))
 
     def boundary_full(self, sx, sy, r) -> np.ndarray:

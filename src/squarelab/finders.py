@@ -15,16 +15,17 @@ X x Y is a pair of X and a pair of Y that share a radius, and its doubled
 center is their two doubled midpoints; a 1D set A is the case X = Y = A.  One
 function owns that join: a dense kernel of float32 midpoint-by-radius matrix
 products over 0/1 occupancy vectors, one strip of rows at a time, and for
-X = Y a sort-and-group of all pairs by radius.  Only sets that are not
-products reach the per-width raster sweep or the same-row pair scan, and
-boundaries are swept once per radius; enumeration marks one (x, y, r)
-raster.  Each pick is made from cost estimates, and each guard refuses in
-front of the kernel it prices.
+X = Y a sort-and-group of all pairs by radius.  Sets that are not products
+take the per-width raster sweep or the same-row pair scan, and boundaries
+are swept once per radius; enumeration marks one (x, y, r) raster.  A
+finder prices every kernel it has before any runs, ranks them by cost, and
+runs the first that fits both limits: it refuses only when none does.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from functools import partial
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -106,6 +107,10 @@ _DENSE_MADDS_PER_WORK = 1_250
 def _check_mode(mode: str) -> None:
     if mode not in ("enumerate", "count"):
         raise ParameterError(f"mode must be 'enumerate' or 'count', got {mode!r}")
+
+
+def _no_centers(mode: str) -> CenterRows | int:
+    return 0 if mode == "count" else CenterRows._adopt(np.zeros((0, 2), dtype=np.int64))
 
 
 def _check_r_max(r_max: int) -> int:
@@ -212,24 +217,23 @@ def _marked_rows(marks: np.ndarray, origin: tuple[int, ...], scale: int = 1) -> 
     return CenterRows._adopt(found)
 
 
-def _centers_1d_sparse(a: np.ndarray, mode: str, sweep: int = 0) -> CenterRows | int:
+def _sparse_bytes(all_pairs: int, grouped: int, joins: int, mode: str) -> int:
+    """Peak bytes of the sparse join: int64 arrays of all, grouped and joined
+    pairs; enumerating, midpoints, row keys and rows too."""
+    return 24 * all_pairs + 32 * grouped + 48 * joins + (
+        12 * all_pairs + 8 * joins + 2 * _READOUT_BYTES if mode == "enumerate" else 0)
+
+
+def _centers_1d_sparse(a: np.ndarray, mode: str) -> CenterRows | int:
     """Sort the pairs by radius and join the midpoints of each radius.
 
     Every midpoint X is the center (X, X); midpoints X < Y sharing a radius
     give (X, Y) and (Y, X).  Radii with equally many pairs are joined at once.
-    Priced from the sweep its caller knows or bounds before anything is made,
-    then from the sizes of its radius groups once the radii are sorted.
+    Its finder prices it from the sweep it knows or bounds before anything is
+    made; it prices itself again from the sizes of its radius groups once the
+    radii are sorted.
     """
     all_pairs = len(a) * (len(a) - 1) // 2
-    sweep = max(sweep, all_pairs)
-
-    def price(work: int, grouped: int, joins: int) -> None:
-        # int64 arrays of all, grouped and joined pairs; enumerating, midpoints, row keys, rows
-        require_budget("the common-radius pair sweep", work=work, nbytes=(
-            24 * all_pairs + 32 * grouped + 48 * joins
-            + (12 * all_pairs + 8 * joins + 2 * _READOUT_BYTES if mode == "enumerate" else 0)))
-
-    price(sweep, min(all_pairs, sweep - all_pairs), (sweep - all_pairs) // 2)
     rad = _pairs_1d(a, np.subtract)
     order = np.argsort(rad, kind="stable")
     rad.sort()
@@ -240,7 +244,8 @@ def _centers_1d_sparse(a: np.ndarray, mode: str, sweep: int = 0) -> CenterRows |
     del rad, tied
     starts, sizes = edges[0::2], edges[1::2] - edges[0::2] + 1
     grouped, joins = int(sizes.sum()), int(np.dot(sizes, sizes - 1)) // 2
-    price(all_pairs + 2 * joins, grouped, joins)
+    require_budget(_SPARSE_JOIN, work=all_pairs + 2 * joins,
+                   nbytes=_sparse_bytes(all_pairs, grouped, joins, mode))
     # the midpoints of each group's pairs, in radius order and ascending
     first = np.cumsum(sizes) - sizes
     mid = _pairs_1d(a, np.add)
@@ -276,16 +281,45 @@ def _centers_1d_sparse(a: np.ndarray, mode: str, sweep: int = 0) -> CenterRows |
     return CenterRows._adopt(rows)
 
 
-def _join(xs: np.ndarray, ys: np.ndarray, mode: str) -> CenterRows | int | None:
-    """Doubled centers of the squares with vertices in X x Y (sorted X, Y): the
-    dense join if its bytes fit and it costs under DENSE_1D_RATIO times the
-    sparse sweep (the sum over r > 0 of c_X(r) * c_Y(r)), else for X = Y the
-    sparse join, else None.  The sweep is bounded from |X|, |Y| and the spans
-    first, and read off occupancy vectors only if the bounds leave the pick
-    open and the correlation fits the work limit; the kernel picked is
-    priced before it runs."""
-    if len(xs) < 2 or len(ys) < 2:
-        return 0 if mode == "count" else CenterRows._adopt(np.zeros((0, 2), dtype=np.int64))
+class _Kernel(NamedTuple):
+    """A kernel a finder can run, priced before it runs: what it makes, its
+    peak bytes and its work, and the call that runs it."""
+
+    what: str
+    nbytes: int
+    work: int
+    run: Callable[[], CenterRows | int]
+
+
+def _fits(nbytes: int, work: int) -> bool:
+    return (nbytes <= effective_budget(DEFAULT_BYTE_LIMIT)
+            and work <= effective_budget(DEFAULT_WORK_LIMIT))
+
+
+def _run_first_fitting(kernels: list[_Kernel]) -> CenterRows | int:
+    """Run the first of `kernels`, in the finder's order of preference, whose
+    estimates fit both limits; when none fits, refuse with the first's."""
+    chosen = next((k for k in kernels if _fits(k.nbytes, k.work)), kernels[0])
+    require_budget(chosen.what, nbytes=chosen.nbytes, work=chosen.work)
+    return chosen.run()
+
+
+_SPARSE_JOIN = "the common-radius pair sweep"
+
+
+def _join_kernels(xs: np.ndarray, ys: np.ndarray,
+                  mode: str) -> tuple[list[_Kernel], list[_Kernel]]:
+    """The kernels that find the doubled centers of the squares with vertices
+    in X x Y (sorted X, Y), priced, as (ahead, behind): those a finder tries
+    ahead of its own kernels, in order, and those it tries after them.
+
+    The dense join goes first if its bytes fit and it costs under
+    DENSE_1D_RATIO times the sparse sweep (the sum over r > 0 of
+    c_X(r) * c_Y(r)).  For X = Y the sparse join is the other kernel; X != Y
+    has no sparse join, so its dense join goes behind when it is not first.
+    The sweep is bounded from |X|, |Y| and the spans first, and read off
+    occupancy vectors only if the bounds leave the pick open and the
+    correlation fits the work limit.  X and Y have at least two elements each."""
     same = np.array_equal(xs, ys)
     spans = int(xs[-1] - xs[0]), int(ys[-1] - ys[0])
     cols = min(spans) // 2 + 1  # as in the dense join
@@ -302,18 +336,35 @@ def _join(xs: np.ndarray, ys: np.ndarray, mode: str) -> CenterRows | int | None:
     # the correlations that read c(r) off the occupancy vectors, for the radii both can have
     lags = min(spans)
     counting = (lags + 1) * (rx if same else rx + ry)
-    if dense_bytes <= effective_budget(DEFAULT_BYTE_LIMIT) and dense < DENSE_1D_RATIO * most:
-        # the bounds leave the pick open and the counts cost at most the work limit
-        if dense >= DENSE_1D_RATIO * least and counting <= effective_budget(DEFAULT_WORK_LIMIT):
-            cx = _radius_counts(xs, lags)[1:]
-            sweep = int(np.dot(cx, cx if same else _radius_counts(ys, lags)[1:]))
-        if dense < DENSE_1D_RATIO * sweep:
-            # a count of X = Y multiplies only the strips on and right of the diagonal
-            halves = 2 if same and mode == "count" else 1
-            require_budget("the dense common-radius join", nbytes=dense_bytes,
-                           work=dense // (_DENSE_MADDS_PER_WORK * halves))
-            return _join_dense(xs, ys, mode)
-    return _centers_1d_sparse(xs, mode, sweep) if same else None
+    dense_first = (dense_bytes <= effective_budget(DEFAULT_BYTE_LIMIT)
+                   and dense < DENSE_1D_RATIO * most)
+    # the bounds leave the pick open and the counts cost at most the work limit
+    if (dense_first and dense >= DENSE_1D_RATIO * least
+            and counting <= effective_budget(DEFAULT_WORK_LIMIT)):
+        cx = _radius_counts(xs, lags)[1:]
+        sweep = int(np.dot(cx, cx if same else _radius_counts(ys, lags)[1:]))
+        most = sweep
+    dense_first = dense_first and dense < DENSE_1D_RATIO * sweep
+    # a count of X = Y multiplies only the strips on and right of the diagonal
+    halves = 2 if same and mode == "count" else 1
+    kernels = [_Kernel("the dense common-radius join", dense_bytes,
+                       dense // (_DENSE_MADDS_PER_WORK * halves),
+                       partial(_join_dense, xs, ys, mode))]
+    if not same:
+        return (kernels, []) if dense_first else ([], kernels)
+
+    def sparse_bytes(sweep: int) -> int:
+        return _sparse_bytes(pairs, min(pairs, sweep - pairs), (sweep - pairs) // 2, mode)
+
+    sweep = max(sweep, pairs)
+    sparse = _Kernel(_SPARSE_JOIN, sparse_bytes(sweep), sweep,
+                     partial(_centers_1d_sparse, xs, mode))
+    # a sweep bounded only from below may let the sparse join refuse on its
+    # radius groups: it stays ahead of a dense join that fits only if its
+    # upper bound fits too
+    dense_first = dense_first or (not _fits(sparse_bytes(most), most)
+                                  and _fits(kernels[0].nbytes, kernels[0].work))
+    return (kernels + [sparse] if dense_first else [sparse] + kernels), []
 
 
 def find_centers_1d(a: IntSet1D, mode: str = "enumerate") -> CenterRows | int:
@@ -323,7 +374,9 @@ def find_centers_1d(a: IntSet1D, mode: str = "enumerate") -> CenterRows | int:
     without building center objects.
     """
     _check_mode(mode)
-    return _join(a.as_array(), a.as_array(), mode)
+    if len(a) < 2:
+        return _no_centers(mode)
+    return _run_first_fitting(_join_kernels(a.as_array(), a.as_array(), mode)[0])
 
 
 def _vertex_centers_dense(b: PointSet2D, mode: str) -> CenterRows | int:
@@ -380,12 +433,12 @@ def find_vertex_centers_2d(b: PointSet2D, mode: str = "enumerate") -> CenterRows
     pts = b.as_array()
     ys = np.sort(pts[:, 1])
     row_starts, row_sizes = _runs(ys)
-    # B = X x Y (the empty set too) exactly when |B| = |X| * |Y|: the join's case
     x_starts = _runs(pts[:, 0])[0]
-    if len(x_starts) * len(row_starts) == len(b):
-        found = _join(pts[x_starts, 0], ys[row_starts], mode)
-        if found is not None:
-            return found
+    if min(len(x_starts), len(row_starts)) < 2:  # a square needs two of each
+        return _no_centers(mode)
+    # B = X x Y exactly when |B| = |X| * |Y|: the join's case
+    ahead, behind = (_join_kernels(pts[x_starts, 0], ys[row_starts], mode)
+                     if len(x_starts) * len(row_starts) == len(b) else ([], []))
     xmin, ymin, xmax, ymax = b.bbox()
     w, h, m = xmax - xmin + 1, ymax - ymin + 1, min(xmax - xmin, ymax - ymin)
     # sweep = sum of (w - s) * (h - s) over the widths s = 1..m
@@ -395,12 +448,13 @@ def find_vertex_centers_2d(b: PointSet2D, mode: str = "enumerate") -> CenterRows
     # enumeration reads out up to 16 + 3 bytes a mark, as the dense join does
     raster = 7 * w * h + _RASTER_BYTES + (76 * w * h + _READOUT_BYTES
                                           if mode == "enumerate" else 0)
-    if raster <= effective_budget(DEFAULT_BYTE_LIMIT) and sweep < DENSE_VERTEX_RATIO * scan:
-        require_budget(f"the per-width raster sweep of a {w} x {h} grid", nbytes=raster,
-                       work=sweep // DENSE_VERTEX_RATIO)
-        return _vertex_centers_dense(b, mode)
-    require_budget("the same-row pair scan", nbytes=_SCAN_POINT_BYTES * len(b), work=scan)
-    return _vertex_centers_sparse(b, mode)
+    own = [_Kernel(f"the per-width raster sweep of a {w} x {h} grid", raster,
+                   sweep // DENSE_VERTEX_RATIO, partial(_vertex_centers_dense, b, mode)),
+           _Kernel("the same-row pair scan", _SCAN_POINT_BYTES * len(b), scan,
+                   partial(_vertex_centers_sparse, b, mode))]
+    if not (raster <= effective_budget(DEFAULT_BYTE_LIMIT) and sweep < DENSE_VERTEX_RATIO * scan):
+        own.reverse()
+    return _run_first_fitting(ahead + own + behind)
 
 
 def find_boundary_centers_2d(b: PointSet2D, r_max: int,

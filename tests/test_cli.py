@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -25,6 +26,7 @@ from squarelab import (
 from squarelab.cli import _read_intset, _read_pointset, main
 
 from oracles import oracle_parse_intset, oracle_parse_pointset
+from paper_answers import INPUTS, ROWS
 
 
 def run(*argv):
@@ -148,25 +150,6 @@ class TestFind:
         assert run("find", "centers1d", "--in", str(f)) == 0
         out, _ = capsys.readouterr()
         assert len(out.strip().splitlines()) == 3352
-
-    def test_centers1d_d4_count_default_budget(self, tmp_path, capsys):
-        f = tmp_path / "d4.txt"
-        run("gen", "dk", "--k", "4", "--out", str(f))
-        capsys.readouterr()
-        assert run("find", "centers1d", "--in", str(f), "--count") == 0
-        out, err = capsys.readouterr()
-        assert out == "1109548\n"
-        assert json.loads(err)["centers"] == 1_109_548
-
-    def test_vertices_countable_block1_default_budget(self, tmp_path, capsys):
-        # 18,675 points in a 673 x 673 box: the same-row pair scan
-        d = tmp_path / "ct"
-        assert run("gen", "countable", "--alpha", "1", "--K", "3", "--out-dir", str(d)) == 0
-        capsys.readouterr()
-        assert run("find", "vertices", "--in", str(d / "block1_b.txt"), "--count") == 0
-        out, err = capsys.readouterr()
-        assert out == "32159\n"
-        assert json.loads(err)["centers"] == 32_159
 
     def test_vertices(self, tmp_path, capsys):
         f = tmp_path / "b.txt"
@@ -509,3 +492,49 @@ class TestTopLevel:
             run(*argv)
         assert exc.value.code == 2
         assert "expected a comma list of integers" in capsys.readouterr().err
+
+
+def data_lines(text: bytes) -> list[bytes]:
+    return [line for line in text.splitlines() if not line.startswith(b"#")]
+
+
+@pytest.fixture(scope="module")
+def paper_dir(tmp_path_factory):
+    """The one directory the rows of the paper's table run in, in order."""
+    path = tmp_path_factory.mktemp("paper")
+    for name, text in INPUTS.items():
+        (path / name).write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("row", ROWS, ids=[row.name for row in ROWS])
+def test_paper_answer(row, paper_dir, monkeypatch, capsysbinary):
+    monkeypatch.chdir(paper_dir)
+    if row.pipe is None:
+        if row.budget is not None:
+            monkeypatch.setenv("SQUARELAB_BUDGET", row.budget)
+        code, (out, err) = main(row.argv.split()), capsysbinary.readouterr()
+    else:  # this checkout's squarelab in two processes
+        env = dict(os.environ, PYTHONPATH=str(Path(squarelab.__file__).parents[1]))
+        cli = [sys.executable, "-m", "squarelab.cli"]
+        producer = subprocess.Popen(cli + row.pipe.split(), env=env, stdout=subprocess.PIPE)
+        if row.budget is not None:
+            env["SQUARELAB_BUDGET"] = row.budget  # the reader's only
+        reader = subprocess.run(cli + row.argv.split(), stdin=producer.stdout,
+                                capture_output=True, env=env)
+        producer.stdout.close()
+        out, err, code = reader.stdout, reader.stderr, reader.returncode
+        assert producer.wait() == 0
+    assert code == 0, err.decode()[-300:]
+    assert row.stdout is None or out.decode() == row.stdout
+    text = out if row.file == "-" else Path(row.file).read_bytes()
+    assert row.sha256 is None or hashlib.sha256(text).hexdigest() == row.sha256
+    assert row.lines is None or len(data_lines(text)) == row.lines
+    if row.same_data_as is not None:
+        assert data_lines(out) == data_lines(Path(row.same_data_as).read_bytes())
+    assert row.centers is None or json.loads(err)["centers"] == row.centers
+    if row.report:
+        checks = json.loads(out)["checks"]
+        assert [c["name"] for c in checks if not c["ok"]] == []
+        digest = hashlib.sha256(json.dumps(checks, sort_keys=True).encode()).hexdigest()
+        assert row.checks_sha256 is None or digest == row.checks_sha256

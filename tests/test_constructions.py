@@ -15,6 +15,7 @@ from squarelab import (
     ParameterError,
     RangeError,
     default_a_sequence,
+    falconer_ratios,
     gen_AN,
     gen_boundary_example,
     gen_cantor_truncation,
@@ -27,6 +28,7 @@ from squarelab import (
     witness_radii_AN,
 )
 from squarelab import constructions
+from squarelab.core_sets import _grid_box
 from squarelab.constructions import (
     _sumset_levels,
     an_modulus,
@@ -440,10 +442,14 @@ class TestCantorTruncation:
         arr = np.asarray(tr.a_floats)
         assert (np.diff(arr) > 0).all()
 
-    @pytest.mark.parametrize("bad", [0, -1, Fraction(5, 2), 2.5, "0"])
+    @pytest.mark.parametrize("bad", [0, -1, Fraction(5, 2), 2.5, "0", "1/0",
+                                     (8, 5), (1, 0), ("a", 2)])
     def test_s_validation(self, bad):
+        # both callers of the one parse of s
         with pytest.raises(ParameterError):
             gen_cantor_truncation(bad, 2)
+        with pytest.raises(ParameterError):
+            falconer_ratios(bad, 5, "upper")
 
     def test_depth_range(self):
         with pytest.raises(ParameterError):
@@ -482,6 +488,12 @@ class TestCountableTruncation:
             expected = {(off_x + blk.factor * i, off_y + blk.factor * j)
                         for i in range(blk.n) for j in range(blk.n)}
             assert blk.centers.points == expected
+
+    @pytest.mark.parametrize("alpha, K", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 3)])
+    def test_boxes_are_priced_as_built(self, alpha, K):
+        boxes = constructions._countable_boxes(alpha, K)
+        tr = gen_countable_truncation(alpha, K)
+        assert boxes == [_grid_box(blk.boundary_set) for blk in tr.blocks]
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):

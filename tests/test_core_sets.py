@@ -253,6 +253,16 @@ class TestPointSet2D:
         with pytest.raises(RangeError, match=f"coordinate {2**62 + 1} "):
             PointSet2D(np.array([[5, 1], [0, 2**62 + 1], [2**62 + 2, 0]]))
 
+    @pytest.mark.parametrize("rows, message", [
+        ([(1, 2), (3,)], "row 1 is not an (x, y) pair: (3,)"),
+        ([(1, 2, 3)], "row 0 is not an (x, y) pair: (1, 2, 3)"),
+        ([(1, 2), 5, (0.5, 0)], "row 1 is not an (x, y) pair: 5"),
+    ])
+    def test_rows_that_are_not_pairs_are_named(self, rows, message):
+        with pytest.raises(ParameterError) as exc:
+            PointSet2D(rows)
+        assert str(exc.value) == message
+
     def test_translate_names_the_first_coordinate_out_of_range(self):
         # int64 would wrap 2**62 + 2**62 to -2**63
         with pytest.raises(RangeError, match=f"coordinate {2**63} "):
@@ -473,6 +483,9 @@ INT_PARAMS = {
     "snap_to_grid": (partial(dimension_lab.snap_to_grid, _B), -1, ParameterError),
     "falconer_ratios": (partial(dimension_lab.falconer_ratios, 2, which="upper"), 2,
                         ParameterError),
+    "falconer_ratios s": (partial(dimension_lab.falconer_ratios, j_max=5, which="upper"), 2,
+                          ParameterError),
+    "gen_cantor_truncation s": (partial(cons.gen_cantor_truncation, p=2), 2, ParameterError),
     "find_boundary_centers_2d": (partial(finders.find_boundary_centers_2d, _B), 1,
                                  ParameterError),
     "splice_En checkpoint": (lambda v: cons.splice_En([[0, 1], [1, 2]], [0, v, 3]), 1,

@@ -418,6 +418,24 @@ class TestBudgets:
         assert find_vertex_centers_2d(b, "count") == expected
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("values, scale", [
+        # 700 values of [0, 3000): the sparse join is preferred by its sweep,
+        # but its 646,835,088 bytes are over the limit; the dense join fits
+        # both limits (10,749,677 work, ~20 MB) at the default budget
+        (np.random.default_rng(5).choice(3000, 700, replace=False), "1"),
+        # a work limit of 1,000,000: the span's counts cost 1,428,025, so the
+        # sweep is only bounded (331,667); the sparse join's true work is
+        # 2,646,700, the dense join's 682,024
+        (range(0, 1200, 6), "0.05"),
+    ], ids=["sparse-bytes-over", "sweep-only-bounded"])
+    def test_a_kernel_that_fits_runs_when_the_preferred_one_does_not(
+            self, monkeypatch, values, scale):
+        a = make_intset(values)
+        monkeypatch.setenv("SQUARELAB_BUDGET", "100")
+        expected = find_centers_1d(a, "count")
+        monkeypatch.setenv("SQUARELAB_BUDGET", scale)
+        assert find_centers_1d(a, "count") == expected
+
     def test_dense_1d_runs_past_the_pair_budget(self):
         # D_4's sparse sweep has 104,464,421 pairs, five times the work limit;
         # its dense join fits both limits

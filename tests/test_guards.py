@@ -83,6 +83,12 @@ class TestRefusalsSpendNothing:
         assert "common-radius pair sweep" in str(out)
         assert peak <= REFUSAL_BYTES and seconds < 1.0
 
+    def test_countable_replay_prices_every_grid_first(self):
+        # block 1's 10753 x 10753 grid is over the byte limit: no block is built
+        out, peak, seconds = traced(lambda: verify_construction("countable", alpha=1, K=5))
+        assert isinstance(out, BudgetError) and "10753 x 10753 occupancy grid" in str(out)
+        assert peak <= REFUSAL_BYTES and seconds < 1.0
+
     def test_wide_boundary_box(self):
         b = PointSet2D([(0, 0), (10**6, 10**6)])
         out, peak, _ = traced(lambda: find_boundary_centers_2d(b, 5, "count"))
