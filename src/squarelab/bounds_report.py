@@ -33,6 +33,7 @@ from .core_sets import (
     ParameterError,
     PointSet2D,
     require_budget,
+    _int_param,
 )
 
 if TYPE_CHECKING:
@@ -224,8 +225,9 @@ def _verify_dk(k: int) -> list[BoundCheck]:
 
 
 def _verify_an(p: int, seed: int | None, samples: int) -> list[BoundCheck]:
-    if seed is not None and seed < 0:
-        raise ParameterError(f"seed must be a non-negative integer, got {seed}")
+    samples = _int_param(samples, "samples must be an integer >= 1", lo=1)
+    if seed is not None:
+        seed = _int_param(seed, "seed must be a non-negative integer", lo=0)
     from . import constructions as cons
     from .dimension_lab import covering_count_1d
     a = cons.gen_AN(p)

@@ -248,9 +248,6 @@ def _an_scales(p: int) -> dict[int, int]:
     return {k: (pf // math.factorial(k)) ** 4 for k in range(2, p + 1)}
 
 
-_AN_DEPTH = "depth must be an integer in 2..6"
-
-
 def gen_AN(p: int) -> IntSet1D:
     """The depth-p set A = sum over k<=p of (p!/k!)**4 * D_k.
 
@@ -258,7 +255,7 @@ def gen_AN(p: int) -> IntSet1D:
     elements, while p = 5 would exceed 5e8 — so 5 and 6 are refused under the
     default limits (raise SQUARELAB_BUDGET to insist).
     """
-    p = _int_param(p, _AN_DEPTH, 2, 6)
+    p = _int_param(p, "depth must be an integer in 2..6", 2, 6)
     levels = [(mult, gen_Dk(k)) for k, mult in _an_scales(p).items()]
     return _sumset_levels(levels, f"depth-{p} interpolating set")
 
@@ -406,14 +403,16 @@ class CountableTruncation:
 
 
 def _countable_levels(alpha: int, K: int) -> tuple[int, int, list[tuple[int, ...]]]:
-    """alpha and K checked, and (k, n, factor, x offset, depth of A) of each
-    of the first K blocks, its depth checked."""
+    """alpha and K checked, alpha * K up to 37 so that A's depth is at most 6,
+    and (k, n, factor, x offset, depth of A) of each of the first K blocks."""
     alpha = _int_param(alpha, "alpha must be an integer >= 1", lo=1)
     K = _int_param(K, "block count must be an integer in 1..12", 1, 12)
+    if alpha * K > 37:  # 2**37 <= (6!)**4 < 2**38: depth 6 is A's deepest
+        raise ParameterError(f"alpha * K must be at most 37, got alpha={alpha}, K={K}")
     levels = []
     for k in range(1, K + 1):
         n = 2 ** (alpha * k)
-        p = _int_param(interpolation_level(n), _AN_DEPTH, 2, 6)
+        p = interpolation_level(n)
         levels.append((k, n, 2 ** ((1 + alpha) * (K - k)), 2 ** ((1 + alpha) * K - k), p))
     return alpha, K, levels
 

@@ -249,8 +249,13 @@ class _RowSet:
         a fresh array (a parser's, a generator's, a finder's) is kept."""
         if cls._width is not None:
             rows = _coord_array(rows, cls._width)
+        return cls._in_order(_lex_unique_rows(rows), given)
+
+    @classmethod
+    def _in_order(cls, rows: np.ndarray, given: object = None):
+        """The set of `rows`, distinct and in order already: kept unchecked."""
         out = cls.__new__(cls)
-        out._arr = _frozen(_lex_unique_rows(rows), given)
+        out._arr = _frozen(rows, given)
         return out
 
     def as_array(self) -> np.ndarray:

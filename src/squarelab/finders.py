@@ -17,9 +17,10 @@ function owns that join: a dense kernel of float32 midpoint-by-radius matrix
 products over 0/1 occupancy vectors, one strip of rows at a time, and for
 X = Y a sort-and-group of all pairs by radius.  Sets that are not products
 take the per-width raster sweep or the same-row pair scan, and boundaries
-are swept once per radius; enumeration marks one (x, y, r) raster.  A
-finder prices every kernel it has before any runs, ranks them by cost, and
-runs the first that fits both limits: it refuses only when none does.
+are swept once per radius; enumeration marks one (x, y, r) raster, and
+every kernel makes its rows in order.  A finder prices its kernels before
+any runs, ranks them by cost (the join by the sparse sweep, counted exactly
+where the pick is open) and runs the first that fits both limits.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core_sets import (
     DEFAULT_BYTE_LIMIT,
     DEFAULT_WORK_LIMIT,
+    BudgetError,
     DoubledPoint,
     IntSet1D,
     OccupancyGrid,
@@ -66,8 +68,8 @@ class CenterRows(_RowSet):
     """What a finder enumerates: one read-only int64 array of distinct rows in
     lexicographic order, (X, Y) per center or (X, Y, R) per boundary witness.
 
-    Built from one (N, k) int64 array of rows, which the finders hand over in
-    order.  Iteration yields :class:`DoubledPoint` or :class:`CenterWitness`
+    Built from one (N, k) int64 array of rows, sorted unless a kernel made them
+    in order.  Iteration yields :class:`DoubledPoint` or :class:`CenterWitness`
     values one at a time, in ascending order.  Not hashable.
     """
 
@@ -110,7 +112,7 @@ def _check_mode(mode: str) -> None:
 
 
 def _no_centers(mode: str) -> CenterRows | int:
-    return 0 if mode == "count" else CenterRows._adopt(np.zeros((0, 2), dtype=np.int64))
+    return 0 if mode == "count" else CenterRows._in_order(np.zeros((0, 2), dtype=np.int64))
 
 
 def _check_r_max(r_max: int) -> int:
@@ -138,13 +140,17 @@ def _pairs_1d(a: np.ndarray, op) -> np.ndarray:
 
 
 def _radius_counts(a: np.ndarray, lags: int) -> np.ndarray:
-    """c[d] = the number of pairs of A at distance d, for d = 0 .. lags, by one
-    exact integer correlation of the occupancy vector with its first lags + 1
-    shifts: (lags + 1) * (max A - min A + 1) multiply-adds."""
-    n = int(a[-1] - a[0]) + 1
-    f = np.zeros(n + lags, dtype=np.int64)
-    f[a - a[0]] = 1
-    return np.correlate(f, f[:n], "valid")
+    """c[d] = the number of pairs of A at distance d, for d = 0 .. lags (c[0] = 0),
+    from the differences a[i + t] - a[i] for t = 1, 2, ... until none is <= lags
+    (they grow with t): at most |A| * min(|A|, lags + 1) int64 subtractions."""
+    c = np.zeros(lags + 1, dtype=np.int64)
+    for t in range(1, len(a)):
+        d = a[t:] - a[:-t]
+        d = d[d <= lags]
+        if not len(d):
+            break
+        np.add.at(c, d, 1)
+    return c
 
 
 # cells of one strip of the dense join's float32 product, or of a raster or
@@ -214,7 +220,7 @@ def _marked_rows(marks: np.ndarray, origin: tuple[int, ...], scale: int = 1) -> 
         np.add(flat, i0, out=found[start:end, 0])
     found *= scale
     found += origin
-    return CenterRows._adopt(found)
+    return CenterRows._in_order(found)
 
 
 def _sparse_bytes(all_pairs: int, grouped: int, joins: int, mode: str) -> int:
@@ -229,9 +235,8 @@ def _centers_1d_sparse(a: np.ndarray, mode: str) -> CenterRows | int:
 
     Every midpoint X is the center (X, X); midpoints X < Y sharing a radius
     give (X, Y) and (Y, X).  Radii with equally many pairs are joined at once.
-    Its finder prices it from the sweep it knows or bounds before anything is
-    made; it prices itself again from the sizes of its radius groups once the
-    radii are sorted.
+    Its finder prices it from the sweep, exact or its floor, before anything
+    is made; once its radii are sorted it prices itself from its radius groups.
     """
     all_pairs = len(a) * (len(a) - 1) // 2
     rad = _pairs_1d(a, np.subtract)
@@ -278,7 +283,7 @@ def _centers_1d_sparse(a: np.ndarray, mode: str) -> CenterRows | int:
     for lo in range(0, len(keys), _STRIP_CELLS):
         i, j = np.divmod(keys[lo:lo + _STRIP_CELLS], n)
         rows[lo:lo + len(i), 0], rows[lo:lo + len(i), 1] = mids[i], mids[j]
-    return CenterRows._adopt(rows)
+    return CenterRows._in_order(rows)
 
 
 class _Kernel(NamedTuple):
@@ -298,10 +303,17 @@ def _fits(nbytes: int, work: int) -> bool:
 
 def _run_first_fitting(kernels: list[_Kernel]) -> CenterRows | int:
     """Run the first of `kernels`, in the finder's order of preference, whose
-    estimates fit both limits; when none fits, refuse with the first's."""
-    chosen = next((k for k in kernels if _fits(k.nbytes, k.work)), kernels[0])
-    require_budget(chosen.what, nbytes=chosen.nbytes, work=chosen.work)
-    return chosen.run()
+    estimates fit both limits, and the next that fits if it refuses on pricing
+    itself again (the sparse join, priced on its floor); when none fits,
+    refuse with the first's estimate."""
+    fitting = [k for k in kernels if _fits(k.nbytes, k.work)] or kernels[:1]
+    for k in fitting:
+        require_budget(k.what, nbytes=k.nbytes, work=k.work)
+        try:
+            return k.run()
+        except BudgetError:
+            if k is fitting[-1]:
+                raise
 
 
 _SPARSE_JOIN = "the common-radius pair sweep"
@@ -314,12 +326,11 @@ def _join_kernels(xs: np.ndarray, ys: np.ndarray,
     ahead of its own kernels, in order, and those it tries after them.
 
     The dense join goes first if its bytes fit and it costs under
-    DENSE_1D_RATIO times the sparse sweep (the sum over r > 0 of
-    c_X(r) * c_Y(r)).  For X = Y the sparse join is the other kernel; X != Y
-    has no sparse join, so its dense join goes behind when it is not first.
-    The sweep is bounded from |X|, |Y| and the spans first, and read off
-    occupancy vectors only if the bounds leave the pick open and the
-    correlation fits the work limit.  X and Y have at least two elements each."""
+    DENSE_1D_RATIO times the sparse sweep, the sum over r > 0 of c_X(r) c_Y(r):
+    its floor (Cauchy-Schwarz for X = Y, else 0), or its exact count when the
+    dense join fits both limits and the floor leaves the pick open.  For X = Y
+    the sparse join, priced at the sweep, is the other kernel; a dense join of
+    X != Y that is not first goes behind.  X and Y have two elements or more."""
     same = np.array_equal(xs, ys)
     spans = int(xs[-1] - xs[0]), int(ys[-1] - ys[0])
     cols = min(spans) // 2 + 1  # as in the dense join
@@ -329,41 +340,23 @@ def _join_kernels(xs: np.ndarray, ys: np.ndarray,
     rx, ry = spans[0] + 1, spans[1] + 1
     dense_bytes = 4 * cols * (rx if same else rx + ry) + 8 * max(_STRIP_CELLS, ry) + (
         80 * rx * ry + _READOUT_BYTES if mode == "enumerate" else 0)
-    pairs = len(xs) * (len(xs) - 1) // 2
-    most = pairs * (len(ys) - 1)  # no radius has more than |Y| - 1 pairs in Y
-    # pairs over at most min(pairs, span) radii: Cauchy-Schwarz bounds the sweep
-    sweep = least = -(-pairs * pairs // min(pairs, spans[0])) if same else 0
-    # the correlations that read c(r) off the occupancy vectors, for the radii both can have
-    lags = min(spans)
-    counting = (lags + 1) * (rx if same else rx + ry)
-    dense_first = (dense_bytes <= effective_budget(DEFAULT_BYTE_LIMIT)
-                   and dense < DENSE_1D_RATIO * most)
-    # the bounds leave the pick open and the counts cost at most the work limit
-    if (dense_first and dense >= DENSE_1D_RATIO * least
-            and counting <= effective_budget(DEFAULT_WORK_LIMIT)):
-        cx = _radius_counts(xs, lags)[1:]
-        sweep = int(np.dot(cx, cx if same else _radius_counts(ys, lags)[1:]))
-        most = sweep
-    dense_first = dense_first and dense < DENSE_1D_RATIO * sweep
     # a count of X = Y multiplies only the strips on and right of the diagonal
     halves = 2 if same and mode == "count" else 1
     kernels = [_Kernel("the dense common-radius join", dense_bytes,
                        dense // (_DENSE_MADDS_PER_WORK * halves),
                        partial(_join_dense, xs, ys, mode))]
+    pairs = len(xs) * (len(xs) - 1) // 2
+    sweep = -(-pairs * pairs // min(pairs, spans[0])) if same else 0
+    if _fits(dense_bytes, kernels[0].work) and dense >= DENSE_1D_RATIO * sweep:
+        cx = _radius_counts(xs, min(spans))
+        sweep = int(np.dot(cx, cx if same else _radius_counts(ys, min(spans))))
+    dense_first = (dense_bytes <= effective_budget(DEFAULT_BYTE_LIMIT)
+                   and dense < DENSE_1D_RATIO * sweep)
     if not same:
         return (kernels, []) if dense_first else ([], kernels)
-
-    def sparse_bytes(sweep: int) -> int:
-        return _sparse_bytes(pairs, min(pairs, sweep - pairs), (sweep - pairs) // 2, mode)
-
-    sweep = max(sweep, pairs)
-    sparse = _Kernel(_SPARSE_JOIN, sparse_bytes(sweep), sweep,
-                     partial(_centers_1d_sparse, xs, mode))
-    # a sweep bounded only from below may let the sparse join refuse on its
-    # radius groups: it stays ahead of a dense join that fits only if its
-    # upper bound fits too
-    dense_first = dense_first or (not _fits(sparse_bytes(most), most)
-                                  and _fits(kernels[0].nbytes, kernels[0].work))
+    sparse = _Kernel(_SPARSE_JOIN, _sparse_bytes(pairs, min(pairs, sweep - pairs),
+                                                 (sweep - pairs) // 2, mode),
+                     sweep, partial(_centers_1d_sparse, xs, mode))
     return (kernels + [sparse] if dense_first else [sparse] + kernels), []
 
 
@@ -417,7 +410,7 @@ def _vertex_centers_sparse(b: PointSet2D, mode: str) -> CenterRows | int:
                     break
                 if (a, y + w) in members and (c, y + w) in members:
                     found.append((a + c, 2 * y + w))
-    # nested squares share a center, each found through its own bottom edge
+    # nested squares share a center, found once per bottom edge: _adopt sorts them out
     rows = CenterRows._adopt(np.array(found, dtype=np.int64).reshape(-1, 2))
     return len(rows) if mode == "count" else rows
 
@@ -468,7 +461,7 @@ def find_boundary_centers_2d(b: PointSet2D, r_max: int,
     _check_mode(mode)
     r_max = _check_r_max(r_max)
     if not len(b):
-        return 0 if mode == "count" else CenterRows._adopt(np.zeros((0, 3), dtype=np.int64))
+        return 0 if mode == "count" else CenterRows._in_order(np.zeros((0, 3), dtype=np.int64))
     x0, y0, w, h = _grid_box(b)
     r_eff = min(r_max, (w - 1) // 2, (h - 1) // 2)
     # the grid, per radius a bool, an int32 lookup and a comparison a center;

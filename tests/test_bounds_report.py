@@ -173,6 +173,21 @@ class TestVerifyConstruction:
         with pytest.raises(ParameterError, match="seed must be a non-negative integer, got -1"):
             verify_construction("an", p=p, seed=-1)
 
+    @pytest.mark.parametrize("params, message", [
+        # a replay of no sample reported every check ok with tested: 0
+        ({"samples": 0}, "samples must be an integer >= 1, got 0"),
+        ({"samples": -1}, "samples must be an integer >= 1, got -1"),
+        ({"samples": 1.5}, "samples must be an integer >= 1, got 1.5"),
+        ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+        ({"seed": True}, "seed must be a non-negative integer, got True"),
+    ])
+    def test_an_refuses_samples_and_seeds_that_are_not_counts(self, params, message,
+                                                                monkeypatch):
+        monkeypatch.setattr(constructions, "gen_AN", lambda p: pytest.fail("gen_AN ran"))
+        with pytest.raises(ParameterError) as exc:
+            verify_construction("an", p=3, **params)
+        assert str(exc.value) == message
+
     def test_an4_replay_peaks_where_building_a4_does(self):
         # A_4, the samples, the lookup table and blocks of 2**16 samples
         # held together peaked at 14.1 MiB; A_4 is released after its

@@ -330,6 +330,11 @@ class TestVerify:
             run("verify", *argv, "--seed", "1")
         assert exc.value.code == 2
 
+    def test_countable_names_a_large_alpha(self, capsys):
+        assert run("verify", "countable", "--alpha", "40", "--K", "1") == 2
+        assert capsys.readouterr().err == \
+            "error: alpha * K must be at most 37, got alpha=40, K=1\n"
+
     def test_countable(self, capsys):
         assert run("verify", "countable", "--alpha", "1", "--K", "2") == 0
         rep = json.loads(capsys.readouterr().out)

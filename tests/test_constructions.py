@@ -503,6 +503,18 @@ class TestCountableTruncation:
         with pytest.raises(ParameterError):
             gen_countable_truncation(1, 13)
 
+    def test_alpha_times_blocks_is_checked_up_front(self):
+        # n = 2**(alpha * K) needs A's depth <= 6: 2**37 <= (6!)**4 < 2**38.
+        # alpha * K = 38 was refused with the derived "depth ..., got 7"
+        assert constructions._countable_levels(37, 1)[2][-1][4] == 6
+        assert constructions._countable_levels(1, 12)[2][-1][4] == 4
+        with pytest.raises(BudgetError, match="depth-6 interpolating set"):
+            gen_countable_truncation(37, 1)  # admitted, and priced past the limits
+        for alpha, K in ((38, 1), (19, 2), (40, 1)):
+            with pytest.raises(ParameterError, match=f"alpha \\* K must be at most 37, "
+                                                     f"got alpha={alpha}, K={K}"):
+                gen_countable_truncation(alpha, K)
+
     def test_budget_guard(self, monkeypatch):
         monkeypatch.setenv("SQUARELAB_BUDGET", "0.0005")  # 268,435 bytes and 10,000 work
         with pytest.raises(BudgetError):

@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 
@@ -10,6 +11,7 @@ from squarelab import (
     BudgetError,
     CenterWitness,
     DoubledPoint,
+    IntSet1D,
     ParameterError,
     PointSet2D,
     find_boundary_centers_2d,
@@ -395,22 +397,22 @@ class TestBudgets:
             assert peak < limit * 2**20, f"D_{k} {mode}: peak {peak / 2**20:.1f} MiB"
 
     def test_wide_sparse_1d_skips_the_occupancy_counts(self, monkeypatch):
-        # 300 elements over a span of ~20,000: the dense join cannot pay
-        # whatever the radii, so no O(span**2) autocorrelation runs (0.26 s
-        # of a 0.31 s count under this budget when it did)
+        # 300 elements over a span of ~20,000: the dense join's 3.2e9 work is
+        # over even this work limit, so it cannot run and no radius counts are
+        # read; the sparse join is priced on its floor
         monkeypatch.setenv("SQUARELAB_BUDGET", "100")
         rng = np.random.default_rng(1)
         a = make_intset(rng.choice(20_001, size=300, replace=False).tolist())
         expected = _centers_1d_sparse(a.as_array(), "count")
         monkeypatch.setattr(finders, "_radius_counts",
-                            lambda arr, lags: pytest.fail("occupancy counts of a sparse set"))
+                            lambda arr, lags: pytest.fail("radius counts of a sparse set"))
         assert find_centers_1d(a, "count") == expected
 
     @pytest.mark.parametrize("width", [10**5, 10**6, 10**7])
     def test_wide_by_narrow_product_counts_only_the_shared_radii(self, width):
         # 300 values over [0, width) by 0..19: the radii both axes can have are
-        # 1..19, so reading c(r) costs 20 multiply-adds an occupancy cell of X,
-        # not (width + 1)**2; the product goes to the pair scan
+        # 1..19, so c(r) is read from the differences of X up to 19 (5 us at
+        # width 10**7), not by a correlation over X's occupancy vector (0.25 s)
         xs = np.random.default_rng(2).choice(width, size=300, replace=False)
         b = PointSet2D.product(make_intset(xs.tolist()), make_intset(range(20)))
         expected = _vertex_centers_sparse(b, "count")
@@ -423,11 +425,10 @@ class TestBudgets:
         # but its 646,835,088 bytes are over the limit; the dense join fits
         # both limits (10,749,677 work, ~20 MB) at the default budget
         (np.random.default_rng(5).choice(3000, 700, replace=False), "1"),
-        # a work limit of 1,000,000: the span's counts cost 1,428,025, so the
-        # sweep is only bounded (331,667); the sparse join's true work is
-        # 2,646,700, the dense join's 682,024
+        # a work limit of 1,000,000: the dense join fits it (682,024 work), so
+        # the sweep is counted (2,646,700), not left at its floor (331,667)
         (range(0, 1200, 6), "0.05"),
-    ], ids=["sparse-bytes-over", "sweep-only-bounded"])
+    ], ids=["sparse-bytes-over", "sparse-work-over"])
     def test_a_kernel_that_fits_runs_when_the_preferred_one_does_not(
             self, monkeypatch, values, scale):
         a = make_intset(values)
@@ -569,6 +570,105 @@ class TestBudgets:
         assert time.perf_counter() - start < 1.0
 
 
+def _brute_radius_counts(a, lags):
+    """c[d] for d = 0 .. lags from all pair differences at once."""
+    d = (a[None, :] - a[:, None]).ravel()
+    return np.bincount(d[(d > 0) & (d <= lags)], minlength=lags + 1)
+
+
+def _exact_estimate(kernel, a, mode):
+    """(bytes, work) of a kernel at its exact price: the sparse join of A from
+    its true radius counts, as it prices itself from its radius groups; every
+    other kernel as its finder priced it."""
+    if kernel.what != finders._SPARSE_JOIN:
+        return kernel.nbytes, kernel.work
+    c = _brute_radius_counts(a, int(a[-1] - a[0]))
+    pairs, sweep = int(c.sum()), int(np.dot(c, c))
+    return finders._sparse_bytes(pairs, int(c[c > 1].sum()), (sweep - pairs) // 2, mode), sweep
+
+
+def _first_fitting(monkeypatch):
+    """Record the kernel each finder call would run first, running none."""
+    picks = []
+    monkeypatch.setattr(finders, "_run_first_fitting", lambda kernels: picks.append(
+        next(k.what for k in kernels if finders._fits(k.nbytes, k.work))))
+    return picks
+
+
+# sets of a few clusters 10**9 apart: wide, sparse, and with repeated radii
+WIDE_SETS = st.sets(st.tuples(st.integers(0, 5), st.integers(0, 40)),
+                    min_size=2, max_size=40).map(lambda s: {b * 10**9 + o for b, o in s})
+
+
+class TestPricingRule:
+    """The join's pick rests on the sparse sweep, counted exactly from the
+    pair differences wherever the dense join fits and the Cauchy-Schwarz
+    floor leaves the pick open; a finder refuses only when nothing fits."""
+
+    @given(st.one_of(st.sets(st.integers(-50, 50), min_size=2, max_size=40), WIDE_SETS),
+           st.integers(0, 3_000))
+    @example({3, 10}, 6)  # two elements, lags below the span
+    @example({3, 10}, 7)
+    @example({0, 10**12}, 3_000)
+    @settings(max_examples=150, deadline=None)
+    def test_radius_counts_are_the_pair_differences(self, vals, lags):
+        a = make_intset(vals).as_array()
+        lags = min(lags, int(a[-1] - a[0]))
+        counts = finders._radius_counts(a, lags)
+        assert counts.tolist() == _brute_radius_counts(a, lags).tolist()
+
+    @given(st.sets(st.integers(0, 60), min_size=2, max_size=20),
+           st.sets(st.integers(-20, 40), min_size=2, max_size=6),
+           st.sampled_from(["1d", "XxX", "XxY"]), st.floats(-4, 0),
+           st.sampled_from(["count", "enumerate"]))
+    # 0..54 squared: the dense join cannot fit, the sparse join fits on its
+    # floor and refuses on its radius groups, and the raster sweep fits
+    @example(set(range(55)), {0, 1}, "XxX", math.log10(0.00225), "count")
+    @settings(max_examples=150, deadline=None)
+    def test_a_finder_answers_or_no_kernel_fits(self, xs, ys, kind, log_scale, mode):
+        x = make_intset(sorted(xs)[:7] if kind == "XxY" else xs)
+        y = make_intset(ys) if kind == "XxY" else x
+        kernels, run = [], finders._run_first_fitting
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("SQUARELAB_BUDGET", repr(10**log_scale))
+            mp.setattr(finders, "_run_first_fitting", lambda ks: kernels.extend(ks) or run(ks))
+            try:
+                found = (find_centers_1d(x, mode) if kind == "1d"
+                         else find_vertex_centers_2d(PointSet2D.product(x, y), mode))
+            except BudgetError:
+                assert not any(finders._fits(*_exact_estimate(k, x.as_array(), mode))
+                               for k in kernels)
+                return
+        expected = len(oracle_centers_1d(x) if kind != "XxY"
+                       else oracle_vertex_centers_2d(PointSet2D.product(x, y)))
+        assert (found if mode == "count" else len(found)) == expected
+
+    @pytest.mark.parametrize("scale, make, pick", [
+        *[("1", lambda k=k: gen_Dk(k), "dense common-radius join") for k in (2, 3, 4, 5)],
+        *[("1", lambda k=k: PointSet2D.product(gen_Dk(k), gen_Dk(k)), "dense common-radius join")
+          for k in (2, 3)],
+        ("1", lambda: PointSet2D(np.argwhere(np.random.default_rng(0).random((120, 120)) < 0.3)),
+         "per-width raster sweep"),
+        ("1", lambda: PointSet2D(np.random.default_rng(0).integers(0, 10**6, (4_000, 2))),
+         "same-row pair scan"),
+        ("0.05", lambda: make_intset(range(0, 1200, 6)), "dense common-radius join"),
+        ("1", lambda: make_intset(np.random.default_rng(5).choice(3000, 700, replace=False)),
+         "dense common-radius join"),
+        *[("1", lambda w=w: PointSet2D.product(
+            make_intset(np.random.default_rng(2).choice(w, 300, replace=False)),
+            make_intset(range(20))), pick)
+          for w, pick in ((10**5, "per-width raster sweep"), (10**6, "same-row pair scan"),
+                          (10**7, "same-row pair scan"))],
+    ], ids=["d2", "d3", "d4", "d5", "d2xd2", "d3xd3", "box", "spread", "step6", "700-of-3000",
+            "300x20-1e5", "300x20-1e6", "300x20-1e7"])
+    def test_picks(self, monkeypatch, scale, make, pick):
+        s = make()
+        monkeypatch.setenv("SQUARELAB_BUDGET", scale)
+        picks = _first_fitting(monkeypatch)
+        (find_centers_1d if isinstance(s, IntSet1D) else find_vertex_centers_2d)(s, "count")
+        assert len(picks) == 1 and pick in picks[0]
+
+
 class TestCenterRows:
     """Enumerated results: rows in ascending order, one value type per finder."""
 
@@ -608,6 +708,18 @@ class TestCenterRows:
                 assert DoubledPoint(10**6, 10**6) not in found
                 assert (*items[0], 0) not in found
             assert None not in found and "x" not in found
+
+    @given(st.sets(st.integers(-20, 20), min_size=2, max_size=14),
+           st.sets(st.integers(-5, 30), min_size=2, max_size=8), boxes_with_holes())
+    @settings(max_examples=60, deadline=None)
+    def test_every_kernel_enumerates_strictly_increasing_rows(self, xs, ys, pts):
+        # the kernels' rows are kept unchecked; the pair scan sorts its own
+        x, y, b = make_intset(xs).as_array(), make_intset(ys).as_array(), PointSet2D(pts)
+        for found in (_join_dense(x, x, "enumerate"), _join_dense(x, y, "enumerate"),
+                      _centers_1d_sparse(x, "enumerate"), _vertex_centers_dense(b, "enumerate"),
+                      _vertex_centers_sparse(b, "enumerate"), find_boundary_centers_2d(b, 4)):
+            rows = found.as_array().tolist()
+            assert all(p < q for p, q in zip(rows, rows[1:]))
 
     def test_rows_are_read_only(self):
         found = find_vertex_centers_2d(PointSet2D([(0, 0), (2, 0), (0, 2), (2, 2)]))

@@ -56,9 +56,14 @@ def random_set(n: int, hi: int):
 
 
 class TestRefusalsSpendNothing:
-    def test_d8_span_at_a_scaled_budget(self, monkeypatch):
-        # the dense join's 737,950,506 work is over three times this limit, and
-        # Cauchy-Schwarz puts the sparse sweep higher still: no occupancy
+    @pytest.fixture
+    def no_radius_counts(self, monkeypatch):
+        monkeypatch.setattr(finders, "_radius_counts",
+                            lambda a, lags: pytest.fail("radius counts read"))
+
+    def test_d8_span_at_a_scaled_budget(self, monkeypatch, no_radius_counts):
+        # the dense join's 737,950,506 work is over three times this limit, so
+        # the sweep stays at its Cauchy-Schwarz floor, higher still: no radius
         # counts and no pair arrays are made to say so
         d8 = gen_Dk(8)
         monkeypatch.setenv("SQUARELAB_BUDGET", "12")
@@ -67,10 +72,11 @@ class TestRefusalsSpendNothing:
         assert "dense common-radius join" in str(out)
         assert peak <= REFUSAL_BYTES and seconds < 1.0
 
-    def test_d6_at_the_default_budget(self):
+    def test_d6_at_the_default_budget(self, no_radius_counts):
         d6 = gen_Dk(6)
         out, peak, seconds = traced(lambda: find_centers_1d(d6, "count"))
         assert isinstance(out, BudgetError) and out.unit == "work"
+        assert "dense common-radius join" in str(out)
         assert peak <= REFUSAL_BYTES and seconds < 1.0
 
     def test_wide_random_set_at_a_scaled_budget(self, monkeypatch):
