@@ -36,7 +36,9 @@ from .core_sets import (
     ParameterError,
     PointSet2D,
     RangeError,
+    _READOUT_BYTES,
     _as_fraction,
+    _int_array,
     _int_param,
     require_budget,
     unique_ints,
@@ -100,7 +102,7 @@ def gen_Dk(k: int) -> IntSet1D:
     read off the occupancy vector of :func:`_dk_occupancy` in ascending order."""
     vals = np.flatnonzero(_dk_occupancy(k))
     vals -= k**4
-    return IntSet1D._adopt(vals)
+    return IntSet1D._in_order(vals)
 
 
 def dk_size(k: int) -> int:
@@ -121,7 +123,7 @@ def witness_radii(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     """
     k = _check_level(k)
     n = k**4
-    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+    x, y = (_int_array(v, "centers") for v in (x, y))
     for v in (x, y):
         if v.size and (v.min() < 0 or v.max() >= n):
             raise RangeError(f"centers outside [0, {n})**2 at level {k}")
@@ -146,11 +148,10 @@ def gen_vertex_example(k: int) -> tuple[PointSet2D, PointSet2D]:
     while B stays a product set.
     """
     b_size, s_size = vertex_example_sizes(k)
-    # each product: repeated and tiled columns, their (N, 2) stack, its order check
     require_budget(f"vertex example at level {k}", work=b_size + s_size,
-                   nbytes=36 * (b_size + s_size))
+                   nbytes=16 * (b_size + s_size))  # the two products' rows
     dset = gen_Dk(k)
-    grid = IntSet1D._adopt(np.arange(1, k**4))
+    grid = IntSet1D._in_order(np.arange(1, k**4))
     return PointSet2D.product(dset, dset), PointSet2D.product(grid, grid)
 
 
@@ -167,6 +168,13 @@ def boundary_example_sizes(k: int) -> tuple[int, int]:
     return 2 * d * width - d * d, (k**4 - 1) ** 2
 
 
+def _boundary_cells(k: int) -> np.ndarray:
+    """B's bool raster over [-k**4, 2k**4]**2, cell (i, j) for the point
+    (i - k**4, j - k**4): the strips over D_k along both axes."""
+    on_strip = _dk_occupancy(k)
+    return on_strip[:, None] | on_strip[None, :]
+
+
 def gen_boundary_example(k: int) -> tuple[PointSet2D, PointSet2D]:
     """B = (D_k x I) ∪ (I x D_k) with I = [-k**4, 2k**4], S = {1..k**4-1}**2.
 
@@ -175,15 +183,12 @@ def gen_boundary_example(k: int) -> tuple[PointSet2D, PointSet2D]:
     horizontal sides on lines of I x D_k, and the sides stay inside the box.
     """
     b_size, s_size = boundary_example_sizes(k)
-    # the raster over the box; B's and S's index columns, (N, 2) stack and order check
+    # the raster over the box and one read-out strip; B's and S's rows
     require_budget(f"boundary example at level {k}", work=b_size + s_size,
-                   nbytes=(3 * k**4 + 1) ** 2 + 36 * (b_size + s_size))
-    on_strip = _dk_occupancy(k)  # over the side [-k**4, 2k**4]
-    rows = np.column_stack(np.nonzero(on_strip[:, None] | on_strip[None, :]))  # (x, y) order
-    rows -= k**4
-    b = PointSet2D._adopt(rows)
+                   nbytes=(3 * k**4 + 1) ** 2 + _READOUT_BYTES + 16 * (b_size + s_size))
+    b = PointSet2D._marked_rows(_boundary_cells(k), (-k**4, -k**4))
     assert len(b) == b_size
-    grid = IntSet1D._adopt(np.arange(1, k**4))
+    grid = IntSet1D._in_order(np.arange(1, k**4))
     return b, PointSet2D.product(grid, grid)
 
 
@@ -234,7 +239,7 @@ def _sumset_levels(levels: Sequence[tuple[int, IntSet1D]], what: str) -> IntSet1
             rows = max(1, _SORT_BLOCK // vals.size)
             acc = unique_ints(np.concatenate([unique_ints(acc[i:i + rows, None] + vals)
                                               for i in range(0, acc.size, rows)]))
-    return IntSet1D._adopt(acc)
+    return IntSet1D._in_order(acc)
 
 
 def an_modulus(p: int) -> int:
@@ -271,6 +276,8 @@ def witness_radii_AN(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     A center outside [0, (p!)**4) has a level-2 digit outside [0, 16), which
     :func:`witness_radii` refuses.
     """
+    p = _int_param(p, "depth must be an integer in 2..6", 2, 6)
+    x, y = (_int_array(v, "centers") for v in (x, y))
     r = 0
     for k, mult in _an_scales(p).items():
         u, x = np.divmod(x, mult)
@@ -344,7 +351,7 @@ def gen_cantor_truncation(s: object, p: int) -> CantorTruncation:
         mults = {k: scale // d for k, d in dens.items()}
         # Level 1 is {0} on both sides; it only matters through the lcm above.
         a_levels = [(mults[k], gen_Dk(k)) for k in range(2, p + 1)]
-        t_levels = [(mults[k], IntSet1D._adopt(np.arange(k**4))) for k in range(2, p + 1)]
+        t_levels = [(mults[k], IntSet1D._in_order(np.arange(k**4))) for k in range(2, p + 1)]
         a_set = _sumset_levels(a_levels, f"depth-{p} scaled Cantor A side")
         t_set = _sumset_levels(t_levels, f"depth-{p} scaled Cantor T side")
         return CantorTruncation(s=s, depth=p, mode="exact", scale=scale,
@@ -447,9 +454,9 @@ def gen_countable_truncation(alpha: int, K: int) -> CountableTruncation:
     points = sum(2 * len(depth_set(p)) * (7 * n * factor + 1)
                  for _, n, factor, _, p in levels)
     centers = sum(n * n for _, n, _, _, _ in levels)
-    # a block's strips stacked, concatenated and sorted (52 bytes a point), then kept (16)
+    # strips stacked, concatenated and sorted (52 bytes a point), kept (16); centers (16)
     require_budget(f"countable truncation with {K} blocks", work=points + centers,
-                   nbytes=68 * points + 36 * centers)
+                   nbytes=68 * points + 16 * centers)
 
     blocks = []
     for k, n, factor, off_x, p in levels:
@@ -461,7 +468,7 @@ def gen_countable_truncation(alpha: int, K: int) -> CountableTruncation:
             np.column_stack((np.repeat(off_x + lines, len(seg)), np.tile(seg, len(lines)))),
             np.column_stack((np.tile(off_x + seg, len(lines)), np.repeat(lines, len(seg))))))
         steps = factor * np.arange(n)
-        centers = PointSet2D.product(IntSet1D._adopt(off_x + steps), IntSet1D._adopt(steps))
+        centers = PointSet2D.product(IntSet1D._in_order(off_x + steps), IntSet1D._in_order(steps))
         blocks.append(CountableBlock(k=k, n=n, factor=factor, offset=(off_x, 0),
                                      centers=centers, boundary_set=PointSet2D._adopt(pts)))
     return CountableTruncation(alpha=alpha, K=K, scale=2 ** ((1 + alpha) * K),

@@ -8,11 +8,12 @@ exact.  Real-valued constructions are scaled into integers before they reach
 this layer.
 
 Both set types and the finders' results share one core (:class:`_RowSet`)
-and so one rule: one coordinate check (:func:`_coord_array`), a sort and
-deduplication unless the input is canonical already, and a frozen array that
-is copied only when it shares memory with the caller's array, so a fresh
-array (a parser's, a generator's, a sort's) is kept as it is.  Membership is
-one binary search over the rows, a 1D set being the one-column case.
+and so one rule for outside input: one coordinate check (:func:`_coord_array`),
+a sort and deduplication unless it is canonical already, and a frozen array
+copied only when it shares memory with the caller's array.  Rows made in
+order (a generator's, a finder's, a raster's read by :meth:`_marked_rows`)
+are kept unchecked.  Membership is one binary search over the rows, a 1D set
+being the one-column case.
 
 The :class:`OccupancyGrid` holds the run lengths of a dense 0/1 raster along
 both axes, so "is the whole boundary of this square occupied" is four
@@ -185,6 +186,13 @@ def _coord_array(values: Iterable, width: int) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _int_array(v: object, what: str) -> np.ndarray:
+    """`v` as an int64 array if its dtype is an integer one (never bool)."""
+    if (arr := np.asarray(v)).dtype.kind not in "iu":
+        raise ParameterError(f"{what} must be integers, got {arr.dtype} values")
+    return arr.astype(np.int64, copy=False)
+
+
 def _frozen(arr: np.ndarray, given: object = None) -> np.ndarray:
     """`arr` read-only, copied first if it shares memory with the caller's `given`."""
     if isinstance(given, np.ndarray) and np.may_share_memory(arr, given):
@@ -226,15 +234,20 @@ def _lex_unique_rows(rows: np.ndarray) -> np.ndarray:
     return rows[np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1)))]
 
 
+_STRIP_CELLS = 2**18  # cells of a raster read into rows at a time, or of a join strip
+_READOUT_BYTES = 16 * _STRIP_CELLS  # a read-out's strip of cell indices, beside its rows
+
+
 class _RowSet:
     """Distinct rows in lexicographic order, held as one read-only int64
     array: (N,) for a set of integers, the one-column case, else (N, k).
 
     A subclass says how outside input is checked (:func:`_coord_array` at its
     ``_width``, or not at all for the rows a finder makes) and how an item
-    reads as a row (:meth:`_row`).  Input is sorted and deduplicated only if
-    it is not in order yet, and copied only if it shares memory with the
-    caller's array.  Sets compare and hash by their rows, within one type.
+    reads as a row (:meth:`_row`).  Outside input is sorted and deduplicated
+    only if it is not in order yet, and copied only if it shares memory with
+    the caller's array; rows made in order go to :meth:`_in_order` unchecked.
+    Sets compare and hash by their rows, within one type.
     """
 
     __slots__ = ("_arr",)
@@ -245,8 +258,8 @@ class _RowSet:
 
     @classmethod
     def _adopt(cls, rows: Iterable | np.ndarray, given: object = None):
-        """The set of `rows`, its array copied only if it shares `given`'s:
-        a fresh array (a parser's, a generator's, a finder's) is kept."""
+        """The set of outside `rows`, checked, and sorted and deduplicated unless
+        in order already; its array is copied only if it shares `given`'s."""
         if cls._width is not None:
             rows = _coord_array(rows, cls._width)
         return cls._in_order(_lex_unique_rows(rows), given)
@@ -257,6 +270,22 @@ class _RowSet:
         out = cls.__new__(cls)
         out._arr = _frozen(rows, given)
         return out
+
+    @classmethod
+    def _marked_rows(cls, marks: np.ndarray, origin: tuple[int, ...], scale: int = 1):
+        """The set of rows origin + scale * (i, j, ...) of the cells marked in a
+        bool raster ``marks``, read a strip at a time into one array, in order."""
+        found = np.empty((int(np.count_nonzero(marks)), marks.ndim), dtype=np.int64)
+        end, step = 0, max(1, _STRIP_CELLS // max(1, marks[:1].size))
+        for i0 in range(0, len(marks), step):
+            flat = np.flatnonzero(marks[i0:i0 + step])
+            start, end = end, end + len(flat)
+            for axis in range(marks.ndim - 1, 0, -1):
+                np.divmod(flat, marks.shape[axis], out=(flat, found[start:end, axis]))
+            np.add(flat, i0, out=found[start:end, 0])
+        found *= scale
+        found += origin
+        return cls._in_order(found)
 
     def as_array(self) -> np.ndarray:
         return self._arr
@@ -369,7 +398,9 @@ class PointSet2D(_RowSet):
     @classmethod
     def product(cls, xs: IntSet1D, ys: IntSet1D) -> "PointSet2D":
         xa, ya = xs.as_array(), ys.as_array()
-        return cls._adopt(np.column_stack((np.repeat(xa, len(ya)), np.tile(ya, len(xa)))))
+        rows = np.empty((len(xa), len(ya), 2), dtype=np.int64)
+        rows[..., 0], rows[..., 1] = xa[:, None], ya  # broadcast, born in order
+        return cls._in_order(rows.reshape(-1, 2))
 
     @property
     def points(self) -> frozenset[tuple[int, int]]:
@@ -478,9 +509,10 @@ class OccupancyGrid:
         Each side is one run-length lookup at its far end; a square leaving
         the stored box is not full (out of the box is empty space).
         """
-        i = np.asarray(sx, dtype=np.int64) - self.x0
-        j = np.asarray(sy, dtype=np.int64) - self.y0
-        r = np.asarray(r, dtype=np.int64)
+        i, j, r = (_int_array(v, "centers and radii") for v in (sx, sy, r))
+        if r.size and r.min() < 1:
+            raise ParameterError(f"radii must be >= 1, got {r.min()}")
+        i, j = i - self.x0, j - self.y0
         full = ((i - r >= 0) & (i + r < self.width) & (j - r >= 0) & (j + r < self.height))
         if not full.all():
             i, j, r = (np.where(full, v, 0) for v in (i, j, r))

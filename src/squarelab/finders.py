@@ -45,6 +45,8 @@ from .core_sets import (
     unique_ints,
     _GRID_CELL_BYTES,
     _RASTER_BYTES,
+    _READOUT_BYTES,
+    _STRIP_CELLS,
     _grid_box,
     _int_param,
     _raster,
@@ -153,12 +155,6 @@ def _radius_counts(a: np.ndarray, lags: int) -> np.ndarray:
     return c
 
 
-# cells of one strip of the dense join's float32 product, or of a raster or
-# key array read into rows
-_STRIP_CELLS = 2**18
-_READOUT_BYTES = 16 * _STRIP_CELLS  # a read-out's strip of cell indices, beside its rows
-
-
 def _radius_matrix(a: np.ndarray, parity: int, cols: int) -> np.ndarray:
     """M[u, c] = f[u - c] & f[u + c + parity] over the occupancy vector f of
     A - min A, as float32: the pair at doubled midpoint 2u + parity and doubled
@@ -204,23 +200,8 @@ def _join_dense(xs: np.ndarray, ys: np.ndarray, mode: str) -> CenterRows | int:
             else:
                 count += int(np.count_nonzero(strip @ my.T))
         del mx, my, strip  # one parity's matrices alive at a time: no view left
-    return count if marks is None else _marked_rows(marks, (2 * int(xs[0]), 2 * int(ys[0])))
-
-
-def _marked_rows(marks: np.ndarray, origin: tuple[int, ...], scale: int = 1) -> CenterRows:
-    """The rows origin + scale * (i, j, ...) of the marked cells ``marks[i, j, ...]``
-    of a bool raster, read a strip at a time into one array, in order as they come."""
-    found = np.empty((int(np.count_nonzero(marks)), marks.ndim), dtype=np.int64)
-    end, step = 0, max(1, _STRIP_CELLS // max(1, marks[:1].size))
-    for i0 in range(0, len(marks), step):
-        flat = np.flatnonzero(marks[i0:i0 + step])
-        start, end = end, end + len(flat)
-        for axis in range(marks.ndim - 1, 0, -1):
-            np.divmod(flat, marks.shape[axis], out=(flat, found[start:end, axis]))
-        np.add(flat, i0, out=found[start:end, 0])
-    found *= scale
-    found += origin
-    return CenterRows._in_order(found)
+    return count if marks is None else CenterRows._marked_rows(
+        marks, (2 * int(xs[0]), 2 * int(ys[0])))
 
 
 def _sparse_bytes(all_pairs: int, grouped: int, joins: int, mode: str) -> int:
@@ -382,7 +363,7 @@ def _vertex_centers_dense(b: PointSet2D, mode: str) -> CenterRows | int:
         marks[s:2 * w - s:2, s:2 * h - s:2] |= (cells[:w - s, :h - s] & cells[s:, :h - s]
                                                 & cells[:w - s, s:] & cells[s:, s:])
     return (int(np.count_nonzero(marks)) if mode == "count"
-            else _marked_rows(marks, (2 * x0, 2 * y0)))
+            else CenterRows._marked_rows(marks, (2 * x0, 2 * y0)))
 
 
 def _vertex_centers_sparse(b: PointSet2D, mode: str) -> CenterRows | int:
@@ -480,4 +461,4 @@ def find_boundary_centers_2d(b: PointSet2D, r_max: int,
             count += int(np.count_nonzero(full))
         else:
             marks[r:w - r, r:h - r, r - 1] = full
-    return count if marks is None else _marked_rows(marks, (2 * x0, 2 * y0, 2), 2)
+    return count if marks is None else CenterRows._marked_rows(marks, (2 * x0, 2 * y0, 2), 2)

@@ -49,6 +49,9 @@ ROWS = [
     Row("verify_an4", "verify an --p 4", report=True),
     Row("verify_b3", "verify boundary --k 3", report=True),
     Row("verify_b5", "verify boundary --k 5", report=True),  # at the default budget
+    # the same, replayed on the example's own raster: 14,406,912 points
+    Row("verify_b6", "verify boundary --k 6", report=True,
+        checks_sha256="6e47a449a3e174648933c7711738bfacbf546554a504754fc271444d0fe82832"),
     Row("verify_c3", "verify countable --alpha 1 --K 3", report=True),
     Row("verify_c4", "verify countable --alpha 1 --K 4", report=True),  # the same
     Row("a4", "gen an --p 4 --out a4.txt", file="a4.txt",

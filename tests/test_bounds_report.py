@@ -215,6 +215,9 @@ class TestVerifyConstruction:
             "boundary2_witness_misses", "boundary2_size_formula_gap",
         ]
         assert all(c.ok for c in checks)
+        for bad in ("3", 1, True, 2.0):  # checked before the replay is priced
+            with pytest.raises(ParameterError, match="digit-set level"):
+                verify_construction("boundary", k=bad)
 
     def test_countable_replay(self):
         checks = verify_construction("countable", alpha=1, K=2)

@@ -27,7 +27,7 @@ from squarelab import (
     witness_radii,
     witness_radii_AN,
 )
-from squarelab import constructions
+from squarelab import constructions, core_sets
 from squarelab.core_sets import _grid_box
 from squarelab.constructions import (
     _sumset_levels,
@@ -190,6 +190,12 @@ class TestWitness:
         with pytest.raises(ParameterError):
             witness_radii(0, 0, 1)
 
+    @pytest.mark.parametrize("x, y", [(1.7, 2.2), (True, 0), ("1", 0),
+                                      (np.array([0, 1]), np.array([0.0, 1.0]))])
+    def test_non_integer_centers_are_refused(self, x, y):
+        with pytest.raises(ParameterError, match="centers must be integers"):
+            witness_radii(x, y, 3)
+
 
 class TestExamples:
     @pytest.mark.parametrize("k", [2, 3])
@@ -222,10 +228,23 @@ class TestExamples:
         # 27,216,089 + 5,762,400 rows: over the work limit and the byte limit
         with pytest.raises(BudgetError, match="vertex example at level 7"):
             gen_vertex_example(7)
-        # 14,406,912 + 1,677,025 rows at 36 bytes each and a 3889**2 raster
-        with pytest.raises(BudgetError, match="boundary example at level 6") as exc:
-            gen_boundary_example(6)
+        # level 6's 14,406,912 + 1,677,025 rows at 16 bytes each and its
+        # 3889**2 raster fit; level 7's rows and 7204**2 raster do not
+        with pytest.raises(BudgetError, match="boundary example at level 7") as exc:
+            gen_boundary_example(7)
         assert exc.value.unit == "bytes"
+
+    def test_generated_rows_take_no_order_check(self, monkeypatch):
+        # the generators make their rows in order and keep them unchecked;
+        # they are the distinct rows, ascending, that outside input sorts into
+        def order_check(rows):
+            pytest.fail("order check")
+        monkeypatch.setattr(core_sets, "_lex_unique_rows", order_check)
+        made = [*gen_vertex_example(3), *gen_boundary_example(3), gen_Dk(5), gen_AN(3),
+                gen_cantor_truncation(2, 3).t_set]
+        monkeypatch.undo()
+        for rows in (s.as_array() for s in made):
+            assert np.array_equal(rows, np.unique(rows, axis=0))
 
 
 class TestAdditiveTowers:
@@ -286,6 +305,12 @@ class TestAdditiveTowers:
             assert np.isin(probe, a.as_array()).all()
         pairs = list(zip(xs.tolist(), ys.tolist()))
         assert r.tolist() == [oracle_witness_r_AN(x, y, 4) for x, y in pairs]
+
+    @pytest.mark.parametrize("x, y, p", [(0, 0, 1), (5, 5, 1), (0, 0, 2.0), (0, 0, 7),
+                                         (1.7, 2, 2), (True, 0, 2), ("1", 0, 2)])
+    def test_witness_refuses_bad_depths_and_non_integer_centers(self, x, y, p):
+        with pytest.raises(ParameterError):
+            witness_radii_AN(x, y, p)
 
     def test_witness_domain(self):
         with pytest.raises(RangeError):
@@ -565,12 +590,16 @@ class TestSplicing:
             splice_En([{0}, {0}], (0, 2, 2))  # strictly increasing
         with pytest.raises(RangeError):
             splice_En([{0}], (0, 41))  # depth guard
+        with pytest.raises(ParameterError, match="need 3 depth checkpoints, got 2"):
+            splice_En([{0}, {1}], (0, 1))
 
     def test_cell_index_validation(self):
         with pytest.raises(RangeError):
             splice_En([{4}], (0, 2))  # 4 >= 2**2
         with pytest.raises(RangeError):
             splice_En([{-1}], (0, 2))
+        with pytest.raises(ParameterError, match=r"level 1: cell \(1,\) is not 2-dimensional"):
+            splice_En([{(1,)}], (0, 2), d=2)
 
     def test_bool_cells_are_refused(self):
         # a bool is no cell index: True once spliced as 1, giving {3} and {(1, 0)}

@@ -225,6 +225,9 @@ class TestPointSet2D:
         ps = PointSet2D.product(xs, ys)
         assert len(ps) == 6
         assert (1, 7) in ps.points and (2, 5) not in ps.points
+        # born in order, as outside input of the same points sorts into
+        assert ps == PointSet2D([(x, y) for y in ys for x in xs])
+        assert len(PointSet2D.product(xs, make_intset([]))) == 0
 
     def test_coordinate_limit(self):
         with pytest.raises(RangeError):
@@ -417,10 +420,24 @@ class TestOccupancyGrid:
         assert grid.boundary_full(2, 2, np.arange(1, 4)).tolist() == [True, True, False]
         assert grid.boundary_full(np.arange(5)[:, None], np.arange(5), 1).sum() == 9
 
+    @pytest.mark.parametrize("args", [(1, 1, 0), (1, 1, -1), (1, 1, np.array([1, 0])),
+                                      (1.9, 1.9, 1.9), (1, 1, 1.0), (True, 1, 1), (1, "1", 1)])
+    def test_boundary_full_refuses_non_integers_and_radii_below_one(self, args):
+        grid = OccupancyGrid.from_points(PointSet2D([(x, y) for x in range(3) for y in range(3)]))
+        with pytest.raises(ParameterError):
+            grid.boundary_full(*args)
+
     def test_cell_budget(self):
         with pytest.raises(BudgetError) as exc:
             OccupancyGrid.from_points(PointSet2D([(0, 0), (10**6, 10**6)]))
         assert exc.value.estimate > exc.value.limit
+
+    def test_empty_sets_and_non_bool_cells_are_refused(self):
+        with pytest.raises(ParameterError, match="empty point set"):
+            OccupancyGrid.from_points(PointSet2D([]))
+        for cells in (np.ones((2, 2), dtype=np.int64), np.ones(4, dtype=bool)):
+            with pytest.raises(ParameterError, match="cells must be a 2D bool array"):
+                OccupancyGrid(0, 0, cells)
 
     def test_grid_build_holds_one_block_of_indices(self):
         # two int64 index arrays of all 585,120 points took the build of the

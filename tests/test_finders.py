@@ -22,7 +22,7 @@ from squarelab import (
     gen_vertex_example,
     make_intset,
 )
-from squarelab import finders
+from squarelab import core_sets, finders
 from squarelab.finders import (
     CenterRows,
     _centers_1d_sparse,
@@ -215,6 +215,7 @@ class TestBackendsAgree:
         expected = oracle_centers_1d(vals)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(finders, "_STRIP_CELLS", strip)
+            mp.setattr(core_sets, "_STRIP_CELLS", strip)  # the raster read-out's strips
             for kernel in (_join_1d, _centers_1d_sparse):
                 found = kernel(a, "enumerate")
                 assert {(p.X, p.Y) for p in found} == expected
@@ -231,6 +232,7 @@ class TestBackendsAgree:
         expected = oracle_vertex_centers_2d(PointSet2D.product(x, y).points)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(finders, "_STRIP_CELLS", strip)
+            mp.setattr(core_sets, "_STRIP_CELLS", strip)  # the raster read-out's strips
             found = _join_dense(x.as_array(), y.as_array(), "enumerate")
             assert {(p.X, p.Y) for p in found} == expected
             assert list(found) == sorted(found)
@@ -260,6 +262,7 @@ class TestBackendsAgree:
         expected = oracle_boundary_pairs(pts, r_max)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(finders, "_STRIP_CELLS", strip)
+            mp.setattr(core_sets, "_STRIP_CELLS", strip)  # the raster read-out's strips
             found = find_boundary_centers_2d(b, r_max)
         assert {(*w.center, w.radius) for w in found} == expected
         assert list(found) == sorted(found)

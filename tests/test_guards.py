@@ -14,6 +14,7 @@ import pytest
 
 from squarelab import (
     BudgetError,
+    IntSet1D,
     OccupancyGrid,
     PointSet2D,
     find_boundary_centers_2d,
@@ -95,6 +96,24 @@ class TestRefusalsSpendNothing:
         assert isinstance(out, BudgetError) and "10753 x 10753 occupancy grid" in str(out)
         assert peak <= REFUSAL_BYTES and seconds < 1.0
 
+    def test_sparse_join_refusing_on_its_radius_groups(self):
+        # 1,000 values 10**6 apart: the dense join's span is far over the byte
+        # limit, so the sparse join, priced on its floor, is the one kernel
+        # that fits; its radius groups price it again past the limit, and that
+        # refusal stands, having held 16 bytes of each of the 499,500 pairs
+        a = IntSet1D(range(0, 10**9, 10**6))
+        out, peak, seconds = traced(lambda: find_centers_1d(a, "count"))
+        assert isinstance(out, BudgetError) and out.unit == "bytes"
+        assert "common-radius pair sweep" in str(out) and out.estimate == 8_003_987_968
+        assert peak <= 16 * 499_500 + REFUSAL_BYTES and seconds < 1.0
+
+    def test_boundary_replay_prices_its_raster_grid_and_centers_first(self):
+        # level 7: a 7204**2 raster and its grid, and 2400**2 replayed centers
+        out, peak, seconds = traced(lambda: verify_construction("boundary", k=7))
+        assert isinstance(out, BudgetError) and out.unit == "bytes"
+        assert "boundary replay at level 7" in str(out)
+        assert peak <= REFUSAL_BYTES and seconds < 1.0
+
     def test_wide_boundary_box(self):
         b = PointSet2D([(0, 0), (10**6, 10**6)])
         out, peak, _ = traced(lambda: find_boundary_centers_2d(b, 5, "count"))
@@ -145,6 +164,8 @@ KERNELS = {  # name: (the call, made of inputs built before tracing; the guard t
     "splice": (lambda: partial(splice_En, [range(16)] * 3 + [range(8)], [0, 4, 8, 12, 15]),
                "spliced cell set"),
     "witness replay": (lambda: partial(verify_construction, "dk", k=8), "witness replay"),
+    "boundary replay": (lambda: partial(verify_construction, "boundary", k=4),
+                        "boundary replay"),
 }
 
 
