@@ -8,12 +8,11 @@ import os as _os
 
 # OpenBLAS starts its worker pool when numpy loads, and each idle worker
 # busy-waits for up to 2**28 cycles before it sleeps: ~50 ms of CPU per
-# process that makes no BLAS call at all, and every CLI run is a fresh
-# process.  A timeout of 4 (2**4 cycles) puts idle workers to sleep at once
-# and keeps the pool for the one BLAS kernel, the strip products of
-# finders._join_dense.  It must be set before numpy is first imported, so
-# before any squarelab module loads; a value already set wins, and numpy
-# builds without OpenBLAS ignore it.
+# process, though squarelab makes no BLAS call, and every CLI run is a fresh
+# process.  A timeout of 4 (2**4 cycles) puts idle workers to sleep at once.
+# It must be set before numpy is first imported, so before any squarelab
+# module loads; a value already set wins, and numpy builds without OpenBLAS
+# ignore it.
 _os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 # The CLI parser's choices, here so that parsing loads no numpy: each verify

@@ -515,7 +515,7 @@ def splice_En(patterns: Sequence[Collection], a: Sequence[int], d: int = 1) -> f
     require_budget("spliced cell set", nbytes=256 * size, work=size)
 
     def cell_axes(cell, width: int, j: int) -> tuple[int, ...]:
-        axes = (cell,) if d == 1 else tuple(cell)
+        axes = tuple(cell) if d == 2 and np.iterable(cell) else (cell,)
         if len(axes) != d:
             raise ParameterError(f"level {j}: cell {cell!r} is not {d}-dimensional")
         axes = tuple(_int_param(v, f"level {j}: cell index {cell!r} must be an integer")

@@ -13,14 +13,16 @@ stay exact integers:
 1D and vertex search rest on one identity: a square with its four vertices in
 X x Y is a pair of X and a pair of Y that share a radius, and its doubled
 center is their two doubled midpoints; a 1D set A is the case X = Y = A.  One
-function owns that join: a dense kernel of float32 midpoint-by-radius matrix
-products over 0/1 occupancy vectors, one strip of rows at a time, and for
-X = Y a sort-and-group of all pairs by radius.  Sets that are not products
-take the per-width raster sweep or the same-row pair scan, and boundaries
-are swept once per radius; enumeration marks one (x, y, r) raster, and
-every kernel makes its rows in order.  A finder prices its kernels before
-any runs, ranks them by cost (the join by the sparse sweep, counted exactly
-where the pick is open) and runs the first that fits both limits.
+function owns that join and its two kernels: the offset join, which reads
+the centers of each offset d = x - y off the pairwise sums of one row of
+occupancy cells, X & (Y + d), by a float64 FFT that rounds exactly, a strip
+of rows at a time; and for X = Y a sort-and-group of all pairs by radius.
+Sets that are not products take the per-width raster sweep or the same-row
+pair scan, and boundaries are swept once per radius; enumeration marks one
+(x, y, r) raster, and every kernel makes its rows in order.  A finder prices
+its kernels before any runs, ranks them by their work, the least first (the
+sparse sweep counted exactly where the pick is open), and runs the first
+that fits both limits.
 """
 
 from __future__ import annotations
@@ -91,21 +93,18 @@ class CenterRows(_RowSet):
         return f"CenterRows(<{len(self)} rows of {self._arr.shape[1]}>)"
 
 
-# A finder takes its dense kernel when the dense cost estimate is below RATIO
-# times the sparse one.  Measured (2-core x86-64, numpy 2.4.6) on random
-# subsets of [0, 3000), 1D dense still wins at a ratio of 1,000 (0.29 s against
-# 0.62 s) and loses at 3,800 (0.27 s against 0.14 s); D_3..D_5 give 3.5-5.5.
-# On 4,500 random points of a square box, dense vertices win at a ratio of 10
-# and lose from 50 on; D_k x D_k gives 0.35 (k = 3: 0.029 s against 5.8 s).
-DENSE_1D_RATIO = 1_000
+# The per-width raster sweep's work is its cell steps over RATIO.  Measured
+# (2-core x86-64, numpy 2.4.6) on 4,500 random points of a square box, the
+# sweep beats the same-row pair scan at a ratio of 10 and loses from 50 on.
 DENSE_VERTEX_RATIO = 30
 
-# Multiply-adds of the dense join's float32 products per unit of work.  On the
-# same box they run at 23-34 G a CPU second (D_5..D_7) and the sparse join at
-# 7.6 M pairs (5,000 random values of [0, 10**12)): 3,000-4,500 multiply-adds
-# to a pair.  1,250 leaves room for slower BLAS builds; under it D_6 needs a
-# budget scale of 1.16 and D_8 one of 36.9.
-_DENSE_MADDS_PER_WORK = 1_250
+# The offset join's cells, each weighed by its FFT length's bit length, per
+# unit of work.  On the same box D_4..D_8, D_6 x D_5 and random subsets of
+# [0, 800) and [0, 3000) ran 31-41 of them in the time the sparse join takes
+# for a pair (8.6 M pairs a CPU second, 5,000 random values of [0, 10**12));
+# 300 values of [0, 10**6) by 0..19, whose rows mostly hold under two cells,
+# ran ~180.  Under 30, D_7 fits the default budget and D_8 needs a scale of 1.88.
+_FFT_CELLS_PER_WORK = 30
 
 
 def _check_mode(mode: str) -> None:
@@ -141,65 +140,69 @@ def _pairs_1d(a: np.ndarray, op) -> np.ndarray:
     return out
 
 
-def _radius_counts(a: np.ndarray, lags: int) -> np.ndarray:
-    """c[d] = the number of pairs of A at distance d, for d = 0 .. lags (c[0] = 0),
-    from the differences a[i + t] - a[i] for t = 1, 2, ... until none is <= lags
-    (they grow with t): at most |A| * min(|A|, lags + 1) int64 subtractions."""
-    c = np.zeros(lags + 1, dtype=np.int64)
+def _radius_counts(a: np.ndarray) -> np.ndarray:
+    """c[d] = the number of pairs of A at distance d, for d = 0 .. max A - min A
+    (c[0] = 0), from the differences a[i + t] - a[i], t = 1 .. |A| - 1."""
+    c = np.zeros(int(a[-1] - a[0]) + 1, dtype=np.int64)
     for t in range(1, len(a)):
-        d = a[t:] - a[:-t]
-        d = d[d <= lags]
-        if not len(d):
-            break
-        np.add.at(c, d, 1)
+        np.add.at(c, a[t:] - a[:-t], 1)
     return c
 
 
-def _radius_matrix(a: np.ndarray, parity: int, cols: int) -> np.ndarray:
-    """M[u, c] = f[u - c] & f[u + c + parity] over the occupancy vector f of
-    A - min A, as float32: the pair at doubled midpoint 2u + parity and doubled
-    radius 2c + parity.  One row per u in 0 .. max A - min A."""
-    rows = int(a[-1] - a[0]) + 1
-    f = np.zeros(rows + 2 * cols, dtype=bool)  # cols empty cells either side
-    f[a - a[0] + cols] = True
-    win = sliding_window_view(f, cols)  # win[s, j] = f[s + j - cols]
-    m = np.logical_and(win[1:rows + 1, ::-1], win[cols + parity:cols + parity + rows],
-                       out=np.empty((rows, cols), dtype=np.float32))
-    if parity == 0:
-        m[:, 0] = 0  # radius 0 is no square
-    return m
+def _fft_len(m: int) -> int:
+    """The least 2**a * 3**b >= m: a length numpy's FFT transforms fast."""
+    return min(t << (-(-m // t) - 1).bit_length() for t in (3**b for b in range(m.bit_length())))
 
 
-def _join_dense(xs: np.ndarray, ys: np.ndarray, mode: str) -> CenterRows | int:
-    """Doubled centers (X, Y) with a radius shared by a pair of X with midpoint
-    X and a pair of Y with midpoint Y: the nonzeros of M_X @ M_Y.T per parity
-    (a center and its radius share one), one strip of rows at a time.
+def _join_offsets(xs: np.ndarray, ys: np.ndarray, mode: str) -> CenterRows | int:
+    """Doubled centers (X, Y) of the squares with vertices in X x Y, one
+    offset d of their corners at a time.
 
-    With X = Y (the 1D finder) a count needs only the strips on and right of
-    the diagonal.  Enumerated centers are marked in one bool raster whose
-    nonzeros come out in lexicographic order.
+    A square's corners x1 < x2 in X and y1 < y2 in Y have x2 - x1 = y2 - y1,
+    so d = x1 - y1 = x2 - y2: x1 and x2 lie in A_d = X & (Y + d), and the
+    center is (x1 + x2, x1 + x2 - 2d).  Every a < b in A_d makes such a
+    square, and each center has one d, so the centers of offset d are the
+    distinct sums a + b, a < b in A_d.  They are the entries >= 2 of the
+    autoconvolution of A_d's occupancy row: an entry counts the ordered
+    pairs (a, b) with its sum, two for each a < b and one for a = b.
+
+    The rows, framed on the set of the shorter span, are convolved by float64
+    FFT a strip at a time, cropped to where they can hold cells; with X = Y,
+    only d >= 0 (-d mirrors d).  Enumerated centers are marked in one bool
+    raster whose nonzeros come out in lexicographic order.
     """
-    rows_x, rows_y = int(xs[-1] - xs[0]) + 1, int(ys[-1] - ys[0]) + 1
-    cols = (min(rows_x, rows_y) - 1) // 2 + 1  # the radii both sets can have
-    assert cols < 2**24  # so float32 holds every sum of `cols` 0/1 products exactly
-    same = np.array_equal(xs, ys)
-    marks = None if mode == "count" else np.zeros((2 * rows_x, 2 * rows_y), dtype=bool)
+    lx, ly = int(xs[-1] - xs[0]) + 1, int(ys[-1] - ys[0]) + 1
+    same, swap = np.array_equal(xs, ys), ly < lx
+    fs, gs = (ys, xs) if swap else (xs, ys)
+    lf, lg = min(lx, ly), max(lx, ly)
+    assert lf < 2**32  # entries <= lf: the FFT's error, ~lf log(lf) 2**-53, stays < 2**-16
+    f = np.zeros(lf, dtype=bool)
+    f[fs - fs[0]] = True
+    g = np.zeros(lg + 2 * lf - 2, dtype=bool)  # lf - 1 empty cells either side
+    g[gs - gs[0] + lf - 1] = True
+    win = sliding_window_view(g, lf)  # row w: G shifted by lf - 1 - w, on F's cells
+    rows = lf if same else lf + lg - 1
+    step = max(1, _STRIP_CELLS // 8 // _fft_len(2 * lf - 1))  # float64 strips of 256 KiB
+    marks = None if mode == "count" else np.zeros((2 * lx - 1, 2 * ly - 1), dtype=bool)
     count = 0
-    for parity in (0, 1):
-        mx = _radius_matrix(xs, parity, cols)
-        my = mx if same else _radius_matrix(ys, parity, cols)
-        step = max(1, _STRIP_CELLS // rows_y)
-        for i0 in range(0, rows_x, step):
-            strip = mx[i0:i0 + step]
-            if marks is not None:
-                marks[2 * i0 + parity:2 * (i0 + step):2, parity::2] = strip @ my.T
-            elif same:  # the block left of the diagonal mirrors one above it
-                block = strip @ my[i0:].T
-                count += (2 * int(np.count_nonzero(block))
-                          - int(np.count_nonzero(block[:, :step])))
-            else:
-                count += int(np.count_nonzero(strip @ my.T))
-        del mx, my, strip  # one parity's matrices alive at a time: no view left
+    for w0 in range(0, rows, step):
+        w1 = min(w0 + step, rows)
+        lo, hi = max(0, lf - w1), min(lf, lf + lg - 1 - w0)  # where rows w0..w1 hold cells
+        h = f[lo:hi] & win[w0:w1, lo:hi]
+        keep = np.flatnonzero(np.count_nonzero(h, axis=1) > 1)  # rows with a pair
+        n = _fft_len(2 * (hi - lo) - 1)
+        conv = np.fft.irfft(np.square(np.fft.rfft(h[keep], n)), n)[:, :2 * (hi - lo) - 1]
+        sums = np.rint(conv)
+        assert np.abs(conv - sums).max(initial=0) < 0.25
+        r, s = np.nonzero(sums >= 2)
+        s += 2 * lo  # doubled coordinates on F, and on G, less twice their minima
+        t = s + 2 * (keep[r] + w0 - lf + 1)
+        if marks is None:
+            count += len(s) + (int(np.count_nonzero(s != t)) if same else 0)
+        else:
+            marks[(t, s) if swap else (s, t)] = True
+            if same:
+                marks[t, s] = True
     return count if marks is None else CenterRows._marked_rows(
         marks, (2 * int(xs[0]), 2 * int(ys[0])))
 
@@ -300,45 +303,40 @@ def _run_first_fitting(kernels: list[_Kernel]) -> CenterRows | int:
 _SPARSE_JOIN = "the common-radius pair sweep"
 
 
-def _join_kernels(xs: np.ndarray, ys: np.ndarray,
-                  mode: str) -> tuple[list[_Kernel], list[_Kernel]]:
+def _join_kernels(xs: np.ndarray, ys: np.ndarray, mode: str) -> list[_Kernel]:
     """The kernels that find the doubled centers of the squares with vertices
-    in X x Y (sorted X, Y), priced, as (ahead, behind): those a finder tries
-    ahead of its own kernels, in order, and those it tries after them.
+    in X x Y (sorted X, Y of two elements or more), priced, the one of less
+    work first: the offset join, and for X = Y the sparse join.
 
-    The dense join goes first if its bytes fit and it costs under
-    DENSE_1D_RATIO times the sparse sweep, the sum over r > 0 of c_X(r) c_Y(r):
-    its floor (Cauchy-Schwarz for X = Y, else 0), or its exact count when the
-    dense join fits both limits and the floor leaves the pick open.  For X = Y
-    the sparse join, priced at the sweep, is the other kernel; a dense join of
-    X != Y that is not first goes behind.  X and Y have two elements or more."""
+    The offset join's work is the cells its rows overlap, weighed by the bit
+    length of its FFT.  The sparse join's is the sweep, the sum over r > 0 of
+    c(r)**2: its Cauchy-Schwarz floor pairs**2 / min(pairs, span), or its exact
+    count when the offset join fits both limits and costs more than the floor.
+    """
+    lx, ly = int(xs[-1] - xs[0]) + 1, int(ys[-1] - ys[0]) + 1
     same = np.array_equal(xs, ys)
-    spans = int(xs[-1] - xs[0]), int(ys[-1] - ys[0])
-    cols = min(spans) // 2 + 1  # as in the dense join
-    dense = 2 * spans[0] * spans[1] * cols
-    # one parity's float32 rows x radii matrices (one if X = Y), two product strips;
-    # enumerating, a (2 span)**2 marks raster and up to 16 + 3 bytes a mark read out
-    rx, ry = spans[0] + 1, spans[1] + 1
-    dense_bytes = 4 * cols * (rx if same else rx + ry) + 8 * max(_STRIP_CELLS, ry) + (
-        80 * rx * ry + _READOUT_BYTES if mode == "enumerate" else 0)
-    # a count of X = Y multiplies only the strips on and right of the diagonal
-    halves = 2 if same and mode == "count" else 1
-    kernels = [_Kernel("the dense common-radius join", dense_bytes,
-                       dense // (_DENSE_MADDS_PER_WORK * halves),
-                       partial(_join_dense, xs, ys, mode))]
-    pairs = len(xs) * (len(xs) - 1) // 2
-    sweep = -(-pairs * pairs // min(pairs, spans[0])) if same else 0
-    if _fits(dense_bytes, kernels[0].work) and dense >= DENSE_1D_RATIO * sweep:
-        cx = _radius_counts(xs, min(spans))
-        sweep = int(np.dot(cx, cx if same else _radius_counts(ys, min(spans))))
-    dense_first = (dense_bytes <= effective_budget(DEFAULT_BYTE_LIMIT)
-                   and dense < DENSE_1D_RATIO * sweep)
+    lf, lg = min(lx, ly), max(lx, ly)
+    n = _fft_len(2 * lf - 1)
+    cells = lf * (lf + 1) // 2 if same else lf * lg
+    # the occupancy vectors, and a strip's float64 rows, spectra and sums and
+    # the sums' indices; enumerating, a (2 lx) x (2 ly) marks raster and up to
+    # 16 + 3 bytes a mark read out
+    nbytes = 3 * lf + lg + 56 * max(_STRIP_CELLS // 8, n) + (
+        80 * lx * ly + _READOUT_BYTES if mode == "enumerate" else 0)
+    offsets = _Kernel("the common-radius offset join", nbytes,
+                      cells * n.bit_length() // _FFT_CELLS_PER_WORK,
+                      partial(_join_offsets, xs, ys, mode))
     if not same:
-        return (kernels, []) if dense_first else ([], kernels)
+        return [offsets]
+    pairs = len(xs) * (len(xs) - 1) // 2
+    sweep = -(-pairs * pairs // min(pairs, lx - 1))
+    if _fits(nbytes, offsets.work) and sweep < offsets.work:
+        c = _radius_counts(xs)
+        sweep = int(np.dot(c, c))
     sparse = _Kernel(_SPARSE_JOIN, _sparse_bytes(pairs, min(pairs, sweep - pairs),
                                                  (sweep - pairs) // 2, mode),
                      sweep, partial(_centers_1d_sparse, xs, mode))
-    return (kernels + [sparse] if dense_first else [sparse] + kernels), []
+    return [offsets, sparse] if offsets.work <= sweep else [sparse, offsets]
 
 
 def find_centers_1d(a: IntSet1D, mode: str = "enumerate") -> CenterRows | int:
@@ -350,7 +348,7 @@ def find_centers_1d(a: IntSet1D, mode: str = "enumerate") -> CenterRows | int:
     _check_mode(mode)
     if len(a) < 2:
         return _no_centers(mode)
-    return _run_first_fitting(_join_kernels(a.as_array(), a.as_array(), mode)[0])
+    return _run_first_fitting(_join_kernels(a.as_array(), a.as_array(), mode))
 
 
 def _vertex_centers_dense(b: PointSet2D, mode: str) -> CenterRows | int:
@@ -411,24 +409,22 @@ def find_vertex_centers_2d(b: PointSet2D, mode: str = "enumerate") -> CenterRows
     if min(len(x_starts), len(row_starts)) < 2:  # a square needs two of each
         return _no_centers(mode)
     # B = X x Y exactly when |B| = |X| * |Y|: the join's case
-    ahead, behind = (_join_kernels(pts[x_starts, 0], ys[row_starts], mode)
-                     if len(x_starts) * len(row_starts) == len(b) else ([], []))
+    join = (_join_kernels(pts[x_starts, 0], ys[row_starts], mode)
+            if len(x_starts) * len(row_starts) == len(b) else [])
     xmin, ymin, xmax, ymax = b.bbox()
     w, h, m = xmax - xmin + 1, ymax - ymin + 1, min(xmax - xmin, ymax - ymin)
     # sweep = sum of (w - s) * (h - s) over the widths s = 1..m
     sweep = m * w * h - (w + h) * m * (m + 1) // 2 + m * (m + 1) * (2 * m + 1) // 6
     scan = int(np.dot(row_sizes, row_sizes))
     # the cells, a (2w - 1) x (2h - 1) marks raster and two temporaries; an
-    # enumeration reads out up to 16 + 3 bytes a mark, as the dense join does
+    # enumeration reads out up to 16 + 3 bytes a mark
     raster = 7 * w * h + _RASTER_BYTES + (76 * w * h + _READOUT_BYTES
                                           if mode == "enumerate" else 0)
     own = [_Kernel(f"the per-width raster sweep of a {w} x {h} grid", raster,
                    sweep // DENSE_VERTEX_RATIO, partial(_vertex_centers_dense, b, mode)),
            _Kernel("the same-row pair scan", _SCAN_POINT_BYTES * len(b), scan,
                    partial(_vertex_centers_sparse, b, mode))]
-    if not (raster <= effective_budget(DEFAULT_BYTE_LIMIT) and sweep < DENSE_VERTEX_RATIO * scan):
-        own.reverse()
-    return _run_first_fitting(ahead + own + behind)
+    return _run_first_fitting(sorted(join + own, key=lambda k: k.work))
 
 
 def find_boundary_centers_2d(b: PointSet2D, r_max: int,

@@ -80,14 +80,14 @@ ROWS = [
     # block 1's 18,675 points take the same-row pair scan
     Row("find_c3_block1", "find vertices --in countable/block1_b.txt --count", "32159\n",
         centers=32159),
-    # D_3..D_6 are counted by the join's strip products; 1.16 is the smallest
-    # scale that admits D_6's 23,196,222 work
+    # D_3..D_7 are counted by the offset join under the default budget; D_7's
+    # 12,040,623 work is the largest, and D_8's 37,610,622 is over it
     Row("d3", "find centers1d --in /dev/stdin", lines=105542, pipe="gen dk --k 3"),
     Row("d4", "find centers1d --in /dev/stdin --count", "1109548\n", pipe="gen dk --k 4",
         centers=1109548),
     Row("d5", "find centers1d --in /dev/stdin --count", "6744602\n", pipe="gen dk --k 5"),
-    Row("d6", "find centers1d --in /dev/stdin --count", "29234026\n", pipe="gen dk --k 6",
-        budget="1.16"),
+    Row("d6", "find centers1d --in /dev/stdin --count", "29234026\n", pipe="gen dk --k 6"),
+    Row("d7", "find centers1d --in /dev/stdin --count", "100778792\n", pipe="gen dk --k 7"),
     # the wide set and its square take the sparse kernel and count the same centers
     Row("wide1d", "find centers1d --in wide1d.txt --count", "45201\n"),
     Row("wide2d", "find vertices --in wide2d.txt --count", "45201\n"),

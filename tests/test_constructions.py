@@ -598,8 +598,9 @@ class TestSplicing:
             splice_En([{4}], (0, 2))  # 4 >= 2**2
         with pytest.raises(RangeError):
             splice_En([{-1}], (0, 2))
-        with pytest.raises(ParameterError, match=r"level 1: cell \(1,\) is not 2-dimensional"):
-            splice_En([{(1,)}], (0, 2), d=2)
+        for cell, shown in (((1,), r"\(1,\)"), (1, "1")):  # a plain int is no 2D cell either
+            with pytest.raises(ParameterError, match=f"level 1: cell {shown} is not 2-dim"):
+                splice_En([[cell]], (0, 2), d=2)
 
     def test_bool_cells_are_refused(self):
         # a bool is no cell index: True once spliced as 1, giving {3} and {(1, 0)}

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from squarelab import core_sets, finders
 from squarelab.finders import (
     CenterRows,
     _centers_1d_sparse,
-    _join_dense,
+    _join_offsets,
     _vertex_centers_dense,
     _vertex_centers_sparse,
 )
@@ -81,8 +82,8 @@ class TestCenters1D:
 
     def test_budget_override(self, monkeypatch):
         monkeypatch.setenv("SQUARELAB_BUDGET", "0.001")  # 536,870 bytes
-        # spread wide, so the dense join cannot pay and the sparse kernel's
-        # guard is reached: its 44,850 pairs' arrays do not fit
+        # spread wide, so the offset join costs more than the sparse kernel,
+        # whose guard is reached: its 44,850 pairs' arrays do not fit
         with pytest.raises(BudgetError, match="common-radius pair sweep") as exc:
             find_centers_1d(make_intset(range(0, 300_000, 1_000)))
         assert exc.value.unit == "bytes"
@@ -187,11 +188,12 @@ class TestBoundaryCenters2D:
 
 
 def _join_1d(a, mode):
-    return _join_dense(a, a, mode)
+    return _join_offsets(a, a, mode)
 
 
-# strip sizes of the dense join: one row per strip, a few rows, one strip
-STRIPS = st.one_of(st.just(1), st.integers(2, 64), st.just(2**18))
+# strip sizes: one offset row per FFT strip, a few rows (a strip's float64
+# cells are an eighth of these), the default
+STRIPS = st.one_of(st.just(1), st.integers(2, 2**12), st.just(2**18))
 
 
 @st.composite
@@ -224,19 +226,26 @@ class TestBackendsAgree:
 
     @given(st.sets(st.integers(-12, 9), min_size=1, max_size=6),
            st.sets(st.integers(-3, 25), min_size=1, max_size=6), STRIPS)
+    @example({0, 1}, {4, 5}, 1)  # spans 1-3, one offset row a strip
+    @example({0, 2}, {7, 8, 9}, 1)
+    @example({-1, 0, 2}, {3, 4, 5, 6}, 2**18)
+    @example({0, 5, 9}, {0, 1}, 2**18)  # one-element overlaps at most: no row convolves
+    @example({-12, 0}, {3, 5, 6, 25}, 100)  # the same, one row a strip, most overlaps empty
+    @example(set(range(-12, 10, 3)), set(range(-3, 26, 2)), 2**11)  # 5 rows a strip
     @settings(max_examples=80, deadline=None)
     def test_join_of_a_product(self, xs, ys, strip):
         # X != Y in general, with unequal spans and a common radius range
-        # set by the shorter one
+        # set by the shorter one; the rows are framed on either set
         x, y = make_intset(xs), make_intset(ys)
         expected = oracle_vertex_centers_2d(PointSet2D.product(x, y).points)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(finders, "_STRIP_CELLS", strip)
             mp.setattr(core_sets, "_STRIP_CELLS", strip)  # the raster read-out's strips
-            found = _join_dense(x.as_array(), y.as_array(), "enumerate")
-            assert {(p.X, p.Y) for p in found} == expected
-            assert list(found) == sorted(found)
-            assert _join_dense(x.as_array(), y.as_array(), "count") == len(expected)
+            for xs, ys, swap in ((x, y, False), (y, x, True)):
+                found = _join_offsets(xs.as_array(), ys.as_array(), "enumerate")
+                assert {(q, p) if swap else (p, q) for p, q in found} == expected
+                assert list(found) == sorted(found)
+                assert _join_offsets(xs.as_array(), ys.as_array(), "count") == len(expected)
 
     @given(st.sets(st.tuples(st.integers(-6, 8), st.integers(-4, 10)),
                    min_size=1, max_size=45))
@@ -277,28 +286,29 @@ class TestBackendsAgree:
 
 
 def _spy_join(monkeypatch):
-    """Record each call of the dense join that find_vertex_centers_2d makes."""
+    """Record each call of the offset join that find_vertex_centers_2d makes."""
     calls = []
 
     def spy(xs, ys, mode):
         calls.append(mode)
-        return _join_dense(xs, ys, mode)
+        return _join_offsets(xs, ys, mode)
 
-    monkeypatch.setattr(finders, "_join_dense", spy)
+    monkeypatch.setattr(finders, "_join_offsets", spy)
     return calls
 
 
 class TestProductDispatch:
-    """Product sets X x Y take the common-radius join; every other set keeps
-    the raster sweep or the pair scan."""
+    """Product sets X x Y can take the common-radius join; every other set
+    keeps the raster sweep or the pair scan."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_products_take_the_join(self, monkeypatch, seed):
-        # 6 x 8 points, X != Y, spans up to 10 and 16: small enough for the oracle,
-        # dense enough for the join
+        # 8 x 10 points, X != Y, spans up to 20 and 30: small enough for the
+        # oracle, wide enough that the join is priced under the raster sweep
+        # (a 6 x 8 product over spans of 10 and 16 is not)
         rng = np.random.default_rng(300 + seed)
-        x = make_intset(rng.choice(11, size=6, replace=False) - 5)
-        y = make_intset(rng.choice(17, size=8, replace=False) + 3)
+        x = make_intset(rng.choice(21, size=8, replace=False) - 10)
+        y = make_intset(rng.choice(31, size=10, replace=False) + 3)
         b = PointSet2D.product(x, y)
         calls = _spy_join(monkeypatch)
         expected = oracle_vertex_centers_2d(b.points)
@@ -334,8 +344,8 @@ def _spread_set(seed, size, span):
 
 
 class TestSquareProducts:
-    """A x A takes the 1D finder's path: the dense join when it pays, else the
-    sparse join of A with itself, never the raster sweep or the pair scan."""
+    """A x A takes the 1D finder's path: the offset join or the sparse join of
+    A with itself, whichever costs less, never the raster sweep or the pair scan."""
 
     @pytest.fixture
     def no_corner_kernels(self, monkeypatch):
@@ -343,8 +353,9 @@ class TestSquareProducts:
             monkeypatch.setattr(finders, name, lambda b, mode, name=name:
                                 pytest.fail(f"{name} ran on a square product"))
 
-    # the dense join pays on none of these; the corner kernels would refuse
-    # the last two, whose pair scans are 64,000,000 and 27,000,000 same-row pairs
+    # the offset join takes the first two, the sparse join the last; the corner
+    # kernels would refuse the last two, whose pair scans are 64,000,000 and
+    # 27,000,000 same-row pairs
     @pytest.mark.parametrize("size, span", [(200, 909), (400, 2_000), (300, 10**6)])
     def test_wide_square_products_equal_the_1d_finder(self, no_corner_kernels, size, span):
         a = _spread_set(0, size, span)
@@ -362,7 +373,7 @@ class TestSquareProducts:
             assert find_vertex_centers_2d(b, "count") == len(expected)
 
     def test_unequal_wide_products_keep_the_corner_kernels(self, monkeypatch):
-        # X != Y and the dense join cannot pay: the pair scan, as before
+        # X != Y and the offset join's 10**12 cells cannot fit: the pair scan
         x, y = _spread_set(0, 6, 10**6), _spread_set(1, 7, 10**6)
         b = PointSet2D.product(x, y)
         calls = []
@@ -385,9 +396,10 @@ class TestBudgets:
         assert time.perf_counter() - start < 1.0
 
     def test_dense_1d_memory_is_set_by_the_strip(self):
-        # the join holds one parity's midpoint-by-radius matrix and one strip
-        # of its product: no pair arrays and no rows x rows product, which
-        # peaked at 9.3 MiB for the D_4 count and 10.7 MiB for D_3's rows
+        # the join holds its occupancy vectors and one FFT strip (1.8 MiB),
+        # enumerating its marks raster and read-out too: no pair arrays and no
+        # rows x rows product, which peaked at 9.3 MiB for the D_4 count and
+        # 10.7 MiB for D_3's rows
         for k, mode, limit in ((4, "count", 3), (3, "enumerate", 5)):
             d = gen_Dk(k)
             tracemalloc.start()
@@ -400,22 +412,21 @@ class TestBudgets:
             assert peak < limit * 2**20, f"D_{k} {mode}: peak {peak / 2**20:.1f} MiB"
 
     def test_wide_sparse_1d_skips_the_occupancy_counts(self, monkeypatch):
-        # 300 elements over a span of ~20,000: the dense join's 3.2e9 work is
-        # over even this work limit, so it cannot run and no radius counts are
-        # read; the sparse join is priced on its floor
+        # 300 elements over a span of ~100,000: the offset join's 2,944,845,855
+        # work is over even this work limit, so it cannot run and no radius
+        # counts are read; the sparse join is priced on its floor
         monkeypatch.setenv("SQUARELAB_BUDGET", "100")
         rng = np.random.default_rng(1)
-        a = make_intset(rng.choice(20_001, size=300, replace=False).tolist())
+        a = make_intset(rng.choice(100_001, size=300, replace=False).tolist())
         expected = _centers_1d_sparse(a.as_array(), "count")
         monkeypatch.setattr(finders, "_radius_counts",
-                            lambda arr, lags: pytest.fail("radius counts of a sparse set"))
+                            lambda arr: pytest.fail("radius counts of a sparse set"))
         assert find_centers_1d(a, "count") == expected
 
     @pytest.mark.parametrize("width", [10**5, 10**6, 10**7])
-    def test_wide_by_narrow_product_counts_only_the_shared_radii(self, width):
-        # 300 values over [0, width) by 0..19: the radii both axes can have are
-        # 1..19, so c(r) is read from the differences of X up to 19 (5 us at
-        # width 10**7), not by a correlation over X's occupancy vector (0.25 s)
+    def test_wide_by_narrow_product_is_priced_from_its_spans(self, width):
+        # 300 values over [0, width) by 0..19: the offset join frames its rows
+        # on the 20 cells of Y, and no kernel is priced from X's occupancy
         xs = np.random.default_rng(2).choice(width, size=300, replace=False)
         b = PointSet2D.product(make_intset(xs.tolist()), make_intset(range(20)))
         expected = _vertex_centers_sparse(b, "count")
@@ -424,29 +435,29 @@ class TestBudgets:
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("values, scale", [
-        # 700 values of [0, 3000): the sparse join is preferred by its sweep,
-        # but its 646,835,088 bytes are over the limit; the dense join fits
-        # both limits (10,749,677 work, ~20 MB) at the default budget
-        (np.random.default_rng(5).choice(3000, 700, replace=False), "1"),
-        # a work limit of 1,000,000: the dense join fits it (682,024 work), so
-        # the sweep is counted (2,646,700), not left at its floor (331,667)
-        (range(0, 1200, 6), "0.05"),
-    ], ids=["sparse-bytes-over", "sparse-work-over"])
+        # 400 values of [0, 2900): the offset join is preferred by its
+        # 1,816,516 work, but its marks raster and read-out, 676,522,892 bytes,
+        # are over the limit; the sparse join fits both (2,200,429 work, 73 MB)
+        (np.random.default_rng(5).choice(2900, 400, replace=False), "1"),
+        # a byte limit of 6,710,886: the sparse join is preferred by its sweep
+        # (14 against 15 work), but its two read-out strips are over it
+        ([0, 5, 7, 8, 12], "0.0125"),
+    ], ids=["offset-bytes-over", "sparse-bytes-over"])
     def test_a_kernel_that_fits_runs_when_the_preferred_one_does_not(
             self, monkeypatch, values, scale):
         a = make_intset(values)
         monkeypatch.setenv("SQUARELAB_BUDGET", "100")
-        expected = find_centers_1d(a, "count")
+        expected = find_centers_1d(a)
         monkeypatch.setenv("SQUARELAB_BUDGET", scale)
-        assert find_centers_1d(a, "count") == expected
+        assert find_centers_1d(a) == expected
 
     def test_dense_1d_runs_past_the_pair_budget(self):
         # D_4's sparse sweep has 104,464,421 pairs, five times the work limit;
-        # its dense join fits both limits
+        # its offset join fits both limits
         assert find_centers_1d(gen_Dk(4), "count") == 1_109_548
 
     def test_vertex_example_k3_under_the_default_budget(self):
-        # 50,625 points on a 244 x 244 grid: a product, counted by the dense join
+        # 50,625 points on a 244 x 244 grid: a product, counted by the offset join
         b, _ = gen_vertex_example(3)
         assert find_vertex_centers_2d(b, "count") == 105_542
 
@@ -477,7 +488,7 @@ class TestBudgets:
 
     def test_sparse_guards_only_price_the_sparse_kernel(self, monkeypatch):
         # the scale leaves a work limit of 1,000,000: D_3's sparse sweep is
-        # over it, the dense join that D_3 takes is not
+        # over it, the offset join that D_3 takes is not
         monkeypatch.setenv("SQUARELAB_BUDGET", "0.05")
         d = gen_Dk(3)
         assert find_centers_1d(d, "count") == 105_542
@@ -533,21 +544,18 @@ class TestBudgets:
         assert len(rows) == 969_226
         assert peak <= 1.5 * rows.nbytes, f"peak {peak / rows.nbytes:.2f}x the rows"
 
-    def test_sparse_join_enumerates_into_one_rows_array(self, monkeypatch):
+    def test_sparse_join_enumerates_into_one_rows_array(self):
         # 2,956,022 centers (45.1 MiB of rows) as rank keys sorted in place
         # and split into one array: three concatenated center columns, their
         # column_stack and its lexsort took the peak to 5.8x the rows
-        a = make_intset(np.random.default_rng(400).choice(2000, 400, replace=False))
-        joined, join = [], finders._centers_1d_sparse
-        monkeypatch.setattr(finders, "_centers_1d_sparse",
-                            lambda *args: joined.append(True) or join(*args))
+        a = make_intset(np.random.default_rng(400).choice(2000, 400, replace=False)).as_array()
         tracemalloc.start()
         try:
-            rows = find_centers_1d(a).as_array()
+            rows = _centers_1d_sparse(a, "enumerate").as_array()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert joined and len(rows) == 2_956_022
+        assert len(rows) == 2_956_022
         assert peak <= 2.5 * rows.nbytes, f"peak {peak / rows.nbytes:.2f}x the rows"
 
     def test_boundary_sweep_is_priced_before_its_grid(self):
@@ -573,10 +581,10 @@ class TestBudgets:
         assert time.perf_counter() - start < 1.0
 
 
-def _brute_radius_counts(a, lags):
-    """c[d] for d = 0 .. lags from all pair differences at once."""
+def _brute_radius_counts(a):
+    """c[d] for d = 0 .. span from all pair differences at once."""
     d = (a[None, :] - a[:, None]).ravel()
-    return np.bincount(d[(d > 0) & (d <= lags)], minlength=lags + 1)
+    return np.bincount(d[d > 0], minlength=int(a[-1] - a[0]) + 1)
 
 
 def _exact_estimate(kernel, a, mode):
@@ -585,47 +593,38 @@ def _exact_estimate(kernel, a, mode):
     other kernel as its finder priced it."""
     if kernel.what != finders._SPARSE_JOIN:
         return kernel.nbytes, kernel.work
-    c = _brute_radius_counts(a, int(a[-1] - a[0]))
+    c = _brute_radius_counts(a)
     pairs, sweep = int(c.sum()), int(np.dot(c, c))
     return finders._sparse_bytes(pairs, int(c[c > 1].sum()), (sweep - pairs) // 2, mode), sweep
 
 
 def _first_fitting(monkeypatch):
-    """Record the kernel each finder call would run first, running none."""
-    picks = []
-    monkeypatch.setattr(finders, "_run_first_fitting", lambda kernels: picks.append(
-        next(k.what for k in kernels if finders._fits(k.nbytes, k.work))))
+    """Record the kernel each finder call runs, running none."""
+    picks, run = [], finders._run_first_fitting
+    monkeypatch.setattr(finders, "_run_first_fitting", lambda kernels: run(
+        [k._replace(run=partial(picks.append, k.what)) for k in kernels]))
     return picks
-
-
-# sets of a few clusters 10**9 apart: wide, sparse, and with repeated radii
-WIDE_SETS = st.sets(st.tuples(st.integers(0, 5), st.integers(0, 40)),
-                    min_size=2, max_size=40).map(lambda s: {b * 10**9 + o for b, o in s})
 
 
 class TestPricingRule:
     """The join's pick rests on the sparse sweep, counted exactly from the
-    pair differences wherever the dense join fits and the Cauchy-Schwarz
+    pair differences wherever the offset join fits and the Cauchy-Schwarz
     floor leaves the pick open; a finder refuses only when nothing fits."""
 
-    @given(st.one_of(st.sets(st.integers(-50, 50), min_size=2, max_size=40), WIDE_SETS),
-           st.integers(0, 3_000))
-    @example({3, 10}, 6)  # two elements, lags below the span
-    @example({3, 10}, 7)
-    @example({0, 10**12}, 3_000)
+    @given(st.one_of(st.sets(st.integers(-50, 50), min_size=2, max_size=40),
+                     st.sets(st.integers(0, 3_000), min_size=2, max_size=40)))
+    @example({3, 10})  # two elements
     @settings(max_examples=150, deadline=None)
-    def test_radius_counts_are_the_pair_differences(self, vals, lags):
+    def test_radius_counts_are_the_pair_differences(self, vals):
         a = make_intset(vals).as_array()
-        lags = min(lags, int(a[-1] - a[0]))
-        counts = finders._radius_counts(a, lags)
-        assert counts.tolist() == _brute_radius_counts(a, lags).tolist()
+        assert finders._radius_counts(a).tolist() == _brute_radius_counts(a).tolist()
 
     @given(st.sets(st.integers(0, 60), min_size=2, max_size=20),
            st.sets(st.integers(-20, 40), min_size=2, max_size=6),
            st.sampled_from(["1d", "XxX", "XxY"]), st.floats(-4, 0),
            st.sampled_from(["count", "enumerate"]))
-    # 0..54 squared: the dense join cannot fit, the sparse join fits on its
-    # floor and refuses on its radius groups, and the raster sweep fits
+    # 0..54 squared: the offset join's strips cannot fit, the sparse join fits
+    # on its floor and refuses on its radius groups, and the raster sweep fits
     @example(set(range(55)), {0, 1}, "XxX", math.log10(0.00225), "count")
     @settings(max_examples=150, deadline=None)
     def test_a_finder_answers_or_no_kernel_fits(self, xs, ys, kind, log_scale, mode):
@@ -647,23 +646,25 @@ class TestPricingRule:
         assert (found if mode == "count" else len(found)) == expected
 
     @pytest.mark.parametrize("scale, make, pick", [
-        *[("1", lambda k=k: gen_Dk(k), "dense common-radius join") for k in (2, 3, 4, 5)],
-        *[("1", lambda k=k: PointSet2D.product(gen_Dk(k), gen_Dk(k)), "dense common-radius join")
+        *[("1", lambda k=k: gen_Dk(k), "offset join") for k in (2, 3, 4, 5, 6, 7)],
+        *[("1", lambda k=k: PointSet2D.product(gen_Dk(k), gen_Dk(k)), "offset join")
           for k in (2, 3)],
         ("1", lambda: PointSet2D(np.argwhere(np.random.default_rng(0).random((120, 120)) < 0.3)),
          "per-width raster sweep"),
         ("1", lambda: PointSet2D(np.random.default_rng(0).integers(0, 10**6, (4_000, 2))),
          "same-row pair scan"),
-        ("0.05", lambda: make_intset(range(0, 1200, 6)), "dense common-radius join"),
+        ("0.05", lambda: make_intset(range(0, 1200, 6)), "offset join"),
         ("1", lambda: make_intset(np.random.default_rng(5).choice(3000, 700, replace=False)),
-         "dense common-radius join"),
+         "offset join"),
+        ("1", lambda: make_intset(np.random.default_rng(5).choice(3000, 200, replace=False)),
+         "common-radius pair sweep"),
         *[("1", lambda w=w: PointSet2D.product(
             make_intset(np.random.default_rng(2).choice(w, 300, replace=False)),
             make_intset(range(20))), pick)
-          for w, pick in ((10**5, "per-width raster sweep"), (10**6, "same-row pair scan"),
+          for w, pick in ((10**5, "offset join"), (10**6, "same-row pair scan"),
                           (10**7, "same-row pair scan"))],
-    ], ids=["d2", "d3", "d4", "d5", "d2xd2", "d3xd3", "box", "spread", "step6", "700-of-3000",
-            "300x20-1e5", "300x20-1e6", "300x20-1e7"])
+    ], ids=["d2", "d3", "d4", "d5", "d6", "d7", "d2xd2", "d3xd3", "box", "spread", "step6",
+            "700-of-3000", "200-of-3000", "300x20-1e5", "300x20-1e6", "300x20-1e7"])
     def test_picks(self, monkeypatch, scale, make, pick):
         s = make()
         monkeypatch.setenv("SQUARELAB_BUDGET", scale)
@@ -718,7 +719,7 @@ class TestCenterRows:
     def test_every_kernel_enumerates_strictly_increasing_rows(self, xs, ys, pts):
         # the kernels' rows are kept unchecked; the pair scan sorts its own
         x, y, b = make_intset(xs).as_array(), make_intset(ys).as_array(), PointSet2D(pts)
-        for found in (_join_dense(x, x, "enumerate"), _join_dense(x, y, "enumerate"),
+        for found in (_join_offsets(x, x, "enumerate"), _join_offsets(x, y, "enumerate"),
                       _centers_1d_sparse(x, "enumerate"), _vertex_centers_dense(b, "enumerate"),
                       _vertex_centers_sparse(b, "enumerate"), find_boundary_centers_2d(b, 4)):
             rows = found.as_array().tolist()

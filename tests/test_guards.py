@@ -60,24 +60,25 @@ class TestRefusalsSpendNothing:
     @pytest.fixture
     def no_radius_counts(self, monkeypatch):
         monkeypatch.setattr(finders, "_radius_counts",
-                            lambda a, lags: pytest.fail("radius counts read"))
+                            lambda a: pytest.fail("radius counts read"))
 
-    def test_d8_span_at_a_scaled_budget(self, monkeypatch, no_radius_counts):
-        # the dense join's 737,950,506 work is over three times this limit, so
-        # the sweep stays at its Cauchy-Schwarz floor, higher still: no radius
+    def test_d10_span_at_a_scaled_budget(self, monkeypatch, no_radius_counts):
+        # the offset join's 239,544,216 work is over twice this limit, so the
+        # sweep stays at its Cauchy-Schwarz floor, higher still: no radius
         # counts and no pair arrays are made to say so
-        d8 = gen_Dk(8)
-        monkeypatch.setenv("SQUARELAB_BUDGET", "12")
-        out, peak, seconds = traced(lambda: find_centers_1d(d8, "count"))
+        d10 = gen_Dk(10)
+        monkeypatch.setenv("SQUARELAB_BUDGET", "5")
+        out, peak, seconds = traced(lambda: find_centers_1d(d10, "count"))
         assert isinstance(out, BudgetError) and out.unit == "work"
-        assert "dense common-radius join" in str(out)
+        assert "common-radius offset join" in str(out) and out.estimate == 239_544_216
         assert peak <= REFUSAL_BYTES and seconds < 1.0
 
-    def test_d6_at_the_default_budget(self, no_radius_counts):
-        d6 = gen_Dk(6)
-        out, peak, seconds = traced(lambda: find_centers_1d(d6, "count"))
+    def test_d8_at_the_default_budget(self, no_radius_counts):
+        # 37,610,622 work: D_7 is the largest digit set the default admits
+        d8 = gen_Dk(8)
+        out, peak, seconds = traced(lambda: find_centers_1d(d8, "count"))
         assert isinstance(out, BudgetError) and out.unit == "work"
-        assert "dense common-radius join" in str(out)
+        assert "common-radius offset join" in str(out) and out.estimate == 37_610_622
         assert peak <= REFUSAL_BYTES and seconds < 1.0
 
     def test_wide_random_set_at_a_scaled_budget(self, monkeypatch):
@@ -97,7 +98,7 @@ class TestRefusalsSpendNothing:
         assert peak <= REFUSAL_BYTES and seconds < 1.0
 
     def test_sparse_join_refusing_on_its_radius_groups(self):
-        # 1,000 values 10**6 apart: the dense join's span is far over the byte
+        # 1,000 values 10**6 apart: the offset join's span is far over the work
         # limit, so the sparse join, priced on its floor, is the one kernel
         # that fits; its radius groups price it again past the limit, and that
         # refusal stands, having held 16 bytes of each of the 499,500 pairs
@@ -108,10 +109,12 @@ class TestRefusalsSpendNothing:
         assert peak <= 16 * 499_500 + REFUSAL_BYTES and seconds < 1.0
 
     def test_boundary_replay_prices_its_raster_grid_and_centers_first(self):
-        # level 7: a 7204**2 raster and its grid, and 2400**2 replayed centers
+        # level 7: a 7204**2 raster and its grid and one block of centers fit
+        # the byte limit, but those cells and 2400**2 replayed centers do not
+        # fit the work limit
         out, peak, seconds = traced(lambda: verify_construction("boundary", k=7))
-        assert isinstance(out, BudgetError) and out.unit == "bytes"
-        assert "boundary replay at level 7" in str(out)
+        assert isinstance(out, BudgetError) and out.unit == "work"
+        assert "boundary replay at level 7" in str(out) and out.estimate == 57_657_616
         assert peak <= REFUSAL_BYTES and seconds < 1.0
 
     def test_wide_boundary_box(self):
@@ -132,12 +135,12 @@ def boundary_b3() -> PointSet2D:
 
 
 KERNELS = {  # name: (the call, made of inputs built before tracing; the guard that prices it)
-    "dense join count": (lambda: partial(find_centers_1d, gen_Dk(4), "count"),
-                         "dense common-radius join"),
-    "dense join enumerate": (lambda: partial(find_centers_1d, gen_Dk(3)),
-                             "dense common-radius join"),
-    "dense product join": (lambda: partial(find_vertex_centers_2d, PointSet2D.product(
-        gen_Dk(3), make_intset(range(0, 240, 3)))), "dense common-radius join"),
+    "offset join count": (lambda: partial(find_centers_1d, gen_Dk(4), "count"),
+                          "common-radius offset join"),
+    "offset join enumerate": (lambda: partial(find_centers_1d, gen_Dk(3)),
+                              "common-radius offset join"),
+    "offset product join": (lambda: partial(find_vertex_centers_2d, PointSet2D.product(
+        gen_Dk(3), make_intset(range(0, 240, 3)))), "common-radius offset join"),
     # the wide random set the default budget admits: 12,497,707 centers
     "sparse join count": (lambda: partial(find_centers_1d, random_set(5_000, 10**12), "count"),
                           "common-radius pair sweep"),
