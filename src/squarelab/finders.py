@@ -10,19 +10,18 @@ stay exact integers:
   discrete square boundary (the Chebyshev sphere of radius r, 8r points)
   lies in B.
 
-1D and vertex search rest on one identity: a square with its four vertices in
-X x Y is a pair of X and a pair of Y that share a radius, and its doubled
-center is their two doubled midpoints; a 1D set A is the case X = Y = A.  One
-function owns that join and its two kernels: the offset join, which reads
-the centers of each offset d = x - y off the pairwise sums of one row of
-occupancy cells, X & (Y + d), by a float64 FFT that rounds exactly, a strip
-of rows at a time; and for X = Y a sort-and-group of all pairs by radius.
-Sets that are not products take the per-width raster sweep or the same-row
-pair scan, and boundaries are swept once per radius; enumeration marks one
-(x, y, r) raster, and every kernel makes its rows in order.  A finder prices
-its kernels before any runs, ranks them by their work, the least first (the
-sparse sweep counted exactly where the pick is open), and runs the first
-that fits both limits.
+1D and vertex search rest on one identity: a square with its vertices in X x Y
+has corners x1 < x2 in X and y1 < y2 in Y of one offset d = x1 - y1 = x2 - y2,
+so x1 and x2 lie in the row A_d = X & (Y + d) and its doubled center is
+(s, s - 2d), s = x1 + x2.  A center has one offset, so the centers of d are
+the distinct sums of two elements of A_d, deduplicated within the row only;
+a 1D set A is X = Y = A.  The offset join convolves the rows' occupancy cells
+by a float64 FFT that rounds exactly, a strip at a time; for X = Y the sparse
+join reads the rows off all pairs sorted by difference.  Other sets take the
+per-width raster sweep or the same-row pair scan, and boundaries are swept
+once per radius; every kernel makes its rows in order.  A finder prices its
+kernels before any runs and runs the first, by least work, that fits both
+limits (the sparse sweep counted exactly where the pick is open).
 """
 
 from __future__ import annotations
@@ -129,9 +128,8 @@ def _runs(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pairs_1d(a: np.ndarray, op) -> np.ndarray:
-    """The ufunc op(a_j, a_i) over all i < j, ordered by i: with np.add and
-    np.subtract, the doubled midpoints and doubled radii of the pairs, by
-    ascending midpoint within one radius."""
+    """The ufunc op(a_j, a_i) over all i < j, ordered by i, then j: with np.add
+    and np.subtract, the doubled midpoints and the differences of the pairs."""
     out = np.empty(len(a) * (len(a) - 1) // 2, dtype=np.int64)
     end = 0
     for i in range(len(a) - 1):
@@ -143,7 +141,7 @@ def _pairs_1d(a: np.ndarray, op) -> np.ndarray:
 def _radius_counts(a: np.ndarray) -> np.ndarray:
     """c[d] = the number of pairs of A at distance d, for d = 0 .. max A - min A
     (c[0] = 0), from the differences a[i + t] - a[i], t = 1 .. |A| - 1."""
-    c = np.zeros(int(a[-1] - a[0]) + 1, dtype=np.int64)
+    c = np.zeros(int(a[-1]) - int(a[0]) + 1, dtype=np.int64)
     for t in range(1, len(a)):
         np.add.at(c, a[t:] - a[:-t], 1)
     return c
@@ -158,20 +156,14 @@ def _join_offsets(xs: np.ndarray, ys: np.ndarray, mode: str) -> CenterRows | int
     """Doubled centers (X, Y) of the squares with vertices in X x Y, one
     offset d of their corners at a time.
 
-    A square's corners x1 < x2 in X and y1 < y2 in Y have x2 - x1 = y2 - y1,
-    so d = x1 - y1 = x2 - y2: x1 and x2 lie in A_d = X & (Y + d), and the
-    center is (x1 + x2, x1 + x2 - 2d).  Every a < b in A_d makes such a
-    square, and each center has one d, so the centers of offset d are the
-    distinct sums a + b, a < b in A_d.  They are the entries >= 2 of the
-    autoconvolution of A_d's occupancy row: an entry counts the ordered
-    pairs (a, b) with its sum, two for each a < b and one for a = b.
-
+    The distinct sums a + b, a < b in A_d, are the entries >= 2 of the
+    autoconvolution of A_d's occupancy row, which counts ordered pairs.
     The rows, framed on the set of the shorter span, are convolved by float64
     FFT a strip at a time, cropped to where they can hold cells; with X = Y,
     only d >= 0 (-d mirrors d).  Enumerated centers are marked in one bool
     raster whose nonzeros come out in lexicographic order.
     """
-    lx, ly = int(xs[-1] - xs[0]) + 1, int(ys[-1] - ys[0]) + 1
+    lx, ly = int(xs[-1]) - int(xs[0]) + 1, int(ys[-1]) - int(ys[0]) + 1
     same, swap = np.array_equal(xs, ys), ly < lx
     fs, gs = (ys, xs) if swap else (xs, ys)
     lf, lg = min(lx, ly), max(lx, ly)
@@ -207,65 +199,76 @@ def _join_offsets(xs: np.ndarray, ys: np.ndarray, mode: str) -> CenterRows | int
         marks, (2 * int(xs[0]), 2 * int(ys[0])))
 
 
-def _sparse_bytes(all_pairs: int, grouped: int, joins: int, mode: str) -> int:
-    """Peak bytes of the sparse join: int64 arrays of all, grouped and joined
-    pairs; enumerating, midpoints, row keys and rows too."""
-    return 24 * all_pairs + 32 * grouped + 48 * joins + (
-        12 * all_pairs + 8 * joins + 2 * _READOUT_BYTES if mode == "enumerate" else 0)
+def _sparse_bytes(pairs: int, joins: int, widest: int, mode: str) -> int:
+    """Peak bytes of the sparse join: int64 arrays of all pairs and a strip of
+    rows' elements and sums (<= 3 a join), the widest row's at least; enumerating,
+    the midpoints, a rank a pair, a key and a row for up to two centers a join."""
+    return 24 * pairs + 48 * max(widest * (widest + 1) // 2, min(3 * joins, _STRIP_CELLS)) + (
+        12 * pairs + 48 * joins + 2 * _READOUT_BYTES if mode == "enumerate" else 0)
 
 
 def _centers_1d_sparse(a: np.ndarray, mode: str) -> CenterRows | int:
-    """Sort the pairs by radius and join the midpoints of each radius.
-
-    Every midpoint X is the center (X, X); midpoints X < Y sharing a radius
-    give (X, Y) and (Y, X).  Radii with equally many pairs are joined at once.
-    Its finder prices it from the sweep, exact or its floor, before anything
-    is made; once its radii are sorted it prices itself from its radius groups.
-    """
-    all_pairs = len(a) * (len(a) - 1) // 2
-    rad = _pairs_1d(a, np.subtract)
-    order = np.argsort(rad, kind="stable")
-    rad.sort()
-    # the runs of two or more equal radii, as [start, end] in radius order
-    tied = np.zeros(len(rad) + 1, dtype=bool)
-    np.equal(rad[1:], rad[:-1], out=tied[1:-1])
+    """The offset join of A with itself, its rows A_d the upper ends of the
+    pairs of difference d > 0, which a stable sort keeps ascending; the
+    distinct midpoints are the centers of d = 0.  Rows of one size are sorted
+    along their sums at once, rows of three or fewer not at all.  Priced by
+    its finder from the sweep, exact or its floor, and exactly once sorted."""
+    diff = _pairs_1d(a, np.subtract)  # only the pair 2**63 apart wraps: a run of one
+    order = np.argsort(diff, kind="stable")
+    diff.sort()
+    # the runs of two or more equal differences, as [start, end] in sorted order
+    tied = np.zeros(len(diff) + 1, dtype=bool)
+    np.equal(diff[1:], diff[:-1], out=tied[1:-1])
     edges = np.flatnonzero(tied[1:] != tied[:-1])
-    del rad, tied
     starts, sizes = edges[0::2], edges[1::2] - edges[0::2] + 1
-    grouped, joins = int(sizes.sum()), int(np.dot(sizes, sizes - 1)) // 2
-    require_budget(_SPARSE_JOIN, work=all_pairs + 2 * joins,
-                   nbytes=_sparse_bytes(all_pairs, grouped, joins, mode))
-    # the midpoints of each group's pairs, in radius order and ascending
-    first = np.cumsum(sizes) - sizes
+    joins = int(np.dot(sizes, sizes - 1)) // 2
+    require_budget(_SPARSE_JOIN, work=len(diff) + 2 * joins,
+                   nbytes=_sparse_bytes(len(diff), joins, int(sizes.max(initial=0)), mode))
+    # enumerating, the rows' sums: ranks of the tied pairs' midpoints, searched in order
+    enum = mode == "enumerate"
+    tied = order[np.flatnonzero(tied[1:] | tied[:-1]) if enum else slice(0)]
+    del diff
     mid = _pairs_1d(a, np.add)
-    near = mid[order[np.repeat(starts - first, sizes) + np.arange(grouped)]]
-    del order
+    near = mid[tied]
     mid.sort()
-    mids = mid[np.concatenate(([True], mid[1:] != mid[:-1]))]
-    del mid
-    n = len(mids)
-    # their ranks among the distinct midpoints, searched for in sorted order (~10x faster)
-    by_mid = np.argsort(near)
-    rank = np.empty_like(near)
-    rank[by_mid] = np.searchsorted(mids, near[by_mid])
-    del near, by_mid
-    keys = [np.zeros(0, dtype=np.int64)]
-    for size in unique_ints(sizes).tolist():
-        group = rank[first[sizes == size, None] + np.arange(size)]
-        i, j = np.triu_indices(size, 1)
-        keys.append((group[:, i] * n + group[:, j]).ravel())
-    pairs = unique_ints(np.concatenate(keys))
-    if mode == "count":
-        return n + 2 * len(pairs)
-    # The rows (X, X), (X, Y) and (Y, X) as rank keys i * n + j: distinct,
-    # so one sort in place orders them, and a divmod a strip at a time turns
-    # them into the rows of one array.
-    keys = np.concatenate((np.arange(0, n * n, n + 1), pairs, pairs % n * n + pairs // n))
-    del pairs
+    new = np.concatenate(([True], mid[1:] != mid[:-1]))
+    count, mids = int(np.count_nonzero(new)), mid[new] if enum else mid[:0]
+    del mid, new
+    tied = tied[np.argsort(near)]
+    near.sort()
+    rank = np.empty(len(order) if enum else 0, dtype=np.int64)
+    rank[tied] = np.searchsorted(mids, near)
+    del tied, near
+    base = np.cumsum(np.arange(len(a) - 1, 0, -1)) - len(a)  # pair (i, j) at base[i] + j
+    b = (len(mids) - 1).bit_length()
+    assert 2 * b <= 63  # under 2**31 midpoints: over 48 GiB of pairs
+    keys = [np.arange(len(mids)) * ((1 << b) + 1)]
+    for m in unique_ints(sizes).tolist():
+        at = starts[sizes == m]
+        u, v = np.triu_indices(m, 1)
+        step = max(1, _STRIP_CELLS // (m + len(u)))
+        for lo in range(0, len(at), step):
+            pair = order[at[lo:lo + step, None] + np.arange(m)]
+            # the lower ends i: k = n - 1 - i has k(k - 1)/2 <= q < k(k + 1)/2, q pairs after
+            i = len(a) - 1 - ((np.sqrt(8 * (len(order) - 1 - pair) + 1) + 1) // 2).astype(np.int64)
+            j = pair - base[i]  # and the upper ends, a[j] = a[i] + d: centers (s, s - 2d)
+            s = (rank[base[j[:, u]] + j[:, v]] << b | rank[base[i[:, u]] + i[:, v]] if enum
+                 else a[i[:, u]] + a[i[:, v]])  # keyed by the sums' ranks, or counted by s - 2d
+            new = np.ones(s.shape, dtype=bool)
+            if m > 3:
+                s.sort(axis=1)
+                np.not_equal(s[:, 1:], s[:, :-1], out=new[:, 1:])
+            s = s[new]
+            count += 2 * len(s)
+            keys += [s, (s & ((1 << b) - 1)) << b | s >> b] if enum else []
+    if not enum:
+        return count
+    del order, rank, base
+    keys = np.concatenate(keys)  # the rows (X, X), (s, t) and (t, s): distinct, sorted once
     keys.sort()
     rows = np.empty((len(keys), 2), dtype=np.int64)
     for lo in range(0, len(keys), _STRIP_CELLS):
-        i, j = np.divmod(keys[lo:lo + _STRIP_CELLS], n)
+        i, j = keys[lo:lo + _STRIP_CELLS] >> b, keys[lo:lo + _STRIP_CELLS] & ((1 << b) - 1)
         rows[lo:lo + len(i), 0], rows[lo:lo + len(i), 1] = mids[i], mids[j]
     return CenterRows._in_order(rows)
 
@@ -306,14 +309,12 @@ _SPARSE_JOIN = "the common-radius pair sweep"
 def _join_kernels(xs: np.ndarray, ys: np.ndarray, mode: str) -> list[_Kernel]:
     """The kernels that find the doubled centers of the squares with vertices
     in X x Y (sorted X, Y of two elements or more), priced, the one of less
-    work first: the offset join, and for X = Y the sparse join.
-
-    The offset join's work is the cells its rows overlap, weighed by the bit
-    length of its FFT.  The sparse join's is the sweep, the sum over r > 0 of
-    c(r)**2: its Cauchy-Schwarz floor pairs**2 / min(pairs, span), or its exact
-    count when the offset join fits both limits and costs more than the floor.
-    """
-    lx, ly = int(xs[-1] - xs[0]) + 1, int(ys[-1] - ys[0]) + 1
+    work first: the offset join, and for X = Y the sparse join.  The offset
+    join's work is the cells its rows overlap, weighed by the bit length of
+    its FFT.  The sparse join's is the sweep, the sum over r > 0 of c(r)**2:
+    its Cauchy-Schwarz floor pairs**2 / min(pairs, span), or its exact count
+    when the offset join fits both limits and costs more than the floor."""
+    lx, ly = int(xs[-1]) - int(xs[0]) + 1, int(ys[-1]) - int(ys[0]) + 1
     same = np.array_equal(xs, ys)
     lf, lg = min(lx, ly), max(lx, ly)
     n = _fft_len(2 * lf - 1)
@@ -329,12 +330,11 @@ def _join_kernels(xs: np.ndarray, ys: np.ndarray, mode: str) -> list[_Kernel]:
     if not same:
         return [offsets]
     pairs = len(xs) * (len(xs) - 1) // 2
-    sweep = -(-pairs * pairs // min(pairs, lx - 1))
+    sweep, widest = -(-pairs * pairs // min(pairs, lx - 1)), 0
     if _fits(nbytes, offsets.work) and sweep < offsets.work:
         c = _radius_counts(xs)
-        sweep = int(np.dot(c, c))
-    sparse = _Kernel(_SPARSE_JOIN, _sparse_bytes(pairs, min(pairs, sweep - pairs),
-                                                 (sweep - pairs) // 2, mode),
+        sweep, widest = int(np.dot(c, c)), int(c.max())
+    sparse = _Kernel(_SPARSE_JOIN, _sparse_bytes(pairs, (sweep - pairs) // 2, widest, mode),
                      sweep, partial(_centers_1d_sparse, xs, mode))
     return [offsets, sparse] if offsets.work <= sweep else [sparse, offsets]
 

@@ -22,9 +22,11 @@ def oracle_centers_1d(elems) -> set[tuple[int, int]]:
     a = np.asarray(sorted(elems), dtype=np.int64)
     if a.size == 0:
         return set()
-    diff = a[None, :] - a[:, None]  # diff[i, j] = a[j] - a[i]
+    # diff[i, j] = a[j] - a[i], exact for i < j in uint64: it reaches 2**63
+    diff = a[None, :].astype(np.uint64) - a[:, None].astype(np.uint64)
+    up = np.triu(np.ones(diff.shape, dtype=bool), 1)
     hits = (diff[:, :, None, None] == diff[None, None, :, :]) & (
-        diff[:, :, None, None] > 0
+        up[:, :, None, None] & up[None, None, :, :]
     )
     sums = a[None, :] + a[:, None]  # sums[i, j] = a[i] + a[j]
     ii, jj, kk, ll = np.nonzero(hits)

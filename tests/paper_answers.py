@@ -81,13 +81,15 @@ ROWS = [
     Row("find_c3_block1", "find vertices --in countable/block1_b.txt --count", "32159\n",
         centers=32159),
     # D_3..D_7 are counted by the offset join under the default budget; D_7's
-    # 12,040,623 work is the largest, and D_8's 37,610,622 is over it
+    # 12,040,623 work is the largest, and D_8's 37,610,622 needs a scale of 1.88
     Row("d3", "find centers1d --in /dev/stdin", lines=105542, pipe="gen dk --k 3"),
     Row("d4", "find centers1d --in /dev/stdin --count", "1109548\n", pipe="gen dk --k 4",
         centers=1109548),
     Row("d5", "find centers1d --in /dev/stdin --count", "6744602\n", pipe="gen dk --k 5"),
     Row("d6", "find centers1d --in /dev/stdin --count", "29234026\n", pipe="gen dk --k 6"),
     Row("d7", "find centers1d --in /dev/stdin --count", "100778792\n", pipe="gen dk --k 7"),
+    Row("d8", "find centers1d --in /dev/stdin --count", "293955904\n", pipe="gen dk --k 8",
+        budget="2"),
     # the wide set and its square take the sparse kernel and count the same centers
     Row("wide1d", "find centers1d --in wide1d.txt --count", "45201\n"),
     Row("wide2d", "find vertices --in wide2d.txt --count", "45201\n"),

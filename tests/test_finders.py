@@ -211,14 +211,21 @@ class TestBackendsAgree:
     """Dense and sparse kernels against each other and the naive oracles."""
 
     @given(st.sets(st.integers(-30, 30), min_size=2, max_size=16), STRIPS)
+    # the row of offset 10, {10, 11, 12, 13}, repeats a sum: 11 + 12 = 10 + 13
+    @example({0, 1, 2, 3, 10, 11, 12, 13}, 2**18)
+    @example({x << 40 for x in (0, 1, 2, 3, 10, 11, 12, 13)}, 2**18)  # the same, ranked
+    @example({0, 1, 2, 3, 7}, 1)  # rows of three and of two elements, one a strip
+    # a pair 2**63 apart, which wraps in int64: no offset join frames that span
+    @example({-2**62, 0, 2**62}, 2**18)
     @settings(max_examples=80, deadline=None)
     def test_centers_1d(self, vals, strip):
         a = make_intset(vals).as_array()
         expected = oracle_centers_1d(vals)
+        kernels = (_join_1d,) * (max(vals) - min(vals) < 2**12) + (_centers_1d_sparse,)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(finders, "_STRIP_CELLS", strip)
             mp.setattr(core_sets, "_STRIP_CELLS", strip)  # the raster read-out's strips
-            for kernel in (_join_1d, _centers_1d_sparse):
+            for kernel in kernels:
                 found = kernel(a, "enumerate")
                 assert {(p.X, p.Y) for p in found} == expected
                 assert list(found) == sorted(found)
@@ -437,7 +444,7 @@ class TestBudgets:
     @pytest.mark.parametrize("values, scale", [
         # 400 values of [0, 2900): the offset join is preferred by its
         # 1,816,516 work, but its marks raster and read-out, 676,522,892 bytes,
-        # are over the limit; the sparse join fits both (2,200,429 work, 73 MB)
+        # are over the limit; the sparse join fits both (2,200,429 work, 75 MB)
         (np.random.default_rng(5).choice(2900, 400, replace=False), "1"),
         # a byte limit of 6,710,886: the sparse join is preferred by its sweep
         # (14 against 15 work), but its two read-out strips are over it
@@ -544,6 +551,20 @@ class TestBudgets:
         assert len(rows) == 969_226
         assert peak <= 1.5 * rows.nbytes, f"peak {peak / rows.nbytes:.2f}x the rows"
 
+    def test_sparse_join_counts_a_strip_of_rows_at_a_time(self, monkeypatch):
+        # D_4 forced onto the sparse join: its 237,705 pairs and one strip
+        # of rows; a global key set of its pairs of pairs took 1,297 MiB
+        monkeypatch.setenv("SQUARELAB_BUDGET", "100")
+        d4 = gen_Dk(4).as_array()
+        tracemalloc.start()
+        try:
+            count = _centers_1d_sparse(d4, "count")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 1_109_548
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
     def test_sparse_join_enumerates_into_one_rows_array(self):
         # 2,956,022 centers (45.1 MiB of rows) as rank keys sorted in place
         # and split into one array: three concatenated center columns, their
@@ -589,13 +610,13 @@ def _brute_radius_counts(a):
 
 def _exact_estimate(kernel, a, mode):
     """(bytes, work) of a kernel at its exact price: the sparse join of A from
-    its true radius counts, as it prices itself from its radius groups; every
-    other kernel as its finder priced it."""
+    its true radius counts, as it prices itself from its sorted differences;
+    every other kernel as its finder priced it."""
     if kernel.what != finders._SPARSE_JOIN:
         return kernel.nbytes, kernel.work
     c = _brute_radius_counts(a)
-    pairs, sweep = int(c.sum()), int(np.dot(c, c))
-    return finders._sparse_bytes(pairs, int(c[c > 1].sum()), (sweep - pairs) // 2, mode), sweep
+    pairs, sweep, widest = int(c.sum()), int(np.dot(c, c)), int(c.max())
+    return finders._sparse_bytes(pairs, (sweep - pairs) // 2, widest, mode), sweep
 
 
 def _first_fitting(monkeypatch):
@@ -624,7 +645,7 @@ class TestPricingRule:
            st.sampled_from(["1d", "XxX", "XxY"]), st.floats(-4, 0),
            st.sampled_from(["count", "enumerate"]))
     # 0..54 squared: the offset join's strips cannot fit, the sparse join fits
-    # on its floor and refuses on its radius groups, and the raster sweep fits
+    # on its floor and refuses on its sorted differences, and the raster sweep fits
     @example(set(range(55)), {0, 1}, "XxX", math.log10(0.00225), "count")
     @settings(max_examples=150, deadline=None)
     def test_a_finder_answers_or_no_kernel_fits(self, xs, ys, kind, log_scale, mode):

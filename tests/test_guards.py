@@ -91,6 +91,17 @@ class TestRefusalsSpendNothing:
         assert "common-radius pair sweep" in str(out)
         assert peak <= REFUSAL_BYTES and seconds < 1.0
 
+    def test_span_past_int64_at_the_default_budget(self):
+        # 8,000 random values of [0, 10**12) and -2**62 and 2**62: their span,
+        # 2**63, wrapped in int64 and priced the sparse join at -1,024,384,056
+        # bytes, so it ran 4.3 s before refusing itself; its 32,012,001 pairs
+        # take 24 bytes each, over the limit
+        a = make_intset(np.append(random_set(8_000, 10**12).as_array(), [-2**62, 2**62]))
+        out, peak, seconds = traced(lambda: find_centers_1d(a, "count"))
+        assert isinstance(out, BudgetError) and out.unit == "bytes"
+        assert "common-radius pair sweep" in str(out) and out.estimate == 768_288_024
+        assert peak <= REFUSAL_BYTES and seconds < 1.0
+
     def test_countable_replay_prices_every_grid_first(self):
         # block 1's 10753 x 10753 grid is over the byte limit: no block is built
         out, peak, seconds = traced(lambda: verify_construction("countable", alpha=1, K=5))
@@ -100,12 +111,13 @@ class TestRefusalsSpendNothing:
     def test_sparse_join_refusing_on_its_radius_groups(self):
         # 1,000 values 10**6 apart: the offset join's span is far over the work
         # limit, so the sparse join, priced on its floor, is the one kernel
-        # that fits; its radius groups price it again past the limit, and that
-        # refusal stands, having held 16 bytes of each of the 499,500 pairs
+        # that fits; its radius groups, the runs of its sorted differences,
+        # price its sweep exactly past the limit, and that refusal stands,
+        # having held 16 bytes of each of the 499,500 pairs
         a = IntSet1D(range(0, 10**9, 10**6))
         out, peak, seconds = traced(lambda: find_centers_1d(a, "count"))
-        assert isinstance(out, BudgetError) and out.unit == "bytes"
-        assert "common-radius pair sweep" in str(out) and out.estimate == 8_003_987_968
+        assert isinstance(out, BudgetError) and out.unit == "work"
+        assert "common-radius pair sweep" in str(out) and out.estimate == 332_833_500
         assert peak <= 16 * 499_500 + REFUSAL_BYTES and seconds < 1.0
 
     def test_boundary_replay_prices_its_raster_grid_and_centers_first(self):
@@ -146,6 +158,11 @@ KERNELS = {  # name: (the call, made of inputs built before tracing; the guard t
                           "common-radius pair sweep"),
     "sparse join enumerate": (lambda: partial(find_centers_1d, random_set(800, 10**9)),
                               "common-radius pair sweep"),
+    # a middle density the default budget sends to the sparse join: one strip
+    # of rows beside the pairs
+    "sparse join rows count": (lambda: partial(find_centers_1d, make_intset(
+        np.random.default_rng(5).choice(3000, 200, replace=False)), "count"),
+        "common-radius pair sweep"),
     "raster sweep count": (lambda: partial(find_vertex_centers_2d, box(6_000, 200), "count"),
                            "raster sweep"),
     "raster sweep enumerate": (lambda: partial(find_vertex_centers_2d, box(6_000, 200)),
