@@ -104,7 +104,7 @@ def _cmd_gen_cantor(args: argparse.Namespace) -> int:
         vals = trunc.a_floats if side == "a" else trunc.t_floats
         header = (f"# cantor truncation {side}-side, s={trunc.s}, depth {trunc.depth}, "
                   f"float mode, abs error <= {trunc.error_bound:.3e}\n")
-        _emit(chain([header], ("\n".join(map(repr, vals[i:i + _FORMAT_BLOCK])) + "\n"
+        _emit(chain([header], ("\n".join(map(repr, vals[i:i + _FORMAT_BLOCK].tolist())) + "\n"
                                for i in range(0, len(vals), _FORMAT_BLOCK))), args.out)
         _say("float mode: output is a report, not a round-trippable integer set")
     return 0

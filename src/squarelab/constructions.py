@@ -23,7 +23,7 @@ float mode of the Cantor-type truncation, which reports its own error bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from typing import TYPE_CHECKING, Collection, Sequence
 
@@ -307,8 +307,9 @@ class CantorTruncation:
     w_k * D_k to A and w_k * {0..k**4-1} to T.  When 8/s is an integer every
     weight is rational and both sets are materialized exactly on a common
     integer scale (`scale`, the lcm of the weight denominators); otherwise
-    float mode stores double-precision elements plus a per-element absolute
-    error bound.
+    float mode stores double-precision elements, ascending in read-only float64
+    arrays, plus a per-element absolute error bound.  The arrays are a function
+    of `s` and `depth`, so equality and hashing leave them out.
     """
 
     s: Fraction
@@ -317,8 +318,8 @@ class CantorTruncation:
     scale: int | None = None
     a_set: IntSet1D | None = None
     t_set: IntSet1D | None = None
-    a_floats: tuple[float, ...] | None = None
-    t_floats: tuple[float, ...] | None = None
+    a_floats: np.ndarray | None = field(default=None, compare=False)
+    t_floats: np.ndarray | None = field(default=None, compare=False)
     error_bound: float | None = None
 
     def level_multipliers(self) -> tuple[int, ...]:
@@ -361,8 +362,9 @@ def gen_cantor_truncation(s: object, p: int) -> CantorTruncation:
     exp = float(8 / s)
     levels = range(2, p + 1)
     sizes = math.prod(dk_size(k) for k in levels) + math.prod(k**4 for k in levels)
-    # float64 sums, their sorted copies and the tuples of Python floats
-    require_budget(f"depth-{p} float Cantor truncation", nbytes=72 * sizes, work=sizes)
+    # a level's float64 sums, np.unique's sorted copy, mask and values: 25 bytes
+    # a value of the last, largest level, beside the other side's values
+    require_budget(f"depth-{p} float Cantor truncation", nbytes=25 * sizes, work=sizes)
     a_vals = t_vals = np.zeros(1)
     weight_reach = 0.0
     for k in range(2, p + 1):
@@ -376,9 +378,8 @@ def gen_cantor_truncation(s: object, p: int) -> CantorTruncation:
     # relative error; (p + 3) rounding steps against the largest reachable
     # magnitude is a conservative absolute bound.
     err = (p + 3) * np.finfo(np.float64).eps * max(weight_reach, 1.0)
-    return CantorTruncation(s=s, depth=p, mode="float",
-                            a_floats=tuple(float(v) for v in a_vals),
-                            t_floats=tuple(float(v) for v in t_vals),
+    a_vals.flags.writeable = t_vals.flags.writeable = False
+    return CantorTruncation(s=s, depth=p, mode="float", a_floats=a_vals, t_floats=t_vals,
                             error_bound=float(err))
 
 

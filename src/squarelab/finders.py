@@ -33,6 +33,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core_sets import (
+    COORD_LIMIT,
     DEFAULT_BYTE_LIMIT,
     DEFAULT_WORK_LIMIT,
     BudgetError,
@@ -92,10 +93,15 @@ class CenterRows(_RowSet):
         return f"CenterRows(<{len(self)} rows of {self._arr.shape[1]}>)"
 
 
-# The per-width raster sweep's work is its cell steps over RATIO.  Measured
-# (2-core x86-64, numpy 2.4.6) on 4,500 random points of a square box, the
-# sweep beats the same-row pair scan at a ratio of 10 and loses from 50 on.
-DENSE_VERTEX_RATIO = 30
+# The per-width raster sweep's work is its cell steps over RATIO; the pair
+# scan's is its same-row pairs within reach.  Measured (2-core x86-64, numpy
+# 2.4.6) in steps a pair, the sweep won at 27 (`gen countable --alpha 1 --K 4`
+# block 2: 0.15 s against 0.41 s) and at 44-78 (random points of a square box:
+# 6,000 of 200**2, 3.9 ms against 13 ms) and lost at 85 (`--K 3` block 1:
+# 0.16 s against 0.11 s) and from 403 on (4,500 of 300**2).  Against the offset
+# join it lost from 80 steps a unit of work on (a 20 x 25 product over 60 x 80:
+# 0.87 ms against 0.48 ms).
+DENSE_VERTEX_RATIO = 70
 
 # The offset join's cells, each weighed by its FFT length's bit length, per
 # unit of work.  On the same box D_4..D_8, D_6 x D_5 and random subsets of
@@ -117,14 +123,6 @@ def _no_centers(mode: str) -> CenterRows | int:
 
 def _check_r_max(r_max: int) -> int:
     return _int_param(r_max, "r_max must be an integer >= 1", lo=1)
-
-
-def _runs(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start index and length of each run of equal keys in a sorted array."""
-    new = np.ones(len(sorted_keys), dtype=bool)
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    return starts, np.diff(np.append(starts, len(sorted_keys)))
 
 
 def _pairs_1d(a: np.ndarray, op) -> np.ndarray:
@@ -364,67 +362,108 @@ def _vertex_centers_dense(b: PointSet2D, mode: str) -> CenterRows | int:
             else CenterRows._marked_rows(marks, (2 * x0, 2 * y0)))
 
 
+def _line_ends(keys: np.ndarray, rank: np.ndarray, along: np.ndarray, values: np.ndarray,
+               reach: np.ndarray) -> np.ndarray:
+    """For points sorted by their rank keys line * |values| + rank, rank the
+    rank of `along` in `values`, the index past the last point of each one's
+    line at most `reach` beyond it.  `reach` is a difference of two
+    coordinates, exact read as uint64, and along + reach is clamped at
+    COORD_LIMIT, so no sum leaves int64."""
+    room = np.minimum(reach.view(np.uint64), (COORD_LIMIT - along).view(np.uint64))
+    last = np.searchsorted(values, (along.view(np.uint64) + room).view(np.int64), "right")
+    return np.searchsorted(keys, keys - rank + last)
+
+
+def _by_rows(pts: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(order, rx, ry, end): the order that sorts B by row and then x; the
+    ranks of B's x in X and y in Y; and, in the sorted order, the end of each
+    point's pairs in its row within the reach max Y - y, the tallest square
+    whose top row is in B.  The rank keys rank(y) * |X| + rank(x) are exact for
+    any coordinates, both ranks being below |B|."""
+    rx, ry = np.searchsorted(xs, pts[:, 0]), np.searchsorted(ys, pts[:, 1])
+    order = np.argsort(ry, kind="stable")  # B is sorted by x, then y
+    rank = rx[order]
+    return order, rx, ry, _line_ends(ry[order] * len(xs) + rank, rank, pts[order, 0], xs,
+                                     ys[-1] - pts[order, 1])
+
+
 def _vertex_centers_sparse(b: PointSet2D, mode: str) -> CenterRows | int:
-    """Same-row pair scan.
+    """Same-row pair scan, on B's rows sorted by (y, x).
 
     Points (a, y) and (c, y) with a < c are the bottom edge of exactly one
-    square, whose top corners (a, y + (c-a)) and (c, y + (c-a)) are two
-    membership probes; every square is discovered once, through its bottom
-    edge.  Doubled center: (a+c, 2y + (c-a)).
+    square, whose top corners (a, y + w) and (c, y + w), w = c - a, are looked
+    up in B's sorted rank keys; every square is found once, through its bottom
+    edge, at doubled center (a + c, 2y + w).  The bottom pairs (i, i + t) run
+    one offset t at a time: a pair that leaves its row or its reach at t stays
+    out at t + 1, so the active pairs only shrink.
     """
     pts = b.as_array()
-    members = set(b)
-    by_row = pts[np.lexsort((pts[:, 0], pts[:, 1]))]
-    starts, sizes = _runs(by_row[:, 1])
-    xs_all, ys_all = by_row[:, 0].tolist(), by_row[:, 1].tolist()
-    ymax = b.bbox()[3]
-    found: list[tuple[int, int]] = []
-    for start, size in zip(starts.tolist(), sizes.tolist()):
-        y, xs = ys_all[start], xs_all[start:start + size]
-        reach = ymax - y  # tallest square whose top row is still in the box
-        for i, a in enumerate(xs):
-            for c in xs[i + 1:]:
-                w = c - a
-                if w > reach:
-                    break
-                if (a, y + w) in members and (c, y + w) in members:
-                    found.append((a + c, 2 * y + w))
+    xs, ys = unique_ints(pts[:, 0]), unique_ints(pts[:, 1])
+    order, rx, ry, end = _by_rows(pts, xs, ys)
+    rank, x, y = rx[order], pts[order, 0], pts[order, 1]
+    keys = ry[order] * len(xs) + rank
+    del order, rx, ry
+    found, act, t = [np.zeros((0, 2), dtype=np.int64)], np.arange(len(keys)), 1
+    while len(act := act[act + t < end[act]]):
+        w = x[act + t] - x[act]  # int64 may wrap here: only the results need fit
+        top = y[act] + w
+        line = np.searchsorted(ys, top)  # top <= max Y
+        on = ys[line] == top
+        i, w = act[on], w[on]
+        corners = line[on] * len(xs) + rank[np.stack((i, i + t))]  # the top corners' keys
+        hit = np.all(keys.take(np.searchsorted(keys, corners), mode="clip") == corners, axis=0)
+        if hit.any():
+            found.append(np.column_stack((x[i[hit]] + x[i[hit] + t], 2 * y[i[hit]] + w[hit])))
+        t += 1
     # nested squares share a center, found once per bottom edge: _adopt sorts them out
-    rows = CenterRows._adopt(np.array(found, dtype=np.int64).reshape(-1, 2))
+    rows = CenterRows._adopt(np.concatenate(found))
     return len(rows) if mode == "count" else rows
 
 
-# bytes the same-row pair scan holds per point (measured): its membership set
-# of (x, y) tuples, the coordinate lists it walks and its sorted rows
-_SCAN_POINT_BYTES = 352
+def _pair_scan_price(pts: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tuple[int, int]:
+    """(pairs, squares): the same-row pairs within reach, the pair scan's work,
+    and a bound on the squares it finds.  A square's bottom-left corner p
+    pairs with its bottom-right corner in p's row, within reach, and with its
+    top-left corner in p's column, within the room max X - x to the right: p
+    is the bottom-left corner of at most the fewer of those partners' squares."""
+    order, rx, ry, end = _by_rows(pts, xs, ys)
+    right = end - np.arange(1, len(pts) + 1)
+    up = _line_ends(rx * len(ys) + ry, ry, pts[:, 1], ys, xs[-1] - pts[:, 0])  # B's order
+    return int(right.sum()), int(np.minimum(right, up[order] - order - 1).sum())
 
 
 def find_vertex_centers_2d(b: PointSet2D, mode: str = "enumerate") -> CenterRows | int:
     """Centers of axis-parallel squares with all four vertices in B."""
     _check_mode(mode)
     pts = b.as_array()
-    ys = np.sort(pts[:, 1])
-    row_starts, row_sizes = _runs(ys)
-    x_starts = _runs(pts[:, 0])[0]
-    if min(len(x_starts), len(row_starts)) < 2:  # a square needs two of each
+    xs, ys = unique_ints(pts[:, 0]), unique_ints(pts[:, 1])
+    if min(len(xs), len(ys)) < 2:  # a square needs two of each
         return _no_centers(mode)
     # B = X x Y exactly when |B| = |X| * |Y|: the join's case
-    join = (_join_kernels(pts[x_starts, 0], ys[row_starts], mode)
-            if len(x_starts) * len(row_starts) == len(b) else [])
+    join = _join_kernels(xs, ys, mode) if len(xs) * len(ys) == len(b) else []
     xmin, ymin, xmax, ymax = b.bbox()
     w, h, m = xmax - xmin + 1, ymax - ymin + 1, min(xmax - xmin, ymax - ymin)
     # sweep = sum of (w - s) * (h - s) over the widths s = 1..m
     sweep = m * w * h - (w + h) * m * (m + 1) // 2 + m * (m + 1) * (2 * m + 1) // 6
-    scan = int(np.dot(row_sizes, row_sizes))
     # the cells, a (2w - 1) x (2h - 1) marks raster and two temporaries; an
     # enumeration reads out up to 16 + 3 bytes a mark
     raster = 7 * w * h + _RASTER_BYTES + (76 * w * h + _READOUT_BYTES
                                           if mode == "enumerate" else 0)
-    own = [_Kernel(f"the per-width raster sweep of a {w} x {h} grid", raster,
-                   sweep // DENSE_VERTEX_RATIO, partial(_vertex_centers_dense, b, mode)),
-           _Kernel("the same-row pair scan", _SCAN_POINT_BYTES * len(b), scan,
-                   partial(_vertex_centers_sparse, b, mode))]
-    return _run_first_fitting(sorted(join + own, key=lambda k: k.work))
+    kernels = join + [_Kernel(f"the per-width raster sweep of a {w} x {h} grid", raster,
+                              sweep // DENSE_VERTEX_RATIO, partial(_vertex_centers_dense, b, mode))]
+    # a product's rows whose reach spans X hold all |X|(|X| - 1)/2 pairs within
+    # it: an offset join that fits and costs no more runs first, and cannot
+    # refuse, so the scan is not priced
+    full = int(np.count_nonzero((ys[-1] - ys).view(np.uint64) >= int(xs[-1]) - int(xs[0])))
+    if not any(k.what != _SPARSE_JOIN and _fits(k.nbytes, k.work)
+               and k.work <= full * len(xs) * (len(xs) - 1) // 2 for k in join):
+        pairs, squares = _pair_scan_price(pts, xs, ys)
+        # the scan's keys, sorted coordinates, pair ends and one offset's probes,
+        # and a row a square found, their concatenation and its sort: measured
+        # up to 110 bytes a point and 54 a square of the bound
+        kernels.append(_Kernel("the same-row pair scan", 128 * len(b) + 64 * squares, pairs,
+                               partial(_vertex_centers_sparse, b, mode)))
+    return _run_first_fitting(sorted(kernels, key=lambda k: k.work))
 
 
 def find_boundary_centers_2d(b: PointSet2D, r_max: int,

@@ -60,6 +60,9 @@ ROWS = [
     # the sumset kernel mark the same 916,716 values
     Row("cantor_a4", "gen cantor --s 2 --p 4 --which a", same_data_as="a4.txt"),
     # numpy reads a pipe from the stream and a regular file by its path
+    # float mode writes each value's repr, a block of values at a time
+    Row("cantor_float", "gen cantor --s 3/2 --p 3",
+        sha256="5eaf3e84460d30757136c23a37607d3dfcaeb19321b24cbe6bfe94d2695d203b"),
     Row("cover_a4_pipe", "cover --in /dev/stdin --len 200", "4632\n", pipe="gen an --p 4"),
     Row("cover_a4", "cover --in a4.txt --len 200", "4632\n"),
     # the examples fed back into the finders under the default budget; the
@@ -80,6 +83,10 @@ ROWS = [
     # block 1's 18,675 points take the same-row pair scan
     Row("find_c3_block1", "find vertices --in countable/block1_b.txt --count", "32159\n",
         centers=32159),
+    # block 1's 75,123 points: 16,131,660 same-row pairs within reach
+    Row("gen_c4", "gen countable --alpha 1 --K 4 --out-dir countable4"),
+    Row("find_c4_block1", "find vertices --in countable4/block1_b.txt --count", "130175\n",
+        centers=130175),
     # D_3..D_7 are counted by the offset join under the default budget; D_7's
     # 12,040,623 work is the largest, and D_8's 37,610,622 needs a scale of 1.88
     Row("d3", "find centers1d --in /dev/stdin", lines=105542, pipe="gen dk --k 3"),

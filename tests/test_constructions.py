@@ -467,6 +467,13 @@ class TestCantorTruncation:
         arr = np.asarray(tr.a_floats)
         assert (np.diff(arr) > 0).all()
 
+    def test_floats_are_read_only_arrays_and_the_truncation_still_hashes(self):
+        tr, again = gen_cantor_truncation("3/2", 3), gen_cantor_truncation(Fraction(3, 2), 3)
+        for vals in (tr.a_floats, tr.t_floats):
+            assert vals.dtype == np.float64 and not vals.flags.writeable
+        assert tr == again and hash(tr) == hash(again)
+        assert tr != gen_cantor_truncation("3/2", 2)
+
     @pytest.mark.parametrize("bad", [0, -1, Fraction(5, 2), 2.5, "0", "1/0",
                                      (8, 5), (1, 0), ("a", 2)])
     def test_s_validation(self, bad):

@@ -19,11 +19,13 @@ from squarelab import (
     find_centers_1d,
     find_vertex_centers_2d,
     gen_boundary_example,
+    gen_countable_truncation,
     gen_Dk,
     gen_vertex_example,
     make_intset,
 )
 from squarelab import core_sets, finders
+from squarelab.core_sets import unique_ints
 from squarelab.finders import (
     CenterRows,
     _centers_1d_sparse,
@@ -266,6 +268,29 @@ class TestBackendsAgree:
             assert {(p.X, p.Y) for p in kernel(b, "enumerate")} == expected
             assert kernel(b, "count") == len(expected)
 
+    @given(st.sets(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=40),
+           st.sampled_from([(1, 0), (2**60, 0), (2**59, 2**61), (2**59, -2**61)]),
+           st.sampled_from(["count", "enumerate"]))
+    # the widest square within +-2**62: a + c = 0 and a width of 2**63, whose
+    # top row is B's top row; a lone point between its two rows
+    @example({(-4, -4), (4, -4), (-4, 4), (4, 4), (0, 1)}, (2**60, 0), "enumerate")
+    # nested squares around one center, each found through its own bottom edge
+    @example({(x, y) for x in (-2, -1, 1, 2) for y in (-2, -1, 1, 2) if abs(x) == abs(y)},
+             (2**60, 0), "count")
+    @settings(max_examples=150, deadline=None)
+    def test_pair_scan_on_scaled_sets(self, pts, scale_shift, mode):
+        # squares stay squares under x -> scale * x + shift on both axes; the
+        # scaled sets reach +-2**62, where a + c and 2y + w only just fit int64
+        scale, shift = scale_shift
+        b = PointSet2D(pts)
+        expected = {(x * scale + 2 * shift, y * scale + 2 * shift)
+                    for x, y in oracle_vertex_centers_2d(pts)}
+        scaled = PointSet2D([(x * scale + shift, y * scale + shift) for x, y in pts])
+        found = _vertex_centers_sparse(scaled, mode)
+        assert (found if mode == "count" else {(p.X, p.Y) for p in found}) == (
+            len(expected) if mode == "count" else expected)
+        assert _vertex_centers_sparse(b, mode) == _vertex_centers_dense(b, mode)
+
     @given(boxes_with_holes(), st.integers(1, 8), STRIPS)
     # r_eff = 0: a grid 1 or 2 cells wide marks a raster of shape (w, h, 0)
     @example([(x, y) for x in range(2) for y in range(9)], 3, 1)
@@ -310,15 +335,17 @@ class TestProductDispatch:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_products_take_the_join(self, monkeypatch, seed):
-        # 8 x 10 points, X != Y, spans up to 20 and 30: small enough for the
-        # oracle, wide enough that the join is priced under the raster sweep
-        # (a 6 x 8 product over spans of 10 and 16 is not)
+        # 30 x 30 points, X != Y, spans up to 90 and 120: wide enough that the
+        # join is priced under the raster sweep, and dense enough that it is
+        # priced under the pair scan; an oracle-sized product, 8 x 10 points,
+        # is priced under the join by one or the other.  Checked against the
+        # raster sweep, which test_vertex_centers checks against the oracle
         rng = np.random.default_rng(300 + seed)
-        x = make_intset(rng.choice(21, size=8, replace=False) - 10)
-        y = make_intset(rng.choice(31, size=10, replace=False) + 3)
+        x = make_intset(rng.choice(91, size=30, replace=False) - 30)
+        y = make_intset(rng.choice(121, size=30, replace=False) + 3)
         b = PointSet2D.product(x, y)
         calls = _spy_join(monkeypatch)
-        expected = oracle_vertex_centers_2d(b.points)
+        expected = {(p.X, p.Y) for p in _vertex_centers_dense(b, "enumerate")}
         assert {(p.X, p.Y) for p in find_vertex_centers_2d(b)} == expected
         assert find_vertex_centers_2d(b, "count") == len(expected)
         assert calls == ["enumerate", "count"]
@@ -339,8 +366,12 @@ class TestProductDispatch:
         assert calls == []
 
     def test_vertex_example_k4_is_counted_by_the_join(self, monkeypatch):
+        # its bottom row alone holds 237,705 pairs within reach, over the
+        # offset join's 105,197 work: the pair scan is not priced
         b, _ = gen_vertex_example(4)
         calls = _spy_join(monkeypatch)
+        monkeypatch.setattr(finders, "_pair_scan_price",
+                            lambda *args: pytest.fail("the pair scan priced"))
         assert find_vertex_centers_2d(b, "count") == 1_109_548
         assert calls == ["count"]
 
@@ -352,7 +383,8 @@ def _spread_set(seed, size, span):
 
 class TestSquareProducts:
     """A x A takes the 1D finder's path: the offset join or the sparse join of
-    A with itself, whichever costs less, never the raster sweep or the pair scan."""
+    A with itself, whichever costs less, once A is past the few elements over
+    a short span whose raster sweep costs less still."""
 
     @pytest.fixture
     def no_corner_kernels(self, monkeypatch):
@@ -360,9 +392,9 @@ class TestSquareProducts:
             monkeypatch.setattr(finders, name, lambda b, mode, name=name:
                                 pytest.fail(f"{name} ran on a square product"))
 
-    # the offset join takes the first two, the sparse join the last; the corner
-    # kernels would refuse the last two, whose pair scans are 64,000,000 and
-    # 27,000,000 same-row pairs
+    # the offset join takes the first two, the sparse join the last; the pair
+    # scan's 2,629,757, 21,039,531 and 8,383,294 same-row pairs within reach
+    # are 18 to 187 times their work, and the last's raster cannot fit
     @pytest.mark.parametrize("size, span", [(200, 909), (400, 2_000), (300, 10**6)])
     def test_wide_square_products_equal_the_1d_finder(self, no_corner_kernels, size, span):
         a = _spread_set(0, size, span)
@@ -372,10 +404,12 @@ class TestSquareProducts:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_square_products_match_the_oracle(self, no_corner_kernels, seed):
-        # a dense box and a sparse spread: the dense and the sparse join
-        for a in (_spread_set(seed, 7, 11), _spread_set(seed, 7, 10**6)):
+        # a dense box and a sparse spread: the offset and the sparse join; the
+        # box, 30 of [0, 60), is past the oracle, so the raster sweep checks it
+        for a in (_spread_set(seed, 30, 60), _spread_set(seed, 7, 10**6)):
             b = PointSet2D.product(a, a)
-            expected = oracle_vertex_centers_2d(b.points)
+            expected = ({(p.X, p.Y) for p in _vertex_centers_dense(b, "enumerate")}
+                        if len(a) > 7 else oracle_vertex_centers_2d(b.points))
             assert {(p.X, p.Y) for p in find_vertex_centers_2d(b)} == expected
             assert find_vertex_centers_2d(b, "count") == len(expected)
 
@@ -469,22 +503,35 @@ class TestBudgets:
         assert find_vertex_centers_2d(b, "count") == 105_542
 
     def test_spread_vertices_over_the_point_guard_refuse_before_the_scan(self, monkeypatch):
-        # one point per row and a box far over the byte limit: the pair scan's
-        # 5,001 pairs pass, its membership set of 5,001 points does not (the
-        # scale leaves 1,342,177 bytes, 352 a point, and 50,000 pairs)
+        # one point per row and a box far over the byte limit: the pair scan
+        # has no pair to scan, but its 128 bytes a point of 12,001 points are
+        # over the 1,342,177 bytes the scale leaves
         monkeypatch.setenv("SQUARELAB_BUDGET", "0.0025")
-        b = PointSet2D([(1000 * i, i) for i in range(5_001)])
+        b = PointSet2D([(1000 * i, i) for i in range(12_001)])
         start = time.perf_counter()
         with pytest.raises(BudgetError, match="same-row pair scan") as exc:
             find_vertex_centers_2d(b, "count")
         assert exc.value.unit == "bytes"
         assert time.perf_counter() - start < 1.0
 
+    def test_countable_block_is_priced_at_its_pairs_within_reach(self, monkeypatch):
+        # `gen countable --alpha 1 --K 4` block 1: 75,123 points whose row sizes
+        # square to 36,086,931, the scan's price before, and whose rows hold
+        # 16,131,660 pairs within reach; 1,481,043 squares bounded, 429,261
+        # found about 130,175 centers
+        b = gen_countable_truncation(1, 4).blocks[0].boundary_set
+        picks = _first_fitting(monkeypatch)
+        find_vertex_centers_2d(b, "count")
+        pts = b.as_array()
+        assert finders._pair_scan_price(pts, unique_ints(pts[:, 0]), unique_ints(pts[:, 1])) == (
+            16_131_660, 1_481_043)
+        assert picks == ["the same-row pair scan"]
+
     def test_spread_vertices_take_the_pair_scan(self, monkeypatch):
         # a bounding box far over the byte limit: no grid is built
         b = PointSet2D([(0, 0), (10**7, 0), (0, 10**7), (10**7, 10**7), (5, 9)])
         assert set(find_vertex_centers_2d(b)) == {DoubledPoint(10**7, 10**7)}
-        monkeypatch.setenv("SQUARELAB_BUDGET", "1e-7")  # 2 pairs
+        monkeypatch.setenv("SQUARELAB_BUDGET", "1e-7")  # 53 bytes: not 5 points
         with pytest.raises(BudgetError, match="same-row pair scan"):
             find_vertex_centers_2d(b)
 
@@ -682,7 +729,7 @@ class TestPricingRule:
         *[("1", lambda w=w: PointSet2D.product(
             make_intset(np.random.default_rng(2).choice(w, 300, replace=False)),
             make_intset(range(20))), pick)
-          for w, pick in ((10**5, "offset join"), (10**6, "same-row pair scan"),
+          for w, pick in ((10**5, "same-row pair scan"), (10**6, "same-row pair scan"),
                           (10**7, "same-row pair scan"))],
     ], ids=["d2", "d3", "d4", "d5", "d6", "d7", "d2xd2", "d3xd3", "box", "spread", "step6",
             "700-of-3000", "200-of-3000", "300x20-1e5", "300x20-1e6", "300x20-1e7"])
