@@ -17,9 +17,10 @@ being the one-column case.
 
 The :class:`OccupancyGrid` holds the run lengths of a dense 0/1 raster along
 both axes, so "is the whole boundary of this square occupied" is four
-lookups and four comparisons, broadcast over arrays of centers and radii.
-That test is the inner loop of boundary-square detection, which is why it
-earns the memory it spends.
+lookups and four comparisons: at any centers and radii, broadcast (the
+replays), or at one radius for every center, as four strided slices (the
+boundary sweep).  That test is the inner loop of boundary-square detection,
+which is why it earns the memory it spends.
 """
 
 from __future__ import annotations
@@ -463,7 +464,8 @@ def _raster(points: PointSet2D) -> tuple[int, int, np.ndarray]:
 
 class OccupancyGrid:
     """Run lengths along both axes of a bool raster over a bounding box, with
-    a four-sides test of whole square boundaries (:meth:`boundary_full`).
+    a four-sides test of whole square boundaries at any centers
+    (:meth:`boundary_full`) or at all centers of one radius (:meth:`full_at_radius`).
 
     ``cells[i, j]`` covers the lattice point ``(x0 + i, y0 + j)``.  Two run
     tables hold the number of consecutive occupied cells that end at each
@@ -522,6 +524,17 @@ class OccupancyGrid:
         full &= along_x[i + r, j - r] >= n  # bottom
         full &= along_y[i - r, j + r] >= n  # left
         full &= along_y[i + r, j + r] >= n  # right
+        return full
+
+    def full_at_radius(self, r: int) -> np.ndarray:
+        """:meth:`boundary_full` at one radius 1 <= r <= (min(width, height) - 1) // 2
+        of every center whose square fits the box, entry [a, b] for the center
+        (x0 + r + a, y0 + r + b): each side is one strided slice of its table."""
+        n, d, (along_x, along_y) = 2 * r + 1, 2 * r, self._runs
+        full = along_x[d:, d:] >= n  # top
+        full &= along_x[d:, :self.height - d] >= n  # bottom
+        full &= along_y[:self.width - d, d:] >= n  # left
+        full &= along_y[d:, d:] >= n  # right
         return full
 
 

@@ -149,33 +149,21 @@ def falconer_ratios(s: object, j_max: int, which: str,
         raise ParameterError(f"dimension parameter must lie in (0, 2], got {s_frac}")
     e = float(8 / s_frac)
 
-    # lf[j] = log(j!), one shot for the whole table.
+    # lf[j] = log(j!), one shot for the whole table; the rows' numerators and
+    # denominators at j = 2..j_max, one array each
     lf = np.zeros(j_max + 2)
     lf[1:] = np.cumsum(np.log(np.arange(1, j_max + 2, dtype=np.float64)))
-
+    j = np.arange(2, j_max + 1, dtype=np.int64)
     if sequence == "t":
-        target = float(s_frac / 2)
+        numer, target = 4.0 * lf[j], float(s_frac / 2)
+        denom = (e * lf[j - 1] + 4.0 * np.log(j) - np.log(j**4 - 1) if which == "upper"
+                 else e * lf[j])
     else:
-        target = float(3 * s_frac / 8)
-
-    out: list[RatioPoint] = []
-    for j in range(2, j_max + 1):
-        if sequence == "t":
-            numer = 4.0 * lf[j]
-            if which == "upper":
-                denom = e * lf[j - 1] + 4.0 * math.log(j) - math.log(j**4 - 1)
-            else:
-                denom = e * lf[j]
-        else:
-            numer = 3.0 * lf[j]
-            if which == "upper":
-                denom = e * lf[j - 1] - math.log(3.0)
-            else:
-                denom = e * lf[j] + math.log(j + 1.0)
-        if denom <= 0:
-            continue
-        out.append(RatioPoint(j, float(numer / denom), target))
-    return out
+        numer, target = 3.0 * lf[j], float(3 * s_frac / 8)
+        denom = e * lf[j - 1] - math.log(3.0) if which == "upper" else e * lf[j] + np.log(j + 1.0)
+    keep = denom > 0
+    return [RatioPoint(row, value, target)
+            for row, value in zip(j[keep].tolist(), (numer[keep] / denom[keep]).tolist())]
 
 
 class SlopeStep(NamedTuple):

@@ -457,10 +457,11 @@ def find_vertex_centers_2d(b: PointSet2D, mode: str = "enumerate") -> CenterRows
     full = int(np.count_nonzero((ys[-1] - ys).view(np.uint64) >= int(xs[-1]) - int(xs[0])))
     if not any(k.what != _SPARSE_JOIN and _fits(k.nbytes, k.work)
                and k.work <= full * len(xs) * (len(xs) - 1) // 2 for k in join):
-        pairs, squares = _pair_scan_price(pts, xs, ys)
         # the scan's keys, sorted coordinates, pair ends and one offset's probes,
         # and a row a square found, their concatenation and its sort: measured
-        # up to 110 bytes a point and 54 a square of the bound
+        # up to 110 bytes a point and 54 a square of the bound; over the byte
+        # limit at 128 bytes a point, the scan is listed unpriced
+        pairs, squares = _pair_scan_price(pts, xs, ys) if _fits(128 * len(b), 0) else (0, 0)
         kernels.append(_Kernel("the same-row pair scan", 128 * len(b) + 64 * squares, pairs,
                                partial(_vertex_centers_sparse, b, mode)))
     return _run_first_fitting(sorted(kernels, key=lambda k: k.work))
@@ -470,8 +471,8 @@ def find_boundary_centers_2d(b: PointSet2D, r_max: int,
                              mode: str = "enumerate") -> CenterRows | int:
     """All (lattice center, radius) pairs whose full square boundary lies in B.
 
-    One vectorized pass per radius: four run-length lookups in the occupancy
-    grid decide "row/column segment completely occupied" for every in-range
+    One vectorized pass per radius: four strided slices of the grid's run
+    tables decide "row/column segment completely occupied" for every in-range
     center at once, marked in one (x, y, r) raster read out in order.
     """
     _check_mode(mode)
@@ -480,20 +481,16 @@ def find_boundary_centers_2d(b: PointSet2D, r_max: int,
         return 0 if mode == "count" else CenterRows._in_order(np.zeros((0, 3), dtype=np.int64))
     x0, y0, w, h = _grid_box(b)
     r_eff = min(r_max, (w - 1) // 2, (h - 1) // 2)
-    # the grid, per radius a bool, an int32 lookup and a comparison a center;
+    # the grid, per radius 6 bytes a center (the read holds a bool and a comparison);
     # an enumeration marks a w x h x r raster and reads out 24 + 3 bytes a mark
     swept = w * h * r_eff
     require_budget(f"the per-radius boundary sweep of a {w} x {h} occupancy grid", work=swept,
                    nbytes=(_GRID_CELL_BYTES + 6) * w * h + _RASTER_BYTES
                    + (28 * swept + _READOUT_BYTES if mode == "enumerate" else 0))
     grid = OccupancyGrid.from_points(b)
-    marks = None if mode == "count" else np.zeros((w, h, r_eff), dtype=bool)
-    count = 0
+    if mode == "count":
+        return sum(int(np.count_nonzero(grid.full_at_radius(r))) for r in range(1, r_eff + 1))
+    marks = np.zeros((w, h, r_eff), dtype=bool)
     for r in range(1, r_eff + 1):
-        full = grid.boundary_full(np.arange(x0 + r, x0 + w - r)[:, None],
-                                  np.arange(y0 + r, y0 + h - r), r)
-        if marks is None:
-            count += int(np.count_nonzero(full))
-        else:
-            marks[r:w - r, r:h - r, r - 1] = full
-    return count if marks is None else CenterRows._marked_rows(marks, (2 * x0, 2 * y0, 2), 2)
+        marks[r:w - r, r:h - r, r - 1] = grid.full_at_radius(r)
+    return CenterRows._marked_rows(marks, (2 * x0, 2 * y0, 2), 2)

@@ -150,6 +150,33 @@ def oracle_segment_full(points, axis: str, line: int, lo: int, hi: int) -> bool:
     raise ValueError(axis)
 
 
+def oracle_falconer_ratios(s, j_max: int, which: str, sequence: str) -> list[tuple]:
+    """(j, value, target) rows of the dimension-ratio table, one row at a time
+    with math.log, from the same accumulated log-factorials."""
+    s = Fraction(s)
+    e = float(8 / s)
+    lf = np.zeros(j_max + 2)
+    lf[1:] = np.cumsum(np.log(np.arange(1, j_max + 2, dtype=np.float64)))
+    target = float(s / 2) if sequence == "t" else float(3 * s / 8)
+    out = []
+    for j in range(2, j_max + 1):
+        if sequence == "t":
+            numer = 4.0 * lf[j]
+            if which == "upper":
+                denom = e * lf[j - 1] + 4.0 * math.log(j) - math.log(j**4 - 1)
+            else:
+                denom = e * lf[j]
+        else:
+            numer = 3.0 * lf[j]
+            if which == "upper":
+                denom = e * lf[j - 1] - math.log(3.0)
+            else:
+                denom = e * lf[j] + math.log(j + 1.0)
+        if denom > 0:
+            out.append((j, float(numer / denom), target))
+    return out
+
+
 def oracle_make_intset(values):
     """Sorted distinct values as a tuple, or (error class name, message) of the
     first value that is not an integer or exceeds 2**62 in magnitude."""

@@ -79,6 +79,9 @@ ROWS = [
     Row("gen_b4", "gen boundary-example --k 4 --out-b b4_b.txt --out-s b4_s.txt"),
     # the grid's run tables
     Row("find_b4", "find boundaries --in b4_b.txt --rmax 20 --count", "10165841\n"),
+    # every radius: 227,082,624 sweep work, refused at the default limits
+    Row("find_b4_all", "find boundaries --in b4_b.txt --rmax 1000 --count", "56703334\n",
+        budget="12"),
     Row("gen_c3", "gen countable --alpha 1 --K 3 --out-dir countable"),
     # block 1's 18,675 points take the same-row pair scan
     Row("find_c3_block1", "find vertices --in countable/block1_b.txt --count", "32159\n",

@@ -20,7 +20,12 @@ from squarelab import (
     snap_to_grid,
 )
 
-from oracles import oracle_box_count, oracle_covering_greedy, oracle_covering_min
+from oracles import (
+    oracle_box_count,
+    oracle_covering_greedy,
+    oracle_covering_min,
+    oracle_falconer_ratios,
+)
 
 
 class TestCovering:
@@ -191,6 +196,17 @@ class TestFalconerRatios:
         lower = falconer_ratios(2, 400, "lower", "a")[-1]
         assert abs(upper.value - 0.75) < 0.02
         assert abs(lower.value - 0.75) < 0.02
+
+    @pytest.mark.parametrize("s", [2, Fraction(8, 5), Fraction(3, 2), 1, Fraction(1, 3),
+                                   Fraction(7, 4)])
+    def test_rows_bit_identical_to_the_per_row_loop(self, s):
+        # the table is one array expression; its rows are the per-row math.log
+        # loop's to the last bit, every row kept or skipped alike
+        for which in ("upper", "lower"):
+            for sequence in ("t", "a"):
+                for j_max in (2, 3, 50, 10_000):
+                    assert falconer_ratios(s, j_max, which, sequence) == (
+                        oracle_falconer_ratios(s, j_max, which, sequence))
 
     def test_values_are_plain_floats(self):
         r = falconer_ratios(2, 5, "upper", "t")[0]

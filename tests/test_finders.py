@@ -309,6 +309,23 @@ class TestBackendsAgree:
         assert list(found) == sorted(found)
         assert find_boundary_centers_2d(b, r_max, "count") == len(expected)
 
+    @given(st.one_of(boxes_with_holes(),
+                     st.sets(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1,
+                             max_size=40).map(sorted)))
+    @example([(x, y) for x in range(7) for y in range(3)])  # three rows: one radius, at the edge
+    @example([(x, y) for x in range(7) for y in range(12)])  # radii up to the box edge
+    @example([(x, y) for x in range(5) for y in range(5) if max(abs(x - 2), abs(y - 2)) != 1])
+    @settings(max_examples=80, deadline=None)
+    def test_whole_radius_read_matches_the_broadcast_read(self, pts):
+        # the sweep's read of one radius at every center whose square fits the
+        # box is the replays' read over that open mesh of centers
+        grid = core_sets.OccupancyGrid.from_points(PointSet2D(pts))
+        w, h = grid.width, grid.height
+        for r in range(1, (min(w, h) - 1) // 2 + 1):
+            mesh = (np.arange(grid.x0 + r, grid.x0 + w - r)[:, None],
+                    np.arange(grid.y0 + r, grid.y0 + h - r))
+            assert np.array_equal(grid.full_at_radius(r), grid.boundary_full(*mesh, r))
+
     def test_paper_examples(self):
         d3 = gen_Dk(3).as_array()
         assert _join_1d(d3, "count") == _centers_1d_sparse(d3, "count") == 105_542

@@ -129,6 +129,18 @@ class TestRefusalsSpendNothing:
         assert "boundary replay at level 7" in str(out) and out.estimate == 57_657_616
         assert peak <= REFUSAL_BYTES and seconds < 1.0
 
+    def test_pair_scan_over_its_floor_at_a_scaled_budget(self, monkeypatch):
+        # 200,000 random points of [0, 10**6)**2: the pair scan's floor of 128
+        # bytes a point is over the byte limit, so no row pass prices its pairs
+        # (19.6 MiB traced when one did, for the same refusal)
+        pts = np.unique(np.random.default_rng(0).integers(0, 10**6, (200_000, 2)), axis=0)
+        b = PointSet2D(pts)
+        monkeypatch.setenv("SQUARELAB_BUDGET", "0.01")
+        out, peak, seconds = traced(lambda: find_vertex_centers_2d(b, "count"))
+        assert isinstance(out, BudgetError) and out.unit == "bytes"
+        assert "same-row pair scan" in str(out) and out.estimate == 128 * len(b)
+        assert peak <= 2 * b.as_array().nbytes and seconds < 1.0
+
     def test_wide_boundary_box(self):
         b = PointSet2D([(0, 0), (10**6, 10**6)])
         out, peak, _ = traced(lambda: find_boundary_centers_2d(b, 5, "count"))
