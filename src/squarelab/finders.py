@@ -20,12 +20,13 @@ by a float64 FFT that rounds exactly, a strip at a time; for X = Y the sparse
 join reads the rows off all pairs sorted by difference.  Other sets take the
 per-width raster sweep or the same-row pair scan, and boundaries are swept
 once per radius; every kernel makes its rows in order.  A finder prices its
-kernels before any runs and runs the first, by least work, that fits both
-limits (the sparse sweep counted exactly where the pick is open).
+kernels before any runs, some on a floor that only an exact price refines,
+and runs the one of least exact work that fits both limits.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from functools import partial
 from typing import Callable, Iterator, NamedTuple
 
@@ -36,7 +37,6 @@ from .core_sets import (
     COORD_LIMIT,
     DEFAULT_BYTE_LIMIT,
     DEFAULT_WORK_LIMIT,
-    BudgetError,
     DoubledPoint,
     IntSet1D,
     OccupancyGrid,
@@ -111,6 +111,15 @@ DENSE_VERTEX_RATIO = 70
 # ran ~180.  Under 30, D_7 fits the default budget and D_8 needs a scale of 1.88.
 _FFT_CELLS_PER_WORK = 30
 
+# The boundary sweep's cells read (each radius's slices, summed over the
+# radii) per unit of work.  Counting on the same box, the boundary examples
+# read k = 4 at all radii (75,497,344 cells) in 0.14-0.23 s, 1.9-3.0 ns a
+# cell, and k = 5 and k = 6 to r = 20 (68,823,160 and 299,231,140 cells) in
+# 0.35-0.37 s and 1.6 s, ~5.4 ns a cell: 19-53 cells to the ~100 ns of a unit
+# of the joins.  Under 20, those three fit the default budget and k = 5 at
+# all radii (1.1 G cells, 3.5-3.9 s) does not.
+_SWEEP_CELLS_PER_WORK = 20
+
 
 def _check_mode(mode: str) -> None:
     if mode not in ("enumerate", "count"):
@@ -134,15 +143,6 @@ def _pairs_1d(a: np.ndarray, op) -> np.ndarray:
         start, end = end, end + len(a) - 1 - i
         op(a[i + 1:], a[i], out=out[start:end])
     return out
-
-
-def _radius_counts(a: np.ndarray) -> np.ndarray:
-    """c[d] = the number of pairs of A at distance d, for d = 0 .. max A - min A
-    (c[0] = 0), from the differences a[i + t] - a[i], t = 1 .. |A| - 1."""
-    c = np.zeros(int(a[-1]) - int(a[0]) + 1, dtype=np.int64)
-    for t in range(1, len(a)):
-        np.add.at(c, a[t:] - a[:-t], 1)
-    return c
 
 
 def _fft_len(m: int) -> int:
@@ -205,27 +205,37 @@ def _sparse_bytes(pairs: int, joins: int, widest: int, mode: str) -> int:
         12 * pairs + 48 * joins + 2 * _READOUT_BYTES if mode == "enumerate" else 0)
 
 
-def _centers_1d_sparse(a: np.ndarray, mode: str) -> CenterRows | int:
+def _sparse_join(a: np.ndarray, mode: str) -> _Kernel:
     """The offset join of A with itself, its rows A_d the upper ends of the
     pairs of difference d > 0, which a stable sort keeps ascending; the
-    distinct midpoints are the centers of d = 0.  Rows of one size are sorted
-    along their sums at once, rows of three or fewer not at all.  Priced by
-    its finder from the sweep, exact or its floor, and exactly once sorted."""
+    distinct midpoints are the centers of d = 0.  This first phase sorts the
+    differences and finds their runs of ties, the rows, which price the join
+    exactly; it peaks at 17 bytes a pair, under the 24 of the floor it passed,
+    and returns the kernel that goes on from the 9 it keeps."""
     diff = _pairs_1d(a, np.subtract)  # only the pair 2**63 apart wraps: a run of one
     order = np.argsort(diff, kind="stable")
     diff.sort()
     # the runs of two or more equal differences, as [start, end] in sorted order
     tied = np.zeros(len(diff) + 1, dtype=bool)
     np.equal(diff[1:], diff[:-1], out=tied[1:-1])
+    del diff
     edges = np.flatnonzero(tied[1:] != tied[:-1])
     starts, sizes = edges[0::2], edges[1::2] - edges[0::2] + 1
     joins = int(np.dot(sizes, sizes - 1)) // 2
-    require_budget(_SPARSE_JOIN, work=len(diff) + 2 * joins,
-                   nbytes=_sparse_bytes(len(diff), joins, int(sizes.max(initial=0)), mode))
+    return _Kernel(_SPARSE_JOIN, _sparse_bytes(len(order), joins, int(sizes.max(initial=0)), mode),
+                   len(order) + 2 * joins,
+                   partial(_sparse_rows, a, mode, [order, tied, starts, sizes]))
+
+
+def _sparse_rows(a: np.ndarray, mode: str, arrays: list[np.ndarray]) -> CenterRows | int:
+    """The rest of the sparse join, from the first phase's `arrays`, taken out
+    of the list so that each is freed once read.  Rows of one size are sorted
+    along their sums at once, rows of three or fewer not at all."""
+    order, tied, starts, sizes = arrays
+    arrays.clear()
     # enumerating, the rows' sums: ranks of the tied pairs' midpoints, searched in order
     enum = mode == "enumerate"
     tied = order[np.flatnonzero(tied[1:] | tied[:-1]) if enum else slice(0)]
-    del diff
     mid = _pairs_1d(a, np.add)
     near = mid[tied]
     mid.sort()
@@ -273,12 +283,14 @@ def _centers_1d_sparse(a: np.ndarray, mode: str) -> CenterRows | int:
 
 class _Kernel(NamedTuple):
     """A kernel a finder can run, priced before it runs: what it makes, its
-    peak bytes and its work, and the call that runs it."""
+    peak bytes and its work, and the call that runs it; or, priced on a floor,
+    the call that prices it exactly and returns the kernel so priced."""
 
     what: str
     nbytes: int
     work: int
-    run: Callable[[], CenterRows | int]
+    run: Callable[[], CenterRows | int] | None
+    exact: Callable[[], _Kernel] | None = None
 
 
 def _fits(nbytes: int, work: int) -> bool:
@@ -287,18 +299,26 @@ def _fits(nbytes: int, work: int) -> bool:
 
 
 def _run_first_fitting(kernels: list[_Kernel]) -> CenterRows | int:
-    """Run the first of `kernels`, in the finder's order of preference, whose
-    estimates fit both limits, and the next that fits if it refuses on pricing
-    itself again (the sparse join, priced on its floor); when none fits,
-    refuse with the first's estimate."""
-    fitting = [k for k in kernels if _fits(k.nbytes, k.work)] or kernels[:1]
-    for k in fitting:
-        require_budget(k.what, nbytes=k.nbytes, work=k.work)
-        try:
-            return k.run()
-        except BudgetError:
-            if k is fitting[-1]:
-                raise
+    """Run the kernel of least exact work that fits both limits, the order of
+    `kernels` breaking ties.  Kernels are taken by least work: one that does
+    not fit is kept for the refusal, one priced on a floor is priced exactly
+    and put back after those of equal work, and the first priced exactly that
+    fits runs, every other kernel released first.  When none fits, refuse
+    with the one of least work, at the most exact price taken."""
+    queue, refused = sorted(kernels, key=lambda k: k.work), []
+    while queue:
+        k = queue.pop(0)
+        if not _fits(k.nbytes, k.work):
+            refused.append(k)
+        elif k.exact:
+            insort(queue, k.exact(), key=lambda k: k.work)
+        else:
+            del queue, refused
+            break
+    else:
+        k = min(refused, key=lambda k: k.work)
+    require_budget(k.what, nbytes=k.nbytes, work=k.work)
+    return k.run()
 
 
 _SPARSE_JOIN = "the common-radius pair sweep"
@@ -306,12 +326,11 @@ _SPARSE_JOIN = "the common-radius pair sweep"
 
 def _join_kernels(xs: np.ndarray, ys: np.ndarray, mode: str) -> list[_Kernel]:
     """The kernels that find the doubled centers of the squares with vertices
-    in X x Y (sorted X, Y of two elements or more), priced, the one of less
-    work first: the offset join, and for X = Y the sparse join.  The offset
-    join's work is the cells its rows overlap, weighed by the bit length of
-    its FFT.  The sparse join's is the sweep, the sum over r > 0 of c(r)**2:
-    its Cauchy-Schwarz floor pairs**2 / min(pairs, span), or its exact count
-    when the offset join fits both limits and costs more than the floor."""
+    in X x Y (sorted X, Y of two elements or more), priced: the offset join,
+    and for X = Y the sparse join.  The offset join's work is the cells its
+    rows overlap, weighed by the bit length of its FFT.  The sparse join's is
+    the sweep, the sum over r > 0 of c(r)**2, listed on its Cauchy-Schwarz
+    floor pairs**2 / min(pairs, span) and priced exactly by its first phase."""
     lx, ly = int(xs[-1]) - int(xs[0]) + 1, int(ys[-1]) - int(ys[0]) + 1
     same = np.array_equal(xs, ys)
     lf, lg = min(lx, ly), max(lx, ly)
@@ -328,13 +347,9 @@ def _join_kernels(xs: np.ndarray, ys: np.ndarray, mode: str) -> list[_Kernel]:
     if not same:
         return [offsets]
     pairs = len(xs) * (len(xs) - 1) // 2
-    sweep, widest = -(-pairs * pairs // min(pairs, lx - 1)), 0
-    if _fits(nbytes, offsets.work) and sweep < offsets.work:
-        c = _radius_counts(xs)
-        sweep, widest = int(np.dot(c, c)), int(c.max())
-    sparse = _Kernel(_SPARSE_JOIN, _sparse_bytes(pairs, (sweep - pairs) // 2, widest, mode),
-                     sweep, partial(_centers_1d_sparse, xs, mode))
-    return [offsets, sparse] if offsets.work <= sweep else [sparse, offsets]
+    sweep = -(-pairs * pairs // min(pairs, lx - 1))
+    return [offsets, _Kernel(_SPARSE_JOIN, _sparse_bytes(pairs, (sweep - pairs) // 2, 0, mode),
+                             sweep, None, partial(_sparse_join, xs, mode))]
 
 
 def find_centers_1d(a: IntSet1D, mode: str = "enumerate") -> CenterRows | int:
@@ -420,16 +435,25 @@ def _vertex_centers_sparse(b: PointSet2D, mode: str) -> CenterRows | int:
     return len(rows) if mode == "count" else rows
 
 
-def _pair_scan_price(pts: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tuple[int, int]:
-    """(pairs, squares): the same-row pairs within reach, the pair scan's work,
-    and a bound on the squares it finds.  A square's bottom-left corner p
-    pairs with its bottom-right corner in p's row, within reach, and with its
-    top-left corner in p's column, within the room max X - x to the right: p
-    is the bottom-left corner of at most the fewer of those partners' squares."""
+_PAIR_SCAN = "the same-row pair scan"
+
+
+def _pair_scan_price(b: PointSet2D, xs: np.ndarray, ys: np.ndarray, mode: str) -> _Kernel:
+    """The pair scan priced exactly.  Its work is the same-row pairs within
+    reach.  Its bytes are its keys, sorted coordinates, pair ends and one
+    offset's probes, and a row a square found, their concatenation and its
+    sort: measured up to 110 a point and 54 a square of a bound on those it
+    finds, priced at 128 and 64.  A square's bottom-left corner p pairs with
+    its bottom-right corner in p's row, within reach, and with its top-left
+    corner in p's column, within the room max X - x to the right, so p is the
+    bottom-left corner of at most the fewer of those partners' squares."""
+    pts = b.as_array()
     order, rx, ry, end = _by_rows(pts, xs, ys)
     right = end - np.arange(1, len(pts) + 1)
     up = _line_ends(rx * len(ys) + ry, ry, pts[:, 1], ys, xs[-1] - pts[:, 0])  # B's order
-    return int(right.sum()), int(np.minimum(right, up[order] - order - 1).sum())
+    squares = int(np.minimum(right, up[order] - order - 1).sum())
+    return _Kernel(_PAIR_SCAN, 128 * len(b) + 64 * squares, int(right.sum()),
+                   partial(_vertex_centers_sparse, b, mode))
 
 
 def find_vertex_centers_2d(b: PointSet2D, mode: str = "enumerate") -> CenterRows | int:
@@ -440,7 +464,7 @@ def find_vertex_centers_2d(b: PointSet2D, mode: str = "enumerate") -> CenterRows
     if min(len(xs), len(ys)) < 2:  # a square needs two of each
         return _no_centers(mode)
     # B = X x Y exactly when |B| = |X| * |Y|: the join's case
-    join = _join_kernels(xs, ys, mode) if len(xs) * len(ys) == len(b) else []
+    product = len(xs) * len(ys) == len(b)
     xmin, ymin, xmax, ymax = b.bbox()
     w, h, m = xmax - xmin + 1, ymax - ymin + 1, min(xmax - xmin, ymax - ymin)
     # sweep = sum of (w - s) * (h - s) over the widths s = 1..m
@@ -449,22 +473,14 @@ def find_vertex_centers_2d(b: PointSet2D, mode: str = "enumerate") -> CenterRows
     # enumeration reads out up to 16 + 3 bytes a mark
     raster = 7 * w * h + _RASTER_BYTES + (76 * w * h + _READOUT_BYTES
                                           if mode == "enumerate" else 0)
-    kernels = join + [_Kernel(f"the per-width raster sweep of a {w} x {h} grid", raster,
-                              sweep // DENSE_VERTEX_RATIO, partial(_vertex_centers_dense, b, mode))]
-    # a product's rows whose reach spans X hold all |X|(|X| - 1)/2 pairs within
-    # it: an offset join that fits and costs no more runs first, and cannot
-    # refuse, so the scan is not priced
+    # the pair scan's floor: 128 bytes a point, and a product's rows whose
+    # reach spans X, each holding all |X|(|X| - 1)/2 pairs within it
     full = int(np.count_nonzero((ys[-1] - ys).view(np.uint64) >= int(xs[-1]) - int(xs[0])))
-    if not any(k.what != _SPARSE_JOIN and _fits(k.nbytes, k.work)
-               and k.work <= full * len(xs) * (len(xs) - 1) // 2 for k in join):
-        # the scan's keys, sorted coordinates, pair ends and one offset's probes,
-        # and a row a square found, their concatenation and its sort: measured
-        # up to 110 bytes a point and 54 a square of the bound; over the byte
-        # limit at 128 bytes a point, the scan is listed unpriced
-        pairs, squares = _pair_scan_price(pts, xs, ys) if _fits(128 * len(b), 0) else (0, 0)
-        kernels.append(_Kernel("the same-row pair scan", 128 * len(b) + 64 * squares, pairs,
-                               partial(_vertex_centers_sparse, b, mode)))
-    return _run_first_fitting(sorted(kernels, key=lambda k: k.work))
+    return _run_first_fitting((_join_kernels(xs, ys, mode) if product else []) + [
+        _Kernel(f"the per-width raster sweep of a {w} x {h} grid", raster,
+                sweep // DENSE_VERTEX_RATIO, partial(_vertex_centers_dense, b, mode)),
+        _Kernel(_PAIR_SCAN, 128 * len(b), full * len(xs) * (len(xs) - 1) // 2 if product else 0,
+                None, partial(_pair_scan_price, b, xs, ys, mode))])
 
 
 def find_boundary_centers_2d(b: PointSet2D, r_max: int,
@@ -481,12 +497,16 @@ def find_boundary_centers_2d(b: PointSet2D, r_max: int,
         return 0 if mode == "count" else CenterRows._in_order(np.zeros((0, 3), dtype=np.int64))
     x0, y0, w, h = _grid_box(b)
     r_eff = min(r_max, (w - 1) // 2, (h - 1) // 2)
-    # the grid, per radius 6 bytes a center (the read holds a bool and a comparison);
-    # an enumeration marks a w x h x r raster and reads out 24 + 3 bytes a mark
-    swept = w * h * r_eff
-    require_budget(f"the per-radius boundary sweep of a {w} x {h} occupancy grid", work=swept,
-                   nbytes=(_GRID_CELL_BYTES + 6) * w * h + _RASTER_BYTES
-                   + (28 * swept + _READOUT_BYTES if mode == "enumerate" else 0))
+    # the cells its four slices read, sum of (w - 2r)(h - 2r) over r = 1..R;
+    # the grid, and 2 bytes a cell of a radius's read (a bool and a
+    # comparison); an enumeration marks a w x h x R raster and reads out
+    # 24 + 3 bytes a mark
+    read = (r_eff * (w * h - (w + h) * (r_eff + 1))
+            + 4 * (r_eff * (r_eff + 1) * (2 * r_eff + 1) // 6))
+    require_budget(f"the per-radius boundary sweep of a {w} x {h} occupancy grid",
+                   work=read // _SWEEP_CELLS_PER_WORK,
+                   nbytes=(_GRID_CELL_BYTES + 2) * w * h + _RASTER_BYTES
+                   + (28 * w * h * r_eff + _READOUT_BYTES if mode == "enumerate" else 0))
     grid = OccupancyGrid.from_points(b)
     if mode == "count":
         return sum(int(np.count_nonzero(grid.full_at_radius(r))) for r in range(1, r_eff + 1))

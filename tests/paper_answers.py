@@ -79,9 +79,8 @@ ROWS = [
     Row("gen_b4", "gen boundary-example --k 4 --out-b b4_b.txt --out-s b4_s.txt"),
     # the grid's run tables
     Row("find_b4", "find boundaries --in b4_b.txt --rmax 20 --count", "10165841\n"),
-    # every radius: 227,082,624 sweep work, refused at the default limits
-    Row("find_b4_all", "find boundaries --in b4_b.txt --rmax 1000 --count", "56703334\n",
-        budget="12"),
+    # every radius: 75,497,344 cells read, 3,774,867 sweep work
+    Row("find_b4_all", "find boundaries --in b4_b.txt --rmax 1000 --count", "56703334\n"),
     Row("gen_c3", "gen countable --alpha 1 --K 3 --out-dir countable"),
     # block 1's 18,675 points take the same-row pair scan
     Row("find_c3_block1", "find vertices --in countable/block1_b.txt --count", "32159\n",
@@ -105,4 +104,6 @@ ROWS = [
     Row("wide2d", "find vertices --in wide2d.txt --count", "45201\n"),
     Row("gen_b5", "gen boundary-example --k 5 --out-b b5_b.txt --out-s b5_s.txt",
         file="b5_b.txt", lines=3432351),  # at the default budget
+    # 68,823,160 cells read, 3,441,158 sweep work; every radius, 1.1 G cells, is refused
+    Row("find_b5", "find boundaries --in b5_b.txt --rmax 20 --count", "58757200\n"),
 ]

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 from functools import partial
@@ -28,7 +29,6 @@ from squarelab import core_sets, finders
 from squarelab.core_sets import unique_ints
 from squarelab.finders import (
     CenterRows,
-    _centers_1d_sparse,
     _join_offsets,
     _vertex_centers_dense,
     _vertex_centers_sparse,
@@ -191,6 +191,11 @@ class TestBoundaryCenters2D:
 
 def _join_1d(a, mode):
     return _join_offsets(a, a, mode)
+
+
+def _centers_1d_sparse(a, mode):
+    """The sparse join priced by its first phase and run, at any price."""
+    return finders._sparse_join(a, mode).run()
 
 
 # strip sizes: one offset row per FFT strip, a few rows (a strip's float64
@@ -383,8 +388,9 @@ class TestProductDispatch:
         assert calls == []
 
     def test_vertex_example_k4_is_counted_by_the_join(self, monkeypatch):
-        # its bottom row alone holds 237,705 pairs within reach, over the
-        # offset join's 105,197 work: the pair scan is not priced
+        # the pair scan's floor, the 237,705 pairs within reach of its bottom
+        # row alone, is over the offset join's 105,197 work: the scan is not
+        # priced exactly
         b, _ = gen_vertex_example(4)
         calls = _spy_join(monkeypatch)
         monkeypatch.setattr(finders, "_pair_scan_price",
@@ -469,17 +475,18 @@ class TestBudgets:
             assert (found if mode == "count" else len(found)) == (1_109_548, 105_542)[k - 4]
             assert peak < limit * 2**20, f"D_{k} {mode}: peak {peak / 2**20:.1f} MiB"
 
-    def test_wide_sparse_1d_skips_the_occupancy_counts(self, monkeypatch):
+    def test_wide_sparse_1d_is_priced_by_its_first_phase(self, monkeypatch):
         # 300 elements over a span of ~100,000: the offset join's 2,944,845,855
-        # work is over even this work limit, so it cannot run and no radius
-        # counts are read; the sparse join is priced on its floor
+        # work is over even this work limit, so it cannot run; the sparse join
+        # is priced exactly by sorting its pairs once, and goes on from them
         monkeypatch.setenv("SQUARELAB_BUDGET", "100")
         rng = np.random.default_rng(1)
         a = make_intset(rng.choice(100_001, size=300, replace=False).tolist())
         expected = _centers_1d_sparse(a.as_array(), "count")
-        monkeypatch.setattr(finders, "_radius_counts",
-                            lambda arr: pytest.fail("radius counts of a sparse set"))
+        calls, pairs = [], finders._pairs_1d
+        monkeypatch.setattr(finders, "_pairs_1d", lambda a, op: calls.append(op) or pairs(a, op))
         assert find_centers_1d(a, "count") == expected
+        assert calls == [np.subtract, np.add]
 
     @pytest.mark.parametrize("width", [10**5, 10**6, 10**7])
     def test_wide_by_narrow_product_is_priced_from_its_spans(self, width):
@@ -540,8 +547,8 @@ class TestBudgets:
         picks = _first_fitting(monkeypatch)
         find_vertex_centers_2d(b, "count")
         pts = b.as_array()
-        assert finders._pair_scan_price(pts, unique_ints(pts[:, 0]), unique_ints(pts[:, 1])) == (
-            16_131_660, 1_481_043)
+        scan = finders._pair_scan_price(b, unique_ints(pts[:, 0]), unique_ints(pts[:, 1]), "count")
+        assert (scan.work, scan.nbytes) == (16_131_660, 128 * len(b) + 64 * 1_481_043)
         assert picks == ["the same-row pair scan"]
 
     def test_spread_vertices_take_the_pair_scan(self, monkeypatch):
@@ -564,8 +571,7 @@ class TestBudgets:
         d = gen_Dk(3)
         assert find_centers_1d(d, "count") == 105_542
         assert find_vertex_centers_2d(PointSet2D.product(d, d), "count") == 105_542
-        with pytest.raises(BudgetError, match="common-radius pair sweep"):
-            _centers_1d_sparse(d.as_array(), "count")
+        assert finders._sparse_join(d.as_array(), "count").work > 1_000_000
 
     def test_raster_sweep_marks_one_bool_raster(self):
         # 700 x 700 cells at density 1/2: a bool raster, one center raster and
@@ -644,9 +650,10 @@ class TestBudgets:
         assert peak <= 2.5 * rows.nbytes, f"peak {peak / rows.nbytes:.2f}x the rows"
 
     def test_boundary_sweep_is_priced_before_its_grid(self):
-        # 1000 x 1000 cells and 21 radii: over the work limit, refused before
-        # the 1 MB of cells and 8 MB of run tables are allocated
-        b = PointSet2D([(0, 0), (999, 999)])
+        # 5000 x 5000 cells and 21 radii read 520,393,244 cells, 26,019,662
+        # work: over the work limit, refused before the 25 MB of cells and
+        # 200 MB of run tables are allocated
+        b = PointSet2D([(0, 0), (4_999, 4_999)])
         tracemalloc.start()
         try:
             with pytest.raises(BudgetError, match="per-radius boundary sweep"):
@@ -658,11 +665,19 @@ class TestBudgets:
 
     def test_boundary_guards_refuse_before_work(self):
         start = time.perf_counter()
-        with pytest.raises(BudgetError, match="3001 x 3001 occupancy grid"):
-            find_boundary_centers_2d(PointSet2D([(0, 0), (3_000, 3_000)]), 5)
-        # 1000 x 1000 cells swept once per radius: 20 radii fill the work limit
+        # 7001 x 7001 cells: the grid and a radius's read, 11 bytes a cell, are
+        # over the byte limit
+        with pytest.raises(BudgetError, match="7001 x 7001 occupancy grid"):
+            find_boundary_centers_2d(PointSet2D([(0, 0), (7_000, 7_000)]), 5)
+        # 5000 x 5000 cells: 21 radii read 520,393,244 cells, over 20 a unit
+        # of the work limit
         with pytest.raises(BudgetError, match="per-radius boundary sweep"):
-            find_boundary_centers_2d(PointSet2D([(0, 0), (999, 999)]), 21, "count")
+            find_boundary_centers_2d(PointSet2D([(0, 0), (4_999, 4_999)]), 21, "count")
+        # the k = 5 boundary example's 1876 x 1876 box at every radius reads
+        # 1,098,632,500 cells, while its first 20 radii fit
+        with pytest.raises(BudgetError, match="1876 x 1876") as exc:
+            find_boundary_centers_2d(PointSet2D([(0, 0), (1_875, 1_875)]), 1000, "count")
+        assert (exc.value.unit, exc.value.estimate) == ("work", 54_931_625)
         assert time.perf_counter() - start < 1.0
 
 
@@ -672,60 +687,131 @@ def _brute_radius_counts(a):
     return np.bincount(d[d > 0], minlength=int(a[-1] - a[0]) + 1)
 
 
-def _exact_estimate(kernel, a, mode):
-    """(bytes, work) of a kernel at its exact price: the sparse join of A from
-    its true radius counts, as it prices itself from its sorted differences;
-    every other kernel as its finder priced it."""
-    if kernel.what != finders._SPARSE_JOIN:
-        return kernel.nbytes, kernel.work
-    c = _brute_radius_counts(a)
-    pairs, sweep, widest = int(c.sum()), int(np.dot(c, c)), int(c.max())
-    return finders._sparse_bytes(pairs, (sweep - pairs) // 2, widest, mode), sweep
+def _exact(kernel):
+    """A finder's kernel at its exact price: its own, or what its `exact` prices."""
+    return kernel.exact() if kernel.exact else kernel
 
 
 def _first_fitting(monkeypatch):
     """Record the kernel each finder call runs, running none."""
     picks, run = [], finders._run_first_fitting
+
+    def unrun(k):
+        return k._replace(run=partial(picks.append, k.what),
+                          exact=k.exact and (lambda: unrun(k.exact())))
+
     monkeypatch.setattr(finders, "_run_first_fitting", lambda kernels: run(
-        [k._replace(run=partial(picks.append, k.what)) for k in kernels]))
+        [unrun(k) for k in kernels]))
     return picks
 
 
+@st.composite
+def floored_kernels(draw):
+    """One to six kernels named k0, k1, ..., each priced at most at 10 bytes
+    and 10 work, half of them listed on a floor at or under that price."""
+    kernels = []
+    for i in range(draw(st.integers(1, 6))):
+        nbytes, work = draw(st.integers(0, 10)), draw(st.integers(0, 10))
+        floor = draw(st.none() | st.tuples(st.integers(0, nbytes), st.integers(0, work)))
+        kernels.append((f"k{i}", nbytes, work, floor))
+    return kernels
+
+
 class TestPricingRule:
-    """The join's pick rests on the sparse sweep, counted exactly from the
-    pair differences wherever the offset join fits and the Cauchy-Schwarz
-    floor leaves the pick open; a finder refuses only when nothing fits."""
+    """A finder lists its kernels, some on a floor, and runs the one of least
+    exact work that fits both limits; it refuses only when nothing fits."""
+
+    @given(floored_kernels(), st.integers(0, 10), st.integers(0, 10))
+    @settings(max_examples=300, deadline=None)
+    def test_the_least_exact_work_that_fits_runs(self, listed, byte_limit, work_limit):
+        priced, ran = [], []
+
+        def kernel(name, nbytes, work):
+            return finders._Kernel(name, nbytes, work, lambda: ran.append(name) or name)
+
+        def exact(name, nbytes, work):
+            priced.append(name)
+            return kernel(name, nbytes, work)
+
+        kernels = [kernel(name, nbytes, work) if floor is None else finders._Kernel(
+            name, *floor, None, partial(exact, name, nbytes, work))
+            for name, nbytes, work, floor in listed]
+
+        def fits(nbytes, work):
+            return nbytes <= byte_limit and work <= work_limit
+
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (finders, core_sets):
+                mp.setattr(module, "DEFAULT_BYTE_LIMIT", byte_limit)
+                mp.setattr(module, "DEFAULT_WORK_LIMIT", work_limit)
+            try:
+                out = finders._run_first_fitting(kernels)
+            except BudgetError as exc:
+                out = exc
+        # a floor is priced exactly only when it fits; the price taken of a
+        # kernel is its exact one where that was priced, its floor if not
+        assert all(fits(*floor) for name, _, _, floor in listed if name in priced)
+        taken = {name: (nbytes, work) if floor is None or name in priced else floor
+                 for name, nbytes, work, floor in listed}
+        least = min((work for _, nbytes, work, _ in listed if fits(nbytes, work)), default=None)
+        if isinstance(out, BudgetError):
+            # nothing fits at its exact price, and the refusal names a kernel
+            # of least work among the prices taken, at that price
+            assert least is None and not ran
+            name = re.match(r"refusing to materialize (k\d)", str(out))[1]
+            assert taken[name][1] == min(work for _, work in taken.values())
+            assert out.estimate == taken[name][out.unit == "work"]
+        else:
+            assert ran == [out] and fits(*taken[out]) and taken[out][1] == least
 
     @given(st.one_of(st.sets(st.integers(-50, 50), min_size=2, max_size=40),
-                     st.sets(st.integers(0, 3_000), min_size=2, max_size=40)))
-    @example({3, 10})  # two elements
+                     st.sets(st.integers(0, 3_000), min_size=2, max_size=40)),
+           st.sampled_from(["count", "enumerate"]))
+    @example({3, 10}, "count")  # two elements
     @settings(max_examples=150, deadline=None)
-    def test_radius_counts_are_the_pair_differences(self, vals):
+    def test_sparse_join_is_priced_by_its_radius_counts(self, vals, mode):
         a = make_intset(vals).as_array()
-        assert finders._radius_counts(a).tolist() == _brute_radius_counts(a).tolist()
+        c = _brute_radius_counts(a)
+        pairs, sweep, widest = int(c.sum()), int(np.dot(c, c)), int(c.max())
+        join = finders._sparse_join(a, mode)
+        assert (join.nbytes, join.work) == (finders._sparse_bytes(
+            pairs, (sweep - pairs) // 2, widest if widest > 1 else 0, mode), sweep)
 
     @given(st.sets(st.integers(0, 60), min_size=2, max_size=20),
            st.sets(st.integers(-20, 40), min_size=2, max_size=6),
            st.sampled_from(["1d", "XxX", "XxY"]), st.floats(-4, 0),
            st.sampled_from(["count", "enumerate"]))
     # 0..54 squared: the offset join's strips cannot fit, the sparse join fits
-    # on its floor and refuses on its sorted differences, and the raster sweep fits
+    # on its floor and not at its exact price, and the raster sweep fits
     @example(set(range(55)), {0, 1}, "XxX", math.log10(0.00225), "count")
     @settings(max_examples=150, deadline=None)
-    def test_a_finder_answers_or_no_kernel_fits(self, xs, ys, kind, log_scale, mode):
+    def test_a_finder_runs_the_least_exact_work_that_fits(self, xs, ys, kind, log_scale, mode):
         x = make_intset(sorted(xs)[:7] if kind == "XxY" else xs)
         y = make_intset(ys) if kind == "XxY" else x
-        kernels, run = [], finders._run_first_fitting
+        kernels, ran, run = [], [], finders._run_first_fitting
+
+        def spied(k):
+            return k._replace(run=k.run and (lambda: ran.append(k.what) or k.run()),
+                              exact=k.exact and (lambda: spied(k.exact())))
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("SQUARELAB_BUDGET", repr(10**log_scale))
-            mp.setattr(finders, "_run_first_fitting", lambda ks: kernels.extend(ks) or run(ks))
+            mp.setattr(finders, "_run_first_fitting",
+                       lambda ks: kernels.extend(ks) or run([spied(k) for k in ks]))
             try:
                 found = (find_centers_1d(x, mode) if kind == "1d"
                          else find_vertex_centers_2d(PointSet2D.product(x, y), mode))
             except BudgetError:
-                assert not any(finders._fits(*_exact_estimate(k, x.as_array(), mode))
-                               for k in kernels)
-                return
+                found = None
+            exact = [_exact(k) for k in kernels]
+            fitting = [k for k in exact if finders._fits(k.nbytes, k.work)]
+        # every floor is at most its exact price
+        assert all(k.nbytes <= e.nbytes and k.work <= e.work for k, e in zip(kernels, exact))
+        if found is None:
+            assert not fitting
+            return
+        assert len(ran) == 1 and next(k for k in exact if k.what == ran[0]).work == min(
+            k.work for k in fitting)
         expected = len(oracle_centers_1d(x) if kind != "XxY"
                        else oracle_vertex_centers_2d(PointSet2D.product(x, y)))
         assert (found if mode == "count" else len(found)) == expected

@@ -7,10 +7,12 @@ the largest byte estimate its guards priced, times one slack.
 """
 import time
 import tracemalloc
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from squarelab import (
     BudgetError,
@@ -31,6 +33,8 @@ from squarelab import (
     verify_construction,
 )
 from squarelab import bounds_report, constructions, core_sets, finders
+
+from oracles import oracle_boundary_pairs, oracle_centers_1d, oracle_vertex_centers_2d
 
 # Traced peak over byte estimate: the largest ratio measured on the calls
 # below was 1.02 (gen_AN(3), whose estimate is all fixed blocks).
@@ -58,14 +62,14 @@ def random_set(n: int, hi: int):
 
 class TestRefusalsSpendNothing:
     @pytest.fixture
-    def no_radius_counts(self, monkeypatch):
-        monkeypatch.setattr(finders, "_radius_counts",
-                            lambda a: pytest.fail("radius counts read"))
+    def no_sparse_pricing(self, monkeypatch):
+        monkeypatch.setattr(finders, "_sparse_join",
+                            lambda a, mode: pytest.fail("the sparse join priced"))
 
-    def test_d10_span_at_a_scaled_budget(self, monkeypatch, no_radius_counts):
-        # the offset join's 239,544,216 work is over twice this limit, so the
-        # sweep stays at its Cauchy-Schwarz floor, higher still: no radius
-        # counts and no pair arrays are made to say so
+    def test_d10_span_at_a_scaled_budget(self, monkeypatch, no_sparse_pricing):
+        # the offset join's 239,544,216 work is over twice this limit, and the
+        # sweep's Cauchy-Schwarz floor is higher still: no pair arrays are
+        # made to say so
         d10 = gen_Dk(10)
         monkeypatch.setenv("SQUARELAB_BUDGET", "5")
         out, peak, seconds = traced(lambda: find_centers_1d(d10, "count"))
@@ -73,7 +77,7 @@ class TestRefusalsSpendNothing:
         assert "common-radius offset join" in str(out) and out.estimate == 239_544_216
         assert peak <= REFUSAL_BYTES and seconds < 1.0
 
-    def test_d8_at_the_default_budget(self, no_radius_counts):
+    def test_d8_at_the_default_budget(self, no_sparse_pricing):
         # 37,610,622 work: D_7 is the largest digit set the default admits
         d8 = gen_Dk(8)
         out, peak, seconds = traced(lambda: find_centers_1d(d8, "count"))
@@ -110,10 +114,10 @@ class TestRefusalsSpendNothing:
 
     def test_sparse_join_refusing_on_its_radius_groups(self):
         # 1,000 values 10**6 apart: the offset join's span is far over the work
-        # limit, so the sparse join, priced on its floor, is the one kernel
+        # limit, so the sparse join, listed on its floor, is the one kernel
         # that fits; its radius groups, the runs of its sorted differences,
-        # price its sweep exactly past the limit, and that refusal stands,
-        # having held 16 bytes of each of the 499,500 pairs
+        # price its sweep exactly past the limit, and it is refused at that
+        # price, having held 16 bytes of each of the 499,500 pairs
         a = IntSet1D(range(0, 10**9, 10**6))
         out, peak, seconds = traced(lambda: find_centers_1d(a, "count"))
         assert isinstance(out, BudgetError) and out.unit == "work"
@@ -204,10 +208,8 @@ KERNELS = {  # name: (the call, made of inputs built before tracing; the guard t
 GUARD = core_sets.require_budget
 
 
-@pytest.mark.parametrize("name", KERNELS)
-def test_admitted_peak_within_its_byte_estimate(name, monkeypatch):
-    make, guard = KERNELS[name]
-    call = make()
+def record_guards(monkeypatch) -> list[tuple[str, int]]:
+    """Record (what, bytes) of every guard priced from here on."""
     priced = []
 
     def recorded(what, *, nbytes=0, work=0):
@@ -216,8 +218,97 @@ def test_admitted_peak_within_its_byte_estimate(name, monkeypatch):
 
     for module in (core_sets, finders, constructions, bounds_report):
         monkeypatch.setattr(module, "require_budget", recorded)
+    return priced
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_admitted_peak_within_its_byte_estimate(name, monkeypatch):
+    make, guard = KERNELS[name]
+    call = make()
+    priced = record_guards(monkeypatch)
     out, peak, _ = traced(call)
     assert not isinstance(out, BudgetError), out
     assert any(guard in what for what, _ in priced), priced
     estimate = max(nbytes for _, nbytes in priced)
     assert peak <= SLACK * estimate, f"peak {peak:,} against {estimate:,} priced"
+
+
+def test_a_join_priced_exactly_and_passed_over_is_released(monkeypatch):
+    # 300 values of [0, 400) and 2500: the sparse join's floor, 815,409 work,
+    # is under the offset join's 1,355,792, so it is priced exactly, at
+    # 6,672,920, and the offset join runs with none of its pair arrays held
+    a = make_intset(np.append(np.random.default_rng(5).choice(400, 300, replace=False), 2500))
+    offsets, sparse = finders._join_kernels(a.as_array(), a.as_array(), "count")
+    assert (offsets.work, sparse.work, sparse.exact().work) == (1_355_792, 815_409, 6_672_920)
+    expected = len(find_centers_1d(a))
+    priced = record_guards(monkeypatch)
+    out, peak, _ = traced(lambda: find_centers_1d(a, "count"))
+    assert out == expected and priced == [(offsets.what, offsets.nbytes)]
+    assert peak <= SLACK * offsets.nbytes, f"peak {peak:,} against {offsets.nbytes:,} priced"
+
+
+@lru_cache(maxsize=None)
+def paper_input(name: str, k: int):
+    """The paper's sets, built once: D_k, D_k x D_k or the boundary example's B."""
+    return {"dk": lambda: gen_Dk(k), "dk2": lambda: PointSet2D.product(gen_Dk(k), gen_Dk(k)),
+            "boundary": lambda: gen_boundary_example(k)[0]}[name]()
+
+
+@st.composite
+def finder_calls(draw, kind: str):
+    """(the call of a public finder, its oracle's answer or None) on `kind`
+    of input: small sets the oracles check (1d, product, grid); digit sets
+    and their products; wide sparse sets; spread points; the boundary
+    example, with r_max up to past the grid."""
+    if kind == "1d":
+        vals = draw(st.sets(st.integers(-25, 25), min_size=2, max_size=14))
+        return partial(find_centers_1d, make_intset(vals)), len(oracle_centers_1d(vals))
+    if kind == "wide":
+        vals = np.random.default_rng(draw(st.integers(0, 99))).integers(
+            0, 10**9, draw(st.integers(41, 300)))
+        return partial(find_centers_1d, make_intset(np.unique(vals))), None
+    if kind == "product":
+        b = PointSet2D.product(*(make_intset(draw(st.sets(st.integers(lo, lo + 30), min_size=1,
+                                                          max_size=7))) for lo in (-10, 0)))
+        return partial(find_vertex_centers_2d, b), len(oracle_vertex_centers_2d(b.points))
+    if kind == "spread":
+        n, seed = draw(st.integers(2_000, 4_000)), draw(st.integers(0, 99))
+        pts = np.random.default_rng(seed).integers(0, 10**6, (n, 2))
+        return partial(find_vertex_centers_2d, PointSet2D(pts)), None
+    if kind == "grid":
+        w, h = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+        holes = draw(st.sets(st.tuples(st.integers(0, w - 1), st.integers(0, h - 1)),
+                             max_size=w * h // 4))
+        pts = [(x, y) for x in range(w) for y in range(h) if (x, y) not in holes]
+        r_max = draw(st.integers(1, 8))
+        return (partial(find_boundary_centers_2d, PointSet2D(pts), r_max),
+                len(oracle_boundary_pairs(pts, r_max)))
+    if kind == "boundary":
+        r_max = draw(st.sampled_from([1, 20, 200, 10**6]))
+        return partial(find_boundary_centers_2d, paper_input(kind, draw(st.integers(2, 3))),
+                       r_max), None
+    k = draw(st.integers(2, 4 if kind == "dk" else 3))
+    return partial(find_centers_1d if kind == "dk" else find_vertex_centers_2d,
+                   paper_input(kind, k)), None
+
+
+@pytest.mark.parametrize("kind", ["1d", "dk", "wide", "product", "dk2", "spread", "grid",
+                                  "boundary"])
+@given(st.data(), st.sampled_from(["count", "enumerate"]), st.floats(-3, 2))
+@settings(max_examples=25, deadline=None)
+def test_a_finder_answers_or_refuses_cheaply(kind, data, mode, log_scale):
+    # each call returns its oracle's answer, or an answer within the slack of
+    # the largest byte estimate it priced, or refuses having spent next to nothing
+    call, answer = data.draw(finder_calls(kind))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("SQUARELAB_BUDGET", repr(10**log_scale))
+        priced = record_guards(mp)
+        out, peak, _ = traced(partial(call, mode=mode))
+    event(type(out).__name__)
+    if isinstance(out, BudgetError):
+        assert peak <= REFUSAL_BYTES, f"refused at a peak of {peak:,}"
+    elif answer is not None:
+        assert (out if mode == "count" else len(out)) == answer
+    else:
+        estimate = max(nbytes for _, nbytes in priced)
+        assert peak <= SLACK * estimate, f"peak {peak:,} against {estimate:,} priced"
