@@ -20,8 +20,8 @@ by a float64 FFT that rounds exactly, a strip at a time; for X = Y the sparse
 join reads the rows off all pairs sorted by difference.  Other sets take the
 per-width raster sweep or the same-row pair scan, and boundaries are swept
 once per radius; every kernel makes its rows in order.  A finder prices its
-kernels before any runs, some on a floor that only an exact price refines,
-and runs the one of least exact work that fits both limits.
+kernels before any runs, some on a floor that only their own first phase
+prices exactly, and runs the one of least exact work that fits both limits.
 """
 
 from __future__ import annotations
@@ -284,7 +284,7 @@ def _sparse_rows(a: np.ndarray, mode: str, arrays: list[np.ndarray]) -> CenterRo
 class _Kernel(NamedTuple):
     """A kernel a finder can run, priced before it runs: what it makes, its
     peak bytes and its work, and the call that runs it; or, priced on a floor,
-    the call that prices it exactly and returns the kernel so priced."""
+    its first phase, which prices it exactly and returns the rest as a kernel."""
 
     what: str
     nbytes: int
@@ -367,8 +367,8 @@ def find_centers_1d(a: IntSet1D, mode: str = "enumerate") -> CenterRows | int:
 def _vertex_centers_dense(b: PointSet2D, mode: str) -> CenterRows | int:
     """Per-width raster sweep: mark the doubled center of every square whose
     four corners are occupied grid cells."""
-    x0, y0, cells = _raster(b)
-    w, h = cells.shape
+    x0, y0, w, h = box = _grid_box(b)
+    cells = _raster(b, box)
     marks = np.zeros((2 * w - 1, 2 * h - 1), dtype=bool)
     for s in range(1, min(w, h)):
         marks[s:2 * w - s:2, s:2 * h - s:2] |= (cells[:w - s, :h - s] & cells[s:, :h - s]
@@ -389,35 +389,50 @@ def _line_ends(keys: np.ndarray, rank: np.ndarray, along: np.ndarray, values: np
     return np.searchsorted(keys, keys - rank + last)
 
 
-def _by_rows(pts: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(order, rx, ry, end): the order that sorts B by row and then x; the
-    ranks of B's x in X and y in Y; and, in the sorted order, the end of each
-    point's pairs in its row within the reach max Y - y, the tallest square
-    whose top row is in B.  The rank keys rank(y) * |X| + rank(x) are exact for
-    any coordinates, both ranks being below |B|."""
-    rx, ry = np.searchsorted(xs, pts[:, 0]), np.searchsorted(ys, pts[:, 1])
-    order = np.argsort(ry, kind="stable")  # B is sorted by x, then y
-    rank = rx[order]
-    return order, rx, ry, _line_ends(ry[order] * len(xs) + rank, rank, pts[order, 0], xs,
-                                     ys[-1] - pts[order, 1])
+_PAIR_SCAN = "the same-row pair scan"
 
 
-def _vertex_centers_sparse(b: PointSet2D, mode: str) -> CenterRows | int:
-    """Same-row pair scan, on B's rows sorted by (y, x).
+def _pair_scan(b: PointSet2D, xs: np.ndarray, ys: np.ndarray, mode: str) -> _Kernel:
+    """Same-row pair scan, on B's rows sorted by (y, x): points (a, y) and
+    (c, y) with a < c are the bottom edge of exactly one square, whose top
+    corners (a, y + w) and (c, y + w), w = c - a, are looked up in B's sorted
+    rank keys rank(y) * |X| + rank(x), exact for any coordinates, both ranks
+    being below |B|.  A point pairs with those after it in its row within the
+    reach max Y - y, the tallest square whose top row is in B.  This first
+    phase sorts B by row once, builds the keys, x and y in that order and each
+    point's row end within reach, and returns the kernel that scans from them.
 
-    Points (a, y) and (c, y) with a < c are the bottom edge of exactly one
-    square, whose top corners (a, y + w) and (c, y + w), w = c - a, are looked
-    up in B's sorted rank keys; every square is found once, through its bottom
-    edge, at doubled center (a + c, 2y + w).  The bottom pairs (i, i + t) run
-    one offset t at a time: a pair that leaves its row or its reach at t stays
-    out at t + 1, so the active pairs only shrink.
-    """
+    Its work is the same-row pairs within reach.  Its bytes are its keys,
+    sorted coordinates, pair ends and one offset's probes, and a row a square
+    found, their concatenation and its sort: measured up to 110 a point and 54
+    a square of a bound on those it finds, priced at 128 and 64.  A square's
+    bottom-left corner p pairs with its bottom-right corner in p's row, within
+    reach, and with its top-left corner in p's column, within the room max X - x
+    to the right, so p is the bottom-left corner of at most the fewer of those
+    partners' squares."""
     pts = b.as_array()
-    xs, ys = unique_ints(pts[:, 0]), unique_ints(pts[:, 1])
-    order, rx, ry, end = _by_rows(pts, xs, ys)
-    rank, x, y = rx[order], pts[order, 0], pts[order, 1]
+    rx, ry = np.searchsorted(xs, pts[:, 0]), np.searchsorted(ys, pts[:, 1])
+    up = _line_ends(rx * len(ys) + ry, ry, pts[:, 1], ys, xs[-1] - pts[:, 0])  # B's order
+    up -= np.arange(1, len(pts) + 1)
+    order = np.argsort(ry, kind="stable")  # B is sorted by x, then y
+    up, rank, x, y = up[order], rx[order], pts[order, 0], pts[order, 1]
     keys = ry[order] * len(xs) + rank
     del order, rx, ry
+    end = _line_ends(keys, rank, x, xs, ys[-1] - y)
+    right = end - np.arange(1, len(pts) + 1)
+    squares = int(np.minimum(right, up, out=up).sum())
+    return _Kernel(_PAIR_SCAN, 128 * len(b) + 64 * squares, int(right.sum()),
+                   partial(_pair_scan_rows, ys, len(xs), mode, [keys, rank, x, y, end]))
+
+
+def _pair_scan_rows(ys: np.ndarray, nx: int, mode: str, arrays: list) -> CenterRows | int:
+    """The rest of the pair scan, from the first phase's `arrays`, taken out of
+    the list so that each is freed once read.  Every square is found once,
+    through its bottom edge, at doubled center (a + c, 2y + w).  The bottom
+    pairs (i, i + t) run one offset t at a time: a pair that leaves its row or
+    its reach at t stays out at t + 1, so the active pairs only shrink."""
+    keys, rank, x, y, end = arrays
+    arrays.clear()
     found, act, t = [np.zeros((0, 2), dtype=np.int64)], np.arange(len(keys)), 1
     while len(act := act[act + t < end[act]]):
         w = x[act + t] - x[act]  # int64 may wrap here: only the results need fit
@@ -425,35 +440,16 @@ def _vertex_centers_sparse(b: PointSet2D, mode: str) -> CenterRows | int:
         line = np.searchsorted(ys, top)  # top <= max Y
         on = ys[line] == top
         i, w = act[on], w[on]
-        corners = line[on] * len(xs) + rank[np.stack((i, i + t))]  # the top corners' keys
+        corners = line[on] * nx + rank[np.stack((i, i + t))]  # the top corners' keys
         hit = np.all(keys.take(np.searchsorted(keys, corners), mode="clip") == corners, axis=0)
         if hit.any():
             found.append(np.column_stack((x[i[hit]] + x[i[hit] + t], 2 * y[i[hit]] + w[hit])))
         t += 1
+    del keys, rank, x, y, end
     # nested squares share a center, found once per bottom edge: _adopt sorts them out
-    rows = CenterRows._adopt(np.concatenate(found))
+    found = np.concatenate(found)
+    rows = CenterRows._adopt(found)
     return len(rows) if mode == "count" else rows
-
-
-_PAIR_SCAN = "the same-row pair scan"
-
-
-def _pair_scan_price(b: PointSet2D, xs: np.ndarray, ys: np.ndarray, mode: str) -> _Kernel:
-    """The pair scan priced exactly.  Its work is the same-row pairs within
-    reach.  Its bytes are its keys, sorted coordinates, pair ends and one
-    offset's probes, and a row a square found, their concatenation and its
-    sort: measured up to 110 a point and 54 a square of a bound on those it
-    finds, priced at 128 and 64.  A square's bottom-left corner p pairs with
-    its bottom-right corner in p's row, within reach, and with its top-left
-    corner in p's column, within the room max X - x to the right, so p is the
-    bottom-left corner of at most the fewer of those partners' squares."""
-    pts = b.as_array()
-    order, rx, ry, end = _by_rows(pts, xs, ys)
-    right = end - np.arange(1, len(pts) + 1)
-    up = _line_ends(rx * len(ys) + ry, ry, pts[:, 1], ys, xs[-1] - pts[:, 0])  # B's order
-    squares = int(np.minimum(right, up[order] - order - 1).sum())
-    return _Kernel(_PAIR_SCAN, 128 * len(b) + 64 * squares, int(right.sum()),
-                   partial(_vertex_centers_sparse, b, mode))
 
 
 def find_vertex_centers_2d(b: PointSet2D, mode: str = "enumerate") -> CenterRows | int:
@@ -465,22 +461,26 @@ def find_vertex_centers_2d(b: PointSet2D, mode: str = "enumerate") -> CenterRows
         return _no_centers(mode)
     # B = X x Y exactly when |B| = |X| * |Y|: the join's case
     product = len(xs) * len(ys) == len(b)
-    xmin, ymin, xmax, ymax = b.bbox()
-    w, h, m = xmax - xmin + 1, ymax - ymin + 1, min(xmax - xmin, ymax - ymin)
+    w, h = int(xs[-1]) - int(xs[0]) + 1, int(ys[-1]) - int(ys[0]) + 1
+    m = min(w, h) - 1
     # sweep = sum of (w - s) * (h - s) over the widths s = 1..m
     sweep = m * w * h - (w + h) * m * (m + 1) // 2 + m * (m + 1) * (2 * m + 1) // 6
     # the cells, a (2w - 1) x (2h - 1) marks raster and two temporaries; an
     # enumeration reads out up to 16 + 3 bytes a mark
     raster = 7 * w * h + _RASTER_BYTES + (76 * w * h + _READOUT_BYTES
                                           if mode == "enumerate" else 0)
-    # the pair scan's floor: 128 bytes a point, and a product's rows whose
-    # reach spans X, each holding all |X|(|X| - 1)/2 pairs within it
-    full = int(np.count_nonzero((ys[-1] - ys).view(np.uint64) >= int(xs[-1]) - int(xs[0])))
-    return _run_first_fitting((_join_kernels(xs, ys, mode) if product else []) + [
+    joins = _join_kernels(xs, ys, mode) if product else []
+    # the pair scan's floor: 128 bytes a point, and a product's rows whose reach
+    # spans X, all |X|(|X| - 1)/2 pairs each; for A x A, its squares, one such
+    # pair and 64 bytes each, which number at least the sparse join's floor
+    full = int(np.count_nonzero((ys[-1] - ys).view(np.uint64) >= w - 1))
+    squares = joins[1].work if len(joins) > 1 else 0
+    return _run_first_fitting(joins + [
         _Kernel(f"the per-width raster sweep of a {w} x {h} grid", raster,
                 sweep // DENSE_VERTEX_RATIO, partial(_vertex_centers_dense, b, mode)),
-        _Kernel(_PAIR_SCAN, 128 * len(b), full * len(xs) * (len(xs) - 1) // 2 if product else 0,
-                None, partial(_pair_scan_price, b, xs, ys, mode))])
+        _Kernel(_PAIR_SCAN, 128 * len(b) + 64 * squares,
+                max(squares, full * len(xs) * (len(xs) - 1) // 2 if product else 0),
+                None, partial(_pair_scan, b, xs, ys, mode))])
 
 
 def find_boundary_centers_2d(b: PointSet2D, r_max: int,

@@ -151,6 +151,19 @@ class TestIntSet1D:
         assert unique_ints(np.array([9, 0, 0, -3])).tolist() == [-3, 0, 9]
         assert unique_ints(np.array([[2, 1], [1, 0]])).tolist() == [0, 1, 2]
 
+    @given(st.lists(st.integers(-2**63, 2**63 - 1), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_unique_ints_matches_np_unique(self, values):
+        # unsorted input, non-decreasing input (as a point set's x column, a
+        # strided view, is) and strictly increasing input, which comes back itself
+        arr = np.array(values, dtype=np.int64)
+        ref = np.unique(arr)
+        for given_ in (arr, np.sort(arr), np.column_stack((np.sort(arr), arr))[:, 0]):
+            out = unique_ints(given_)
+            assert out.dtype == np.int64 and out.tolist() == ref.tolist()
+        view = np.column_stack((ref, ref))[:, 0]
+        assert unique_ints(ref) is ref and unique_ints(view) is view
+
     def test_array_is_a_read_only_copy(self):
         src = np.array([1, 4, 9], dtype=np.int64)
         s = IntSet1D.from_sorted_array(src)

@@ -31,7 +31,6 @@ from squarelab.finders import (
     CenterRows,
     _join_offsets,
     _vertex_centers_dense,
-    _vertex_centers_sparse,
 )
 
 from oracles import (
@@ -196,6 +195,17 @@ def _join_1d(a, mode):
 def _centers_1d_sparse(a, mode):
     """The sparse join priced by its first phase and run, at any price."""
     return finders._sparse_join(a, mode).run()
+
+
+def _priced_scan(b, mode):
+    """The pair scan of B, priced by its first phase, on B's sorted columns."""
+    pts = b.as_array()
+    return finders._pair_scan(b, unique_ints(pts[:, 0]), unique_ints(pts[:, 1]), mode)
+
+
+def _vertex_centers_sparse(b, mode):
+    """The pair scan priced by its first phase and run, at any price."""
+    return _priced_scan(b, mode).run()
 
 
 # strip sizes: one offset row per FFT strip, a few rows (a strip's float64
@@ -388,12 +398,12 @@ class TestProductDispatch:
         assert calls == []
 
     def test_vertex_example_k4_is_counted_by_the_join(self, monkeypatch):
-        # the pair scan's floor, the 237,705 pairs within reach of its bottom
-        # row alone, is over the offset join's 105,197 work: the scan is not
-        # priced exactly
+        # the pair scan's floor, the sparse join's sweep floor of 74,740,301
+        # (D_4 x D_4's squares, each one pair within reach, are at least that
+        # many), is over the offset join's 105,197 work: the scan is not priced
         b, _ = gen_vertex_example(4)
         calls = _spy_join(monkeypatch)
-        monkeypatch.setattr(finders, "_pair_scan_price",
+        monkeypatch.setattr(finders, "_pair_scan",
                             lambda *args: pytest.fail("the pair scan priced"))
         assert find_vertex_centers_2d(b, "count") == 1_109_548
         assert calls == ["count"]
@@ -411,8 +421,8 @@ class TestSquareProducts:
 
     @pytest.fixture
     def no_corner_kernels(self, monkeypatch):
-        for name in ("_vertex_centers_dense", "_vertex_centers_sparse"):
-            monkeypatch.setattr(finders, name, lambda b, mode, name=name:
+        for name in ("_vertex_centers_dense", "_pair_scan_rows"):
+            monkeypatch.setattr(finders, name, lambda *args, name=name:
                                 pytest.fail(f"{name} ran on a square product"))
 
     # the offset join takes the first two, the sparse join the last; the pair
@@ -441,8 +451,10 @@ class TestSquareProducts:
         x, y = _spread_set(0, 6, 10**6), _spread_set(1, 7, 10**6)
         b = PointSet2D.product(x, y)
         calls = []
-        monkeypatch.setattr(finders, "_vertex_centers_sparse",
-                            lambda b, mode: calls.append(mode) or _vertex_centers_sparse(b, mode))
+        rows = finders._pair_scan_rows
+        monkeypatch.setattr(finders, "_pair_scan_rows",
+                            lambda ys, nx, mode, arrays: calls.append(mode)
+                            or rows(ys, nx, mode, arrays))
         assert find_vertex_centers_2d(b, "count") == len(oracle_vertex_centers_2d(b.points))
         assert calls == ["count"]
 
@@ -546,10 +558,44 @@ class TestBudgets:
         b = gen_countable_truncation(1, 4).blocks[0].boundary_set
         picks = _first_fitting(monkeypatch)
         find_vertex_centers_2d(b, "count")
-        pts = b.as_array()
-        scan = finders._pair_scan_price(b, unique_ints(pts[:, 0]), unique_ints(pts[:, 1]), "count")
+        scan = _priced_scan(b, "count")
         assert (scan.work, scan.nbytes) == (16_131_660, 128 * len(b) + 64 * 1_481_043)
         assert picks == ["the same-row pair scan"]
+
+    def test_pair_scan_runs_on_from_its_price(self, monkeypatch):
+        # `gen countable --alpha 1 --K 3` block 1, which the pair scan counts:
+        # B's columns are sorted once and give its box, and the scan goes on
+        # from the rows and row ends its price built (4 sorts of a column, a
+        # bbox and 3 passes for the ends within reach when it built them again)
+        b = gen_countable_truncation(1, 3).blocks[0].boundary_set
+        calls = []
+        for owner, name in ((finders, "unique_ints"), (finders, "_line_ends"),
+                            (finders, "_pair_scan_rows"), (PointSet2D, "bbox")):
+            monkeypatch.setattr(owner, name, lambda *args, f=getattr(owner, name), name=name:
+                                calls.append(name) or f(*args))
+        assert find_vertex_centers_2d(b, "count") == 32_159
+        assert sorted(calls) == ["_line_ends"] * 2 + ["_pair_scan_rows"] + ["unique_ints"] * 2
+
+    @pytest.mark.parametrize("K, mib", [(3, 6.70), (4, 26.77)])
+    def test_pair_scan_peak_is_within_its_price(self, monkeypatch, K, mib):
+        # `gen countable --alpha 1 --K K` block 1, counted and enumerated by
+        # the pair scan: its first-phase arrays and its found list are freed
+        # before the squares are sorted; a pass to price the scan and another
+        # to run it peaked at 6.70 and 26.77 MiB
+        b = gen_countable_truncation(1, K).blocks[0].boundary_set
+        picks = _first_fitting(monkeypatch)
+        find_vertex_centers_2d(b, "count"), find_vertex_centers_2d(b, "enumerate")
+        assert picks == ["the same-row pair scan"] * 2
+        monkeypatch.undo()
+        nbytes = _priced_scan(b, "count").nbytes
+        for mode in ("count", "enumerate"):
+            tracemalloc.start()
+            try:
+                find_vertex_centers_2d(b, mode)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= min(mib * 2**20, nbytes), f"{mode}: peak {peak / 2**20:.2f} MiB"
 
     def test_spread_vertices_take_the_pair_scan(self, monkeypatch):
         # a bounding box far over the byte limit: no grid is built

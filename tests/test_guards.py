@@ -145,6 +145,20 @@ class TestRefusalsSpendNothing:
         assert "same-row pair scan" in str(out) and out.estimate == 128 * len(b)
         assert peak <= 2 * b.as_array().nbytes and seconds < 1.0
 
+    def test_square_product_scan_is_floored_at_the_sparse_sweep(self, monkeypatch):
+        # D_3 x D_3 (50,625 points) enumerated at a byte limit of 9,547,064: the
+        # offset join's 10,448,252 bytes do not fit, and the pair scan's 128
+        # bytes a point would; its squares, at least the sparse join's sweep
+        # floor of 2,713,847, put it over before its first phase runs, which
+        # took 4.1 MiB traced (its exact price: 247,862,400 bytes)
+        b = PointSet2D.product(gen_Dk(3), gen_Dk(3))
+        monkeypatch.setenv("SQUARELAB_BUDGET", repr(10**-1.75))
+        monkeypatch.setattr(finders, "_pair_scan",
+                            lambda *args: pytest.fail("the pair scan priced"))
+        out, peak, _ = traced(lambda: find_vertex_centers_2d(b, "enumerate"))
+        assert isinstance(out, BudgetError) and "offset join" in str(out)
+        assert out.estimate == 10_448_252 and peak <= REFUSAL_BYTES
+
     def test_wide_boundary_box(self):
         b = PointSet2D([(0, 0), (10**6, 10**6)])
         out, peak, _ = traced(lambda: find_boundary_centers_2d(b, 5, "count"))
